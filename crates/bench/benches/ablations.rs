@@ -5,7 +5,6 @@
 //!   configurable s and c parameters");
 //! * shingle size `s1` (aggressive s=1 vs the paper's s=2 vs conservative);
 //! * device batch capacity (how much splitting costs);
-//! * synchronous vs overlapped transfers (the paper's stated future work);
 //! * reporting mode (union–find partition vs overlapping components).
 
 use gpclust_bench::time;

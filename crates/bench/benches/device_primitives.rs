@@ -1,10 +1,10 @@
-//! Microbenchmarks of the Thrust-like device primitives — the two
-//! workhorses the paper names (transform + sort [15]) plus the helpers.
-//! Wall times here reflect the host pool; the simulated device seconds are
-//! the cost model's business, not this timer's.
+//! Microbenchmarks of the Thrust-like device kernels — the two workhorses
+//! the paper names (transform + segmented sort [15]) — and of the stream
+//! copies. Wall times here reflect the host pool; the simulated device
+//! seconds are the cost model's business, not this timer's.
 
 use gpclust_bench::{time, time_with_setup};
-use gpclust_gpu::{thrust, DeviceConfig, Gpu};
+use gpclust_gpu::{thrust, DeviceConfig, Gpu, Stream};
 use gpclust_support::rng::StdRng;
 
 const N: usize = 1 << 20;
@@ -14,32 +14,15 @@ fn data(seed: u64) -> Vec<u64> {
     (0..N).map(|_| rng.gen()).collect()
 }
 
-fn bench_transform(gpu: &Gpu) {
-    let input = gpu.htod(&data(1)).unwrap();
+fn bench_transform(gpu: &Gpu, s: &Stream) {
+    let input = s.htod_async(&data(1)).unwrap();
     let mut out = gpu.alloc::<u64>(N).unwrap();
     time("device_transform/transform_1M_u64", 20, || {
-        thrust::transform(gpu, &input, &mut out, |x| x.wrapping_mul(0x9E37_79B9))
+        thrust::transform_on(s, &input, &mut out, |x| x.wrapping_mul(0x9E37_79B9))
     });
 }
 
-fn bench_sort(gpu: &Gpu) {
-    let host = data(2);
-    time_with_setup(
-        "device_sort/device_sort_1M_u64",
-        10,
-        || gpu.htod(&host).unwrap(),
-        |mut buf| thrust::sort(gpu, &mut buf),
-    );
-    // Host-side comparison point.
-    time_with_setup(
-        "device_sort/std_sort_1M_u64",
-        10,
-        || host.clone(),
-        |mut v| v.sort_unstable(),
-    );
-}
-
-fn bench_segmented_sort(gpu: &Gpu) {
+fn bench_segmented_sort(s: &Stream) {
     let host = data(3);
     // Adjacency-list-like segmentation: mean segment ~64 elements.
     let mut offsets = vec![0u64];
@@ -51,22 +34,22 @@ fn bench_segmented_sort(gpu: &Gpu) {
     time_with_setup(
         "device_segmented_sort/segmented_sort_1M_u64_seg64",
         10,
-        || gpu.htod(&host).unwrap(),
-        |mut buf| thrust::segmented_sort(gpu, &mut buf, &offsets),
+        || s.htod_async(&host).unwrap(),
+        |mut buf| thrust::segmented_sort_on(s, &mut buf, &offsets),
     );
 }
 
-fn bench_transfers(gpu: &Gpu) {
+fn bench_transfers(s: &Stream) {
     let host = data(5);
-    time("transfers/htod_8MB", 20, || gpu.htod(&host).unwrap());
-    let buf = gpu.htod(&host).unwrap();
-    time("transfers/dtoh_8MB", 20, || gpu.dtoh(&buf));
+    time("transfers/htod_8MB", 20, || s.htod_async(&host).unwrap());
+    let buf = s.htod_async(&host).unwrap();
+    time("transfers/dtoh_8MB", 20, || s.dtoh_async(&buf));
 }
 
 fn main() {
     let gpu = Gpu::new(DeviceConfig::tesla_k20());
-    bench_transform(&gpu);
-    bench_sort(&gpu);
-    bench_segmented_sort(&gpu);
-    bench_transfers(&gpu);
+    let s = gpu.stream("bench");
+    bench_transform(&gpu, &s);
+    bench_segmented_sort(&s);
+    bench_transfers(&s);
 }

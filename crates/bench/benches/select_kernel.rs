@@ -78,7 +78,7 @@ impl From<PassModel> for Json {
 /// Closed-form schedule model of one shingling pass on `gpu` under
 /// `kernel`. The input is split into `ceil(n / batch_capacity)` equal
 /// batches; each batch is one upload, `trials` kernel rounds, and one
-/// top-s download per trial (same shape as `overlap.rs`, batched):
+/// top-s download per trial (the executor's stream-pair shape):
 ///
 /// * per-batch kernels — SortCompact: transform + segmented sort over the
 ///   batch plus a gather over its share of the output; FusedSelect: a

@@ -3,7 +3,8 @@
 //! The paper's two Table I rows show both speedups growing from the 20K
 //! graph to the 2M graph. This harness regenerates that trend as a proper
 //! sweep over graph sizes: serial runtime, gpClust component breakdown,
-//! and both speedups per size, plus the asynchronous-transfer projection.
+//! and both speedups per size, plus the stream pair's pipelined device
+//! makespan (`StageTimes::device_pipelined`).
 //!
 //! Usage: `sweep [--sizes 20000,50000,100000,200000] [--seed <u64>]
 //!               [--kernel sort|select]
@@ -18,7 +19,6 @@ use gpclust_bench::Args;
 use gpclust_bench::{json_fields, Json};
 use gpclust_core::serial::shingle_pass_foreach;
 use gpclust_core::{GpClust, SerialShingling, ShinglingParams};
-use gpclust_gpu::pipelined_seconds;
 use std::time::Instant;
 
 #[derive(Debug)]
@@ -83,12 +83,11 @@ fn main() {
         let serial_shingling_s = p1 + t0.elapsed().as_secs_f64();
         drop(first);
 
-        let gpu = sched.harness_gpu(0);
-        gpu.timeline().set_enabled(true);
-        let pipeline = GpClust::new(params, gpu).unwrap();
-        let report = pipeline.cluster(&g).expect("gpClust");
+        let report = GpClust::new(params, sched.harness_gpu(0))
+            .unwrap()
+            .cluster(&g)
+            .expect("gpClust");
         assert_eq!(report.partition, serial_partition);
-        let events = pipeline.gpu().timeline().snapshot();
 
         points.push(Point {
             n_vertices: g.n(),
@@ -98,7 +97,7 @@ fn main() {
             gpclust_total_s: report.times.total(),
             gpu_s: report.times.gpu,
             transfers_s: report.times.h2d + report.times.d2h,
-            pipelined_device_s: pipelined_seconds(&events),
+            pipelined_device_s: report.times.device_pipelined,
             total_speedup: serial_s / report.times.total(),
             gpu_part_speedup: serial_shingling_s / report.times.gpu,
         });

@@ -24,8 +24,8 @@ pub fn aggregate_with(raw: &RawShingles, _par_sort_min: usize) -> ShingleGraph {
     aggregate(raw)
 }
 
-/// [`merge_fragments`]; the threshold is ignored (see
-/// [`crate::ShinglingParams::par_sort_min`]).
+/// The [`SortedRun`] of `raw`'s records, its boundary fragments merged;
+/// the threshold is ignored (see [`crate::ShinglingParams::par_sort_min`]).
 pub fn fragment_run(raw: &RawShingles, _par_sort_min: usize) -> SortedRun {
     merge_fragments(raw)
 }
@@ -306,10 +306,11 @@ impl StreamAggregator {
     }
 
     /// Absorb one record: `pairs` sorted ascending, exactly `s` of them.
+    /// Two pairs are equal when an adjacency list names a target twice.
     #[inline]
     pub fn push(&mut self, trial: u32, node: u32, pairs: &[PackedHash]) {
         debug_assert_eq!(pairs.len(), self.s);
-        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
         let idx = (self.elements.len() / self.s) as u128;
         assert!(idx < (1 << 32), "too many shingle records");
         for &p in pairs {

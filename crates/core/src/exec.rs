@@ -8,7 +8,7 @@
 //! reports ([`crate::timing::StageTimes::device_serialized`]) is the same
 //! as under blocking copies. Inside [`Executor::run`]:
 //!
-//! * [`KernelStrategy`] *(internal)* — the top-s extraction plan per
+//! * `KernelStrategy` *(internal)* — the top-s extraction plan per
 //!   trial: `SortCompact` (transform → segmented sort → compaction, the
 //!   paper's pipeline) or `FusedSelect` (one fused hash + ascending
 //!   selection kernel). Both emit bit-identical bytes.
@@ -168,9 +168,9 @@ impl<'g> Executor<'g> {
     }
 
     /// Execute one pass plan. `recovery` is caller-owned so retry/degrade
-    /// tallies accumulate across pass-level re-plans (the
-    /// [`crate::resilience::with_oom_backoff`] loop re-invokes `run` with
-    /// a smaller-capacity plan); sink state is rebuilt per call, so a
+    /// tallies accumulate across pass-level re-plans (the OOM-backoff
+    /// loop, [`crate::resilience`], re-invokes `run` with a
+    /// smaller-capacity plan); sink state is rebuilt per call, so a
     /// re-plan never replays half-emitted records.
     pub fn run(
         &self,
@@ -977,8 +977,7 @@ mod tests {
         }
     }
 
-    /// Overlap accounting on the K20: every async transfer lands in the
-    /// overlap sub-accounts, and the pipelined makespan beats the
+    /// Overlap accounting on the K20: the pipelined makespan beats the
     /// serialized sum while never beating the kernel lower bound.
     #[test]
     fn makespan_beats_serialized_path() {
@@ -997,11 +996,7 @@ mod tests {
                 makespan >= snap.kernel_seconds - 1e-6,
                 "pipelined {makespan} cannot beat the kernel-only lower bound ({kernel:?})"
             );
-            // All transfers were issued asynchronously.
-            assert!(snap.d2h_overlapped_seconds > 0.0);
-            assert!((snap.d2h_overlapped_seconds - snap.d2h_seconds).abs() < 1e-9);
-            assert!((snap.h2d_overlapped_seconds - snap.h2d_seconds).abs() < 1e-9);
-            assert_eq!(snap.blocking_transfer_seconds(), 0.0);
+            assert!(snap.d2h_seconds > 0.0 && snap.h2d_seconds > 0.0);
         }
     }
 

@@ -89,8 +89,8 @@ fn normalize_run(s: usize, run: SortedRun) -> SortedRun {
 
 /// Pass-I shingle records for a whole graph, held as one canonical
 /// [`SortedRun`]: ascending `(key, node)` with sequentially re-ranked
-/// local indices (see [`normalize_run`]) — the same bytes regardless of
-/// how many delta passes built it.
+/// local indices — the same bytes regardless of how many delta passes
+/// built it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShingleIndex {
     s: usize,

@@ -52,7 +52,7 @@ pub struct Plan {
     pub n_devices: usize,
     /// Capability-proportional work shares, one per device (lost and
     /// benched devices hold 0; the rest sum to 1). Uniform fleets get
-    /// uniform shares — see [`autotune::capability_shares`].
+    /// uniform shares — see [`crate::autotune::capability_shares`].
     pub shares: Vec<f64>,
     /// Free bytes of the smallest surviving device *with a nonzero
     /// share* at lowering time (a benched device receives no batches, so
@@ -73,7 +73,8 @@ impl Plan {
     /// nonzero capability share*, so every batch fits on any device it
     /// may be (re)scheduled to. Under a uniform fleet every survivor
     /// shares alike and this is the smallest survivor, the historical
-    /// rule; a device so slow it gets benched ([`autotune::MIN_SHARE`])
+    /// rule; a device so slow it gets benched
+    /// ([`crate::autotune::MIN_SHARE`])
     /// also stops bounding the batch size. Typed
     /// [`DeviceError::DeviceLost`] once no device remains.
     pub fn lower(params: &ShinglingParams, gpus: &[Gpu]) -> Result<Plan, DeviceError> {
@@ -201,8 +202,8 @@ impl Plan {
     }
 
     /// Lower one shingling pass: plan the batches of `offsets` at
-    /// `capacity` elements (the [`crate::resilience::with_oom_backoff`]
-    /// loop passes progressively smaller capacities on re-plan) and bind
+    /// `capacity` elements (the OOM-backoff loop, [`crate::resilience`],
+    /// passes progressively smaller capacities on re-plan) and bind
     /// the per-pass sink parameters. In-order semantics
     /// ([`FragmentMode::Merge`]); call [`PassPlan::subplan`] to carve the
     /// per-device shares the driver runs, with deferred fragment handling.
@@ -370,7 +371,7 @@ mod tests {
                 .with_fault(FaultSite::H2D, 1, FaultKind::DeviceLost)
                 .with_device(0),
         );
-        assert!(gpu.htod(&[1u32]).is_err());
+        assert!(gpu.stream("probe").htod_async(&[1u32]).is_err());
         assert!(gpu.is_lost());
         let err = Plan::lower(&ShinglingParams::light(0), std::slice::from_ref(&gpu)).unwrap_err();
         assert!(matches!(err, DeviceError::DeviceLost { .. }), "{err}");

@@ -1,14 +1,14 @@
 //! Recovery primitives shared by the device passes.
 //!
-//! Three mechanisms implement [`FaultPolicy`](crate::params::FaultPolicy)
-//! (each action tallied in [`RecoveryReport`](crate::timing::RecoveryReport)):
+//! Three mechanisms implement [`FaultPolicy`] (each action tallied in
+//! [`RecoveryReport`]):
 //!
-//! 1. **Bounded retries** ([`retry_transient`]) — transient faults (failed
+//! 1. **Bounded retries** (`retry_transient`) — transient faults (failed
 //!    transfers/launches, ECC events) re-attempt the same idempotent
 //!    operation up to `max_retries` times. Every device-side step of a
 //!    shingling trial recomputes its outputs from inputs that are still
 //!    resident, so a re-run is bit-identical to a clean first run.
-//! 2. **OOM backoff** ([`with_oom_backoff`]) — a pass that hits
+//! 2. **OOM backoff** (`with_oom_backoff`) — a pass that hits
 //!    `OutOfMemory` is re-planned from scratch with half the batch
 //!    capacity (down to a one-element floor), mirroring how the batched
 //!    schedule exists precisely because device memory is the binding

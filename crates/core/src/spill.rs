@@ -1,13 +1,13 @@
 //! Spill-to-disk sorted runs and the external k-way merge — the
 //! out-of-core half of the aggregation layer.
 //!
-//! The device-aggregation path already reduces each batch (or shard) of
-//! pass records to a [`SortedRun`] — packed `(key << 64 | node << 32 |
-//! local-index)` u128s plus `s` element ids per record — and
-//! [`merge_sorted_runs`] reconstructs the shingle graph from any set of
-//! such runs in one streaming heap pass. That merge only ever looks at
-//! each run's *frontier* record, so a run does not need to be resident:
-//! this module writes finished runs to framed temp files
+//! Host aggregation reduces each batch (or shard) of pass records to a
+//! [`SortedRun`] — packed `(key << 64 | node << 32 | local-index)` u128s
+//! plus `s` element ids per record — and
+//! [`crate::aggregate::merge_sorted_runs`] reconstructs the shingle graph
+//! from any set of such runs in one streaming heap pass. That merge only
+//! ever looks at each run's *frontier* record, so a run does not need to
+//! be resident: this module writes finished runs to framed temp files
 //! ([`SpilledRun`]) and generalizes the binary-heap merge into
 //! [`merge_external_runs`] over any mix of in-memory and on-disk runs.
 //!
@@ -39,8 +39,8 @@
 //! ## Bit-identity
 //!
 //! [`merge_external_runs`] pops records in exactly the order
-//! [`merge_sorted_runs`] does — ascending `(key, node)` with ties broken
-//! by run index — and feeds the same [`StreamInverter`]. Where the
+//! [`crate::aggregate::merge_sorted_runs`] does — ascending `(key, node)`
+//! with ties broken by run index — and feeds the same inverter. Where the
 //! records sleep between production and merge changes nothing about the
 //! sequence, so the out-of-core path inherits the in-memory path's
 //! bit-identity proof (`tests/oocore_properties.rs` pins it).
@@ -345,7 +345,7 @@ impl Drop for SpilledRun {
 }
 
 /// A bounded-memory cursor over a [`SpilledRun`]'s records, refilled one
-/// verified frame ([`REPLAY_CHUNK`] records) at a time.
+/// verified frame (`REPLAY_CHUNK` records) at a time.
 #[derive(Debug)]
 pub struct RunReplay {
     reader: BufReader<File>,
@@ -466,11 +466,12 @@ impl Cursor {
 }
 
 /// Merge resident and spilled sorted runs into the bipartite shingle
-/// graph — [`merge_sorted_runs`] generalized over run residency.
+/// graph — [`crate::aggregate::merge_sorted_runs`] generalized over run
+/// residency.
 ///
 /// Entries pop in ascending `((key, node), run-index)` order, exactly the
 /// in-memory merge's sequence, so the result is bit-identical to merging
-/// the same runs resident. Host memory holds one [`REPLAY_CHUNK`]-record
+/// the same runs resident. Host memory holds one `REPLAY_CHUNK`-record
 /// frontier per on-disk run plus the growing output graph; read traffic
 /// is tallied into `stats`.
 ///

@@ -9,19 +9,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Accumulates simulated durations, in nanoseconds, by category.
-///
-/// The `*_overlap` categories are sub-accounts of `h2d_ns`/`d2h_ns`: a
-/// transfer issued on a [`crate::stream::Stream`] charges both its total
-/// category (so Table I's transfer columns stay complete) and the overlap
-/// sub-account (so the harness can report how much of that traffic left the
-/// blocking critical path).
 #[derive(Debug, Default)]
 pub struct DeviceClock {
     kernel_ns: AtomicU64,
     h2d_ns: AtomicU64,
     d2h_ns: AtomicU64,
-    h2d_overlap_ns: AtomicU64,
-    d2h_overlap_ns: AtomicU64,
 }
 
 impl DeviceClock {
@@ -45,20 +37,6 @@ impl DeviceClock {
         self.d2h_ns.fetch_add(to_ns(seconds), Ordering::Relaxed);
     }
 
-    /// Mark host→device seconds (already charged via [`Self::charge_h2d`])
-    /// as issued asynchronously on a stream.
-    pub fn charge_h2d_overlap(&self, seconds: f64) {
-        self.h2d_overlap_ns
-            .fetch_add(to_ns(seconds), Ordering::Relaxed);
-    }
-
-    /// Mark device→host seconds (already charged via [`Self::charge_d2h`])
-    /// as issued asynchronously on a stream.
-    pub fn charge_d2h_overlap(&self, seconds: f64) {
-        self.d2h_overlap_ns
-            .fetch_add(to_ns(seconds), Ordering::Relaxed);
-    }
-
     /// Total simulated kernel seconds.
     pub fn kernel_seconds(&self) -> f64 {
         from_ns(self.kernel_ns.load(Ordering::Relaxed))
@@ -74,25 +52,11 @@ impl DeviceClock {
         from_ns(self.d2h_ns.load(Ordering::Relaxed))
     }
 
-    /// Host→device seconds issued asynchronously (subset of
-    /// [`Self::h2d_seconds`]).
-    pub fn h2d_overlap_seconds(&self) -> f64 {
-        from_ns(self.h2d_overlap_ns.load(Ordering::Relaxed))
-    }
-
-    /// Device→host seconds issued asynchronously (subset of
-    /// [`Self::d2h_seconds`]).
-    pub fn d2h_overlap_seconds(&self) -> f64 {
-        from_ns(self.d2h_overlap_ns.load(Ordering::Relaxed))
-    }
-
     /// Reset all categories to zero.
     pub fn reset(&self) {
         self.kernel_ns.store(0, Ordering::Relaxed);
         self.h2d_ns.store(0, Ordering::Relaxed);
         self.d2h_ns.store(0, Ordering::Relaxed);
-        self.h2d_overlap_ns.store(0, Ordering::Relaxed);
-        self.d2h_overlap_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -119,19 +83,6 @@ mod tests {
         assert!((c.kernel_seconds() - 0.75).abs() < 1e-9);
         assert!((c.h2d_seconds() - 0.1).abs() < 1e-9);
         assert!((c.d2h_seconds() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlap_subaccounts_are_separate() {
-        let c = DeviceClock::new();
-        c.charge_d2h(0.4);
-        c.charge_d2h_overlap(0.3);
-        c.charge_h2d(0.2);
-        assert!((c.d2h_seconds() - 0.4).abs() < 1e-9);
-        assert!((c.d2h_overlap_seconds() - 0.3).abs() < 1e-9);
-        assert_eq!(c.h2d_overlap_seconds(), 0.0);
-        c.reset();
-        assert_eq!(c.d2h_overlap_seconds(), 0.0);
     }
 
     #[test]

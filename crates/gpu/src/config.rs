@@ -15,14 +15,10 @@ pub struct DeviceConfig {
     pub sm_count: usize,
     /// CUDA cores per SM.
     pub cores_per_sm: usize,
-    /// Threads per warp (SIMT width).
-    pub warp_size: usize,
     /// Core clock in GHz.
     pub clock_ghz: f64,
     /// Device global memory capacity in bytes.
     pub global_mem_bytes: usize,
-    /// Shared memory per thread block in bytes.
-    pub shared_mem_per_block: usize,
     /// Device memory bandwidth in GB/s (for memory-bound kernels).
     pub mem_bandwidth_gbps: f64,
     /// Host↔device transfer bandwidth in GB/s (PCIe, effective).
@@ -50,10 +46,8 @@ impl DeviceConfig {
             name: "Tesla K20 (simulated)".to_string(),
             sm_count: 13,
             cores_per_sm: 192,
-            warp_size: 32,
             clock_ghz: 0.706,
             global_mem_bytes: 5 * 1024 * 1024 * 1024,
-            shared_mem_per_block: 48 * 1024,
             mem_bandwidth_gbps: 208.0,
             pcie_bandwidth_gbps: 6.0,
             pcie_latency_us: 10.0,
@@ -105,10 +99,8 @@ impl DeviceConfig {
             name: "tiny-test".to_string(),
             sm_count: 2,
             cores_per_sm: 32,
-            warp_size: 32,
             clock_ghz: 1.0,
             global_mem_bytes: 64 * 1024,
-            shared_mem_per_block: 4 * 1024,
             mem_bandwidth_gbps: 10.0,
             pcie_bandwidth_gbps: 1.0,
             pcie_latency_us: 10.0,

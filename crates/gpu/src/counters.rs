@@ -43,8 +43,6 @@ impl Counters {
         kernel_seconds: f64,
         h2d_seconds: f64,
         d2h_seconds: f64,
-        h2d_overlapped_seconds: f64,
-        d2h_overlapped_seconds: f64,
         faults_injected: u64,
     ) -> CountersSnapshot {
         CountersSnapshot {
@@ -59,8 +57,6 @@ impl Counters {
             kernel_seconds,
             h2d_seconds,
             d2h_seconds,
-            h2d_overlapped_seconds,
-            d2h_overlapped_seconds,
             kernel_wall_seconds: self.kernel_wall_ns.load(Ordering::Relaxed) as f64 / 1e9,
             faults_injected,
         }
@@ -105,11 +101,6 @@ pub struct CountersSnapshot {
     pub h2d_seconds: f64,
     /// Simulated device→host seconds (Data g→c in Table I).
     pub d2h_seconds: f64,
-    /// Subset of `h2d_seconds` issued asynchronously on a stream (hidden
-    /// behind compute in the pipelined critical path).
-    pub h2d_overlapped_seconds: f64,
-    /// Subset of `d2h_seconds` issued asynchronously on a stream.
-    pub d2h_overlapped_seconds: f64,
     /// Wall-clock host seconds spent executing kernel work on the pool.
     pub kernel_wall_seconds: f64,
     /// Faults injected by the [`crate::fault::FaultInjector`] since the
@@ -144,19 +135,10 @@ impl CountersSnapshot {
             t.kernel_seconds += c.kernel_seconds;
             t.h2d_seconds += c.h2d_seconds;
             t.d2h_seconds += c.d2h_seconds;
-            t.h2d_overlapped_seconds += c.h2d_overlapped_seconds;
-            t.d2h_overlapped_seconds += c.d2h_overlapped_seconds;
             t.kernel_wall_seconds += c.kernel_wall_seconds;
             t.faults_injected += c.faults_injected;
         }
         t
-    }
-
-    /// Transfer seconds still on the blocking critical path (totals minus
-    /// the stream-issued overlap sub-accounts).
-    pub fn blocking_transfer_seconds(&self) -> f64 {
-        (self.h2d_seconds - self.h2d_overlapped_seconds).max(0.0)
-            + (self.d2h_seconds - self.d2h_overlapped_seconds).max(0.0)
     }
 }
 
@@ -171,7 +153,7 @@ mod tests {
         c.alloc(50);
         c.free(100);
         c.alloc(10);
-        let s = c.snapshot(0.0, 0.0, 0.0, 0.0, 0.0, 0);
+        let s = c.snapshot(0.0, 0.0, 0.0, 0);
         assert_eq!(s.mem_used, 60);
         assert_eq!(s.mem_peak, 150);
         assert_eq!(s.allocations, 3);
@@ -183,7 +165,7 @@ mod tests {
         c.alloc(77);
         c.kernel_launches.fetch_add(3, Ordering::Relaxed);
         c.reset();
-        let s = c.snapshot(0.0, 0.0, 0.0, 0.0, 0.0, 0);
+        let s = c.snapshot(0.0, 0.0, 0.0, 0);
         assert_eq!(s.kernel_launches, 0);
         assert_eq!(s.mem_used, 77);
         assert_eq!(s.mem_peak, 77);

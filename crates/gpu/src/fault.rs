@@ -22,7 +22,7 @@
 //! * **Kernel faults are sticky**: a failed launch does not run its
 //!   tasks; the error parks as a *pending* fault that surfaces at the
 //!   next fallible synchronization point ([`Gpu::take_fault`],
-//!   [`Gpu::try_dtoh`]) — the `cudaGetLastError` contract.
+//!   [`Stream::try_dtoh_async`]) — the `cudaGetLastError` contract.
 //! * **Device loss is terminal**: once a `DeviceLost` fault fires, every
 //!   subsequent fallible operation on that device fails with
 //!   `DeviceLost` until the process ends. Counters reset does not bring
@@ -34,7 +34,7 @@
 //! spiralling capacity or killing devices nondeterministically.
 //!
 //! [`Gpu::take_fault`]: crate::simt::Gpu::take_fault
-//! [`Gpu::try_dtoh`]: crate::simt::Gpu
+//! [`Stream::try_dtoh_async`]: crate::stream::Stream::try_dtoh_async
 //! [`DeviceError`]: crate::memory::DeviceError
 
 use crate::lock;
@@ -46,14 +46,14 @@ use std::sync::Mutex;
 /// Where in the device API a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Host→device copies (`htod`, `htod_async`).
+    /// Host→device copies (`htod_async`).
     H2D,
-    /// Device→host copies (`try_dtoh`, `try_dtoh_async`).
+    /// Device→host copies (`try_dtoh_async`).
     D2H,
     /// Buffer allocations (`alloc`, and the adopt step of copies).
     Alloc,
-    /// Kernel launches (`launch`, stream launches — every thrust
-    /// primitive funnels through these).
+    /// Kernel launches (`Stream::launch` — every thrust kernel funnels
+    /// through it).
     Kernel,
 }
 

@@ -10,24 +10,21 @@
 //!   against a configurable capacity (5 GB for the K20 preset) and fail with
 //!   [`DeviceError::OutOfMemory`] when exceeded, which is what forces the
 //!   batch-by-batch streaming of adjacency lists in gpClust's Algorithm 2.
-//! * **Synchronous host↔device transfers** ([`transfer`]) — explicit
-//!   `htod`/`dtoh` copies with byte accounting and a modeled transfer time
-//!   (PCIe latency + bytes/bandwidth), mirroring Thrust 1.5's synchronous
-//!   copy semantics that the paper calls out as its residual overhead.
 //! * **Streams and events** ([`stream`]) — CUDA-style ordered async queues:
 //!   `htod_async`/`dtoh_async` and stream launches charge modeled time to a
-//!   per-stream cursor instead of the blocking critical path, with events
-//!   for cross-stream dependencies — the asynchronous-copy "future work"
-//!   the paper projects, made measurable.
+//!   per-stream cursor, with events for cross-stream dependencies. Every
+//!   pass issues its copies and kernels on a compute/copy stream pair, so
+//!   the pipelined makespan is the later of the two cursors — the
+//!   asynchronous-copy "future work" the paper projects, made measurable.
+//!   Each copy is charged `latency + bytes / bandwidth` ([`transfer`]).
 //! * **Data-parallel execution** ([`simt`], [`pool`]) — kernels run for real
-//!   on a work-stealing CPU thread pool (thread blocks = tasks, SMs =
-//!   workers), while a cost model accounts *device time* per launch
-//!   (compute-bound vs memory-bound roofline + launch overhead).
-//! * **Thrust-like primitives** ([`thrust`]) — `transform`, `sort`,
-//!   `segmented_sort`, `reduce_by_key`, `gather`, `sequence`: the two
-//!   primitives the paper names (transform + sort) plus the helpers around
-//!   them and the fused hash + top-s selection kernel
-//!   ([`thrust::transform_select`]).
+//!   on a CPU thread pool (thread blocks = tasks, SMs = workers), while a
+//!   cost model accounts *device time* per launch (compute-bound vs
+//!   memory-bound roofline + launch overhead).
+//! * **Thrust-like kernels** ([`thrust`]) — the two primitives the paper
+//!   names, `transform` and `segmented_sort`, plus the fused hash + top-s
+//!   selection kernel ([`thrust::transform_select_on`]), each issued on a
+//!   stream.
 //!
 //! Device time ([`clock`], [`counters`]) is *simulated* — derived from the
 //! cost model, not wall-clock — so the Table I columns (GPU seconds,
@@ -50,7 +47,6 @@ pub mod pool;
 pub mod simt;
 pub mod stream;
 pub mod thrust;
-pub mod timeline;
 pub mod transfer;
 
 pub use config::DeviceConfig;
@@ -69,4 +65,3 @@ pub use fault::{FaultKind, FaultPlan, FaultSite, ScheduledFault};
 pub use memory::{DeviceBuffer, DeviceError};
 pub use simt::{Gpu, KernelCost};
 pub use stream::{Stream, StreamEvent};
-pub use timeline::{pipelined_seconds, serialized_seconds, Event, EventLog};

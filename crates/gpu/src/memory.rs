@@ -27,13 +27,6 @@ pub enum DeviceError {
         /// Total device capacity.
         capacity: usize,
     },
-    /// A kernel requested more per-block shared memory than the device has.
-    SharedMemExceeded {
-        /// Bytes requested per block.
-        requested: usize,
-        /// Per-block shared memory capacity.
-        capacity: usize,
-    },
     /// A host↔device copy failed (transient — retryable).
     TransferFailed {
         /// True for host→device, false for device→host.
@@ -85,14 +78,6 @@ impl std::fmt::Display for DeviceError {
                 "device out of memory: requested {requested} B, {available} B \
                  free of {capacity} B"
             ),
-            DeviceError::SharedMemExceeded {
-                requested,
-                capacity,
-            } => write!(
-                f,
-                "per-block shared memory exceeded: requested {requested} B of \
-                 {capacity} B"
-            ),
             DeviceError::TransferFailed { h2d, bytes } => write!(
                 f,
                 "{} transfer of {bytes} B failed",
@@ -116,8 +101,9 @@ impl std::error::Error for DeviceError {}
 
 /// A typed allocation in simulated device global memory.
 ///
-/// Host code cannot read it directly (use [`Gpu::dtoh`]); kernels access it
-/// via the thrust primitives. Dropping the buffer frees its device bytes.
+/// Host code cannot read it directly (use
+/// [`crate::stream::Stream::dtoh_async`]); kernels access it via the
+/// thrust primitives. Dropping the buffer frees its device bytes.
 pub struct DeviceBuffer<T: Pod> {
     pub(crate) data: Vec<T>,
     bytes: usize,
@@ -141,7 +127,8 @@ impl<T: Pod> DeviceBuffer<T> {
     }
 
     /// Kernel-side view of the data. Exposed for custom kernels; host logic
-    /// should move data with [`Gpu::dtoh`] so transfer costs are accounted.
+    /// should move data with [`crate::stream::Stream::dtoh_async`] so
+    /// transfer costs are accounted.
     pub fn device_slice(&self) -> &[T] {
         &self.data
     }

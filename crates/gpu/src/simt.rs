@@ -1,7 +1,8 @@
 //! The device handle and kernel-launch machinery.
 //!
 //! A [`Gpu`] bundles the device description, memory accounting, the
-//! simulated clock and the SM worker pool. Kernel launches do two things:
+//! simulated clock and the SM worker pool. Kernel launches, issued on a
+//! [`crate::stream::Stream`], do two things:
 //!
 //! 1. **Execute for real**: the caller supplies one task per thread block
 //!    (or block batch); tasks run concurrently on the pool.
@@ -19,7 +20,6 @@ use crate::counters::{Counters, CountersSnapshot};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use crate::memory::DeviceError;
 use crate::pool::SmPool;
-use crate::timeline::{Event, EventLog};
 use std::sync::Arc;
 
 /// Shared device state behind a [`Gpu`] handle.
@@ -28,8 +28,6 @@ pub(crate) struct Shared {
     pub(crate) counters: Counters,
     pub(crate) clock: DeviceClock,
     pub(crate) pool: SmPool,
-    pub(crate) transfer_overlap: std::sync::atomic::AtomicBool,
-    pub(crate) timeline: EventLog,
     pub(crate) fault: FaultInjector,
 }
 
@@ -64,20 +62,10 @@ impl KernelCost {
         }
     }
 
-    /// Radix sort over u64 keys. Merrill & Grimshaw-style GPU radix sort
-    /// (the paper's ref \[15\]) makes several full passes over the keys; the
-    /// constants below land at roughly 1 G keys/s on the K20 preset, in
-    /// line with published sorting rates of that generation.
-    pub fn sort() -> Self {
-        KernelCost {
-            ops_per_element: 64.0,
-            bytes_per_element: 64.0,
-            divergence_factor: 1.0,
-            coalescing_factor: 2.0,
-        }
-    }
-
-    /// Segmented sort: radix-like passes, plus divergence because warps
+    /// Segmented sort. Merrill & Grimshaw-style GPU radix sort (the
+    /// paper's ref \[15\]) makes several full passes over the keys, landing
+    /// at roughly 1 G keys/s on the K20 preset, in line with published
+    /// sorting rates of that generation; divergence is added because warps
     /// straddle segment boundaries of uneven adjacency lists.
     pub fn segmented_sort() -> Self {
         KernelCost {
@@ -119,16 +107,6 @@ impl KernelCost {
             coalescing_factor: 1.0,
         }
     }
-
-    /// Key-grouped reduction over sorted input (one scan pass).
-    pub fn reduce_by_key() -> Self {
-        KernelCost {
-            ops_per_element: 6.0,
-            bytes_per_element: 24.0,
-            divergence_factor: 1.2,
-            coalescing_factor: 1.0,
-        }
-    }
 }
 
 impl Gpu {
@@ -146,8 +124,6 @@ impl Gpu {
                 counters: Counters::default(),
                 clock: DeviceClock::new(),
                 pool: SmPool::new(n_workers),
-                transfer_overlap: std::sync::atomic::AtomicBool::new(false),
-                timeline: EventLog::new(),
                 fault: FaultInjector::default(),
             }),
         }
@@ -168,7 +144,7 @@ impl Gpu {
 
     /// Surface any pending (sticky) kernel fault, CUDA
     /// `cudaGetLastError`-style: an injected launch failure parks here and
-    /// the first `take_fault`/`try_dtoh` after it reports the error.
+    /// the first `take_fault`/`try_dtoh_async` after it reports the error.
     pub fn take_fault(&self) -> Result<(), DeviceError> {
         match self.shared.fault.take_pending() {
             Some(e) => Err(e),
@@ -198,31 +174,9 @@ impl Gpu {
         })
     }
 
-    /// Enable/disable the "asynchronous transfer" ablation (the paper's
-    /// stated future work). Transfers are still timed and tallied, but
-    /// [`Gpu::transfer_overlap`] tells the harness to treat them as hidden
-    /// behind computation when composing total runtime.
-    pub fn set_transfer_overlap(&self, enabled: bool) {
-        self.shared
-            .transfer_overlap
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether transfers are modeled as overlapped with computation.
-    pub fn transfer_overlap(&self) -> bool {
-        self.shared
-            .transfer_overlap
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// The device description.
     pub fn config(&self) -> &DeviceConfig {
         &self.shared.config
-    }
-
-    /// Number of pool workers executing kernel tasks.
-    pub fn n_workers(&self) -> usize {
-        self.shared.pool.n_workers()
     }
 
     /// Simulated seconds a launch over `n_elements` with `cost` takes.
@@ -247,23 +201,10 @@ impl Gpu {
             .sum()
     }
 
-    /// Launch a kernel: run `tasks` (one per thread block / block batch) on
-    /// the SM pool, then charge the modeled device time for `n_elements`.
-    ///
-    /// Blocks until every task completes (kernel launches in the paper's
-    /// Thrust 1.5 are implicitly synchronized by the following copy anyway).
-    pub fn launch<'env>(
-        &self,
-        n_elements: usize,
-        cost: &KernelCost,
-        tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
-    ) {
-        let _ = self.execute_and_model(n_elements, cost, tasks);
-    }
-
-    /// Shared body of [`Gpu::launch`] and [`crate::stream::Stream::launch`]:
-    /// run the tasks, tally the launch, charge modeled time, and return the
-    /// modeled seconds so stream callers can advance their cursor.
+    /// Body of [`crate::stream::Stream::launch`]: run `tasks` (one per
+    /// thread block / block batch) on the SM pool until every task
+    /// completes, tally the launch, charge the modeled device time for
+    /// `n_elements`, and return it so the stream can advance its cursor.
     pub(crate) fn execute_and_model<'env>(
         &self,
         n_elements: usize,
@@ -273,7 +214,7 @@ impl Gpu {
         if let Some(e) = self.injected_fault(FaultSite::Kernel, 0) {
             // A failed launch runs nothing and charges nothing; the error
             // parks as a sticky pending fault that surfaces at the next
-            // fallible sync point ([`Gpu::take_fault`], `try_dtoh`).
+            // fallible sync point ([`Gpu::take_fault`], `try_dtoh_async`).
             self.shared.fault.set_pending(e);
             return 0.0;
         }
@@ -288,27 +229,8 @@ impl Gpu {
             .kernel_launches
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let modeled = self.model_kernel_seconds(n_elements, cost);
-        self.shared.timeline.record(Event::Kernel(modeled));
         self.shared.clock.charge_kernel(modeled);
         modeled
-    }
-
-    /// The device's event timeline (disabled by default; enable to feed
-    /// the asynchronous-transfer model in [`crate::timeline`]).
-    pub fn timeline(&self) -> &EventLog {
-        &self.shared.timeline
-    }
-
-    /// Run tasks on the SM pool, charging wall time but no launch/model
-    /// time — used by multi-phase primitives whose cost is charged once at
-    /// the end.
-    pub(crate) fn run_tasks<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        let wall_start = std::time::Instant::now();
-        self.shared.pool.execute_batch(tasks);
-        self.shared.counters.kernel_wall_ns.fetch_add(
-            wall_start.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
     }
 
     /// Snapshot of all telemetry (counters + simulated clock).
@@ -317,8 +239,6 @@ impl Gpu {
             self.shared.clock.kernel_seconds(),
             self.shared.clock.h2d_seconds(),
             self.shared.clock.d2h_seconds(),
-            self.shared.clock.h2d_overlap_seconds(),
-            self.shared.clock.d2h_overlap_seconds(),
             self.shared.fault.injected_total(),
         )
     }
@@ -362,7 +282,8 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        g.launch(1_000_000, &KernelCost::transform(), tasks);
+        g.stream("compute")
+            .launch(1_000_000, &KernelCost::transform(), tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 10);
         let snap = g.counters();
         assert_eq!(snap.kernel_launches, 1);
@@ -415,11 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn sort_rate_near_published_k20_figures() {
+    fn segmented_sort_rate_near_published_k20_figures() {
         // The cost constants should land near ~1 G u64 keys/s on the K20.
         let g = Gpu::with_workers(DeviceConfig::tesla_k20(), 1);
         let n = 100_000_000usize;
-        let t = g.model_kernel_seconds(n, &KernelCost::sort());
+        let t = g.model_kernel_seconds(n, &KernelCost::segmented_sort());
         let keys_per_sec = n as f64 / t;
         assert!(
             (5e8..5e9).contains(&keys_per_sec),
@@ -444,7 +365,8 @@ mod tests {
     #[test]
     fn reset_counters_clears_clock() {
         let g = gpu();
-        g.launch(100, &KernelCost::transform(), vec![]);
+        g.stream("compute")
+            .launch(100, &KernelCost::transform(), vec![]);
         // An empty task list still charges model time for n elements.
         assert!(g.counters().kernel_seconds >= 0.0);
         g.reset_counters();

@@ -1,55 +1,33 @@
-//! Thrust-like data-parallel primitives.
+//! Thrust-like data-parallel kernels, each issued on a [`Stream`].
 //!
 //! The paper implements its GPU shingling with the Thrust template library,
 //! naming two workhorses: `thrust::transform` (the per-element min-wise
 //! hash) and sorting (the segmented sort that orders each permuted
-//! adjacency list). This module provides those primitives — plus
-//! `sequence`, `gather` and `reduce_by_key` used around them — over
-//! [`DeviceBuffer`]s, each launch executing in parallel on the SM pool and
-//! charging modeled device time via its [`KernelCost`], plus the fused
-//! hash + segmented top-s selection ([`transform_select`]) that replaces
-//! the transform → segmented sort → compaction chain in one launch.
+//! adjacency list). This module provides those two kernels over
+//! [`DeviceBuffer`]s, plus the fused hash + segmented top-s selection
+//! ([`transform_select_on`]) that replaces the transform → segmented sort
+//! → compaction chain in one launch. Each launch executes in parallel on
+//! the SM pool and charges modeled device time via its [`KernelCost`] to
+//! the stream's cursor.
 //!
-//! All primitives are deterministic and independent of the worker count:
+//! All kernels are deterministic and independent of the worker count:
 //! work is partitioned into disjoint output ranges, so any schedule
 //! produces identical buffers.
 //!
-//! **Fault injection** (see [`crate::fault`]): every launch here funnels
-//! through [`Gpu::launch`]/[`Stream::launch`], so an injected kernel fault
-//! skips the launch's work and parks as a sticky pending error. The
-//! `Result`-returning primitives ([`reduce_sum`], [`reduce_by_key_counts`])
-//! surface it immediately; the infallible ones leave it for the caller's
-//! next [`Gpu::take_fault`] / `try_dtoh` synchronization point — the CUDA
-//! `cudaGetLastError` contract.
+//! **Fault injection** (see [`crate::fault`]): every launch funnels
+//! through [`Stream::launch`], so an injected kernel fault skips the
+//! launch's work and parks as a sticky pending error for the caller's next
+//! [`crate::simt::Gpu::take_fault`] / [`Stream::try_dtoh_async`]
+//! synchronization point — the CUDA `cudaGetLastError` contract.
 
-use crate::memory::{DeviceBuffer, DeviceError, Pod};
-use crate::simt::{Gpu, KernelCost};
+use crate::memory::{DeviceBuffer, Pod};
+use crate::simt::KernelCost;
 use crate::stream::Stream;
 
 /// Elements per thread-block task; one task ≈ one block batch.
 const BLOCK_ELEMS: usize = 64 * 1024;
 
-/// Fill `buf` with `start, start+1, ...` (like `thrust::sequence`).
-pub fn sequence(gpu: &Gpu, buf: &mut DeviceBuffer<u32>, start: u32) {
-    let n = buf.len();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = buf
-        .device_slice_mut()
-        .chunks_mut(BLOCK_ELEMS)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let base = start + (i * BLOCK_ELEMS) as u32;
-            Box::new(move || {
-                for (k, x) in chunk.iter_mut().enumerate() {
-                    *x = base + k as u32;
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    gpu.launch(n, &KernelCost::transform(), tasks);
-}
-
-/// Build the per-block tasks of an elementwise map (shared by
-/// [`transform`] and [`transform_on`]).
+/// Build the per-block tasks of an elementwise map.
 fn transform_tasks<'a, T: Pod, U: Pod, F>(
     input: &'a DeviceBuffer<T>,
     output: &'a mut DeviceBuffer<U>,
@@ -77,21 +55,6 @@ where
 ///
 /// # Panics
 /// Panics if the buffers differ in length.
-pub fn transform<T: Pod, U: Pod, F>(
-    gpu: &Gpu,
-    input: &DeviceBuffer<T>,
-    output: &mut DeviceBuffer<U>,
-    f: F,
-) where
-    F: Fn(T) -> U + Sync,
-{
-    let n = input.len();
-    let tasks = transform_tasks(input, output, &f);
-    gpu.launch(n, &KernelCost::transform(), tasks);
-}
-
-/// [`transform`] issued on a stream: identical data effect, modeled time
-/// charged to the stream's cursor.
 pub fn transform_on<T: Pod, U: Pod, F>(
     stream: &Stream,
     input: &DeviceBuffer<T>,
@@ -105,91 +68,7 @@ pub fn transform_on<T: Pod, U: Pod, F>(
     stream.launch(n, &KernelCost::transform(), tasks);
 }
 
-/// In-place elementwise map (like `thrust::transform` with one buffer as
-/// both input and output).
-pub fn transform_in_place<T: Pod, F>(gpu: &Gpu, buf: &mut DeviceBuffer<T>, f: F)
-where
-    F: Fn(T) -> T + Sync,
-{
-    let n = buf.len();
-    let f = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = buf
-        .device_slice_mut()
-        .chunks_mut(BLOCK_ELEMS)
-        .map(|chunk| {
-            Box::new(move || {
-                for x in chunk.iter_mut() {
-                    *x = f(*x);
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    gpu.launch(n, &KernelCost::transform(), tasks);
-}
-
-/// Sort the whole buffer ascending (like `thrust::sort`): parallel chunk
-/// sorts followed by parallel pairwise merge passes (a merge-sort shape,
-/// costed as the radix sort of the paper's ref \[15\]).
-pub fn sort<T: Pod + Ord>(gpu: &Gpu, buf: &mut DeviceBuffer<T>) {
-    parallel_merge_sort(gpu, buf);
-    gpu.launch(buf.len(), &KernelCost::sort(), vec![]);
-}
-
-/// chunk sorts followed by parallel pairwise merge passes, run on the
-/// worker pool with no modeled cost — the caller charges its own
-/// [`KernelCost`] entry afterwards.
-fn parallel_merge_sort<T: Pod + Ord>(gpu: &Gpu, buf: &mut DeviceBuffer<T>) {
-    let n = buf.len();
-    if n <= 1 {
-        return;
-    }
-    // Phase 1: sort chunks in parallel.
-    let chunk = BLOCK_ELEMS.max(n.div_ceil(4 * gpu.n_workers().max(1)));
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = buf
-            .device_slice_mut()
-            .chunks_mut(chunk)
-            .map(|c| Box::new(move || c.sort_unstable()) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        gpu.run_tasks(tasks);
-    }
-    // Phase 2: merge runs pairwise until one run remains.
-    let mut run = chunk;
-    let mut scratch: Vec<T> = buf.device_slice().to_vec();
-    let mut src_is_buf = true;
-    while run < n {
-        {
-            let (src, dst): (&[T], &mut [T]) = if src_is_buf {
-                (buf.device_slice(), &mut scratch[..])
-            } else {
-                (&scratch[..], buf.device_slice_mut())
-            };
-            // SAFETY of the parallel merge: each task writes a disjoint
-            // 2*run-wide window of dst and reads the matching window of src.
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = dst
-                .chunks_mut(2 * run)
-                .enumerate()
-                .map(|(i, out)| {
-                    let lo = i * 2 * run;
-                    let mid = (lo + run).min(n);
-                    let hi = (lo + 2 * run).min(n);
-                    let left = &src[lo..mid];
-                    let right = &src[mid..hi];
-                    Box::new(move || merge_into(left, right, out)) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            gpu.run_tasks(tasks);
-        }
-        src_is_buf = !src_is_buf;
-        run *= 2;
-    }
-    if !src_is_buf {
-        buf.device_slice_mut().copy_from_slice(&scratch);
-    }
-}
-
-/// Build the per-block tasks of a segmented sort (shared by
-/// [`segmented_sort`] and [`segmented_sort_on`]).
+/// Build the per-block tasks of a segmented sort.
 fn segmented_sort_tasks<'a, T: Pod + Ord>(
     buf: &'a mut DeviceBuffer<T>,
     seg_offsets: &'a [u64],
@@ -236,14 +115,9 @@ fn segmented_sort_tasks<'a, T: Pod + Ord>(
 /// Figure 4). `seg_offsets` holds `k + 1` monotone offsets delimiting the
 /// `k` segments (adjacency-list boundaries, the "auxiliary data structure
 /// on the device").
-pub fn segmented_sort<T: Pod + Ord>(gpu: &Gpu, buf: &mut DeviceBuffer<T>, seg_offsets: &[u64]) {
-    let n = buf.len();
-    let tasks = segmented_sort_tasks(buf, seg_offsets);
-    gpu.launch(n, &KernelCost::segmented_sort(), tasks);
-}
-
-/// [`segmented_sort`] issued on a stream: identical data effect, modeled
-/// time charged to the stream's cursor.
+///
+/// # Panics
+/// Panics if the offsets don't cover the buffer.
 pub fn segmented_sort_on<T: Pod + Ord>(
     stream: &Stream,
     buf: &mut DeviceBuffer<T>,
@@ -292,25 +166,10 @@ where
     debug_assert_eq!(filled, k, "selection count exceeds segment length");
 }
 
-/// Per-segment output offsets for a uniform top-`k` selection: segment `i`
-/// contributes `min(k, |segment i|)` output slots. The returned vector has
-/// the same length as `seg_offsets` and its last entry is the dense output
-/// size.
-pub fn select_out_offsets(seg_offsets: &[u64], k: usize) -> Vec<usize> {
-    assert!(!seg_offsets.is_empty(), "offsets must contain at least [0]");
-    let mut out = Vec::with_capacity(seg_offsets.len());
-    out.push(0usize);
-    for w in seg_offsets.windows(2) {
-        let len = (w[1] - w[0]) as usize;
-        out.push(out.last().unwrap() + len.min(k));
-    }
-    out
-}
-
 /// Build the per-block tasks of a fused transform + segmented top-k
-/// selection (shared by the four select variants). Segments are grouped
-/// into contiguous ~[`BLOCK_ELEMS`]-input-element tasks, exactly like
-/// [`segmented_sort`], so skewed segment sizes stay balanced; each task
+/// selection. Segments are grouped into contiguous
+/// ~[`BLOCK_ELEMS`]-input-element tasks, exactly like
+/// [`segmented_sort_on`], so skewed segment sizes stay balanced; each task
 /// borrows a disjoint window of the dense output.
 fn transform_select_tasks<'a, T: Pod, U: Pod + Ord, F>(
     input: &'a DeviceBuffer<T>,
@@ -393,29 +252,11 @@ where
 /// workspace.
 ///
 /// Per-segment selection counts may be any value `≤` the segment length
-/// (zero skips the segment entirely); use [`select_out_offsets`] for the
-/// uniform `min(k, |segment|)` layout.
+/// (zero skips the segment entirely).
 ///
 /// # Panics
 /// Panics if the offsets don't cover the buffers or a selection count
 /// exceeds its segment length.
-pub fn transform_select<T: Pod, U: Pod + Ord, F>(
-    gpu: &Gpu,
-    input: &DeviceBuffer<T>,
-    seg_offsets: &[u64],
-    out_offsets: &[usize],
-    out: &mut DeviceBuffer<U>,
-    f: F,
-) where
-    F: Fn(T) -> U + Sync,
-{
-    let n = input.len();
-    let tasks = transform_select_tasks(input, seg_offsets, out_offsets, out, &f);
-    gpu.launch(n, &KernelCost::segmented_select(), tasks);
-}
-
-/// [`transform_select`] issued on a stream: identical data effect, modeled
-/// time charged to the stream's cursor.
 pub fn transform_select_on<T: Pod, U: Pod + Ord, F>(
     stream: &Stream,
     input: &DeviceBuffer<T>,
@@ -431,304 +272,73 @@ pub fn transform_select_on<T: Pod, U: Pod + Ord, F>(
     stream.launch(n, &KernelCost::segmented_select(), tasks);
 }
 
-/// Segmented k-smallest selection: for each segment of `input`, write its
-/// `out_offsets[i+1] - out_offsets[i]` smallest values, ascending, into
-/// the dense `out` — identical output to sorting each segment and taking
-/// its prefix, in `O(d·s)` per segment instead of `O(d log d)`.
-///
-/// # Panics
-/// Panics if the offsets don't cover the buffers or a selection count
-/// exceeds its segment length.
-pub fn segmented_select_k<T: Pod + Ord>(
-    gpu: &Gpu,
-    input: &DeviceBuffer<T>,
-    seg_offsets: &[u64],
-    out_offsets: &[usize],
-    out: &mut DeviceBuffer<T>,
-) {
-    transform_select(gpu, input, seg_offsets, out_offsets, out, |x| x);
-}
-
-/// [`segmented_select_k`] issued on a stream: identical data effect,
-/// modeled time charged to the stream's cursor.
-pub fn segmented_select_k_on<T: Pod + Ord>(
-    stream: &Stream,
-    input: &DeviceBuffer<T>,
-    seg_offsets: &[u64],
-    out_offsets: &[usize],
-    out: &mut DeviceBuffer<T>,
-) {
-    transform_select_on(stream, input, seg_offsets, out_offsets, out, |x| x);
-}
-
-/// `out[i] = src[indices[i]]` (like `thrust::gather`).
-pub fn gather<T: Pod>(
-    gpu: &Gpu,
-    src: &DeviceBuffer<T>,
-    indices: &DeviceBuffer<u32>,
-    out: &mut DeviceBuffer<T>,
-) {
-    assert_eq!(indices.len(), out.len(), "gather length mismatch");
-    let n = indices.len();
-    let src_slice = src.device_slice();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = indices
-        .device_slice()
-        .chunks(BLOCK_ELEMS)
-        .zip(out.device_slice_mut().chunks_mut(BLOCK_ELEMS))
-        .map(|(idx, dst)| {
-            Box::new(move || {
-                for (i, d) in idx.iter().zip(dst.iter_mut()) {
-                    *d = src_slice[*i as usize];
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    gpu.launch(n, &KernelCost::gather(), tasks);
-}
-
-/// Block-parallel sum reduction (like `thrust::reduce`): each thread block
-/// reduces its tile **through per-block shared memory** (the classic
-/// tree-reduction shape), then the host combines the block partials. The
-/// shared-memory requirement of the tile is checked against the device's
-/// `shared_mem_per_block` and the launch fails with
-/// [`DeviceError::SharedMemExceeded`] when a tile would not fit — the same
-/// occupancy constraint real kernels tune around.
-pub fn reduce_sum(gpu: &Gpu, buf: &DeviceBuffer<u64>, tile: usize) -> Result<u64, DeviceError> {
-    assert!(tile > 0, "tile must be positive");
-    let shared_needed = tile * std::mem::size_of::<u64>();
-    let capacity = gpu.config().shared_mem_per_block;
-    if shared_needed > capacity {
-        return Err(DeviceError::SharedMemExceeded {
-            requested: shared_needed,
-            capacity,
-        });
-    }
-    let n = buf.len();
-    let n_blocks = n.div_ceil(tile.max(1)).max(1);
-    let mut partials = vec![0u64; n_blocks];
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = buf
-            .device_slice()
-            .chunks(tile)
-            .zip(partials.iter_mut())
-            .map(|(chunk, out)| {
-                Box::new(move || {
-                    // Simulated shared-memory tile + tree reduction.
-                    let mut sm: Vec<u64> = chunk.to_vec();
-                    let mut width = sm.len();
-                    while width > 1 {
-                        let half = width.div_ceil(2);
-                        for i in 0..width / 2 {
-                            sm[i] = sm[i].wrapping_add(sm[half + i]);
-                        }
-                        width = half;
-                    }
-                    *out = sm.first().copied().unwrap_or(0);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        gpu.launch(n, &KernelCost::reduce_by_key(), tasks);
-    }
-    // Surface an injected launch fault here rather than parking it for the
-    // next copy — this primitive returns a host value, so it *is* the sync
-    // point.
-    gpu.take_fault()?;
-    Ok(partials.into_iter().fold(0u64, u64::wrapping_add))
-}
-
-/// Exclusive prefix sum (like `thrust::exclusive_scan`): `out[0] = init`,
-/// `out[i] = init + Σ buf[0..i]`. Two-phase block scan: per-block partial
-/// sums in parallel, then a serial block-offset pass, then a parallel
-/// fix-up — the standard GPU scan shape.
-pub fn exclusive_scan(gpu: &Gpu, buf: &DeviceBuffer<u64>, out: &mut DeviceBuffer<u64>, init: u64) {
-    assert_eq!(buf.len(), out.len(), "scan length mismatch");
-    let n = buf.len();
-    if n == 0 {
-        gpu.launch(0, &KernelCost::reduce_by_key(), vec![]);
-        return;
-    }
-    // Phase 1: local exclusive scans per block, collecting block sums.
-    let n_blocks = n.div_ceil(BLOCK_ELEMS);
-    let mut block_sums = vec![0u64; n_blocks];
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = buf
-            .device_slice()
-            .chunks(BLOCK_ELEMS)
-            .zip(out.device_slice_mut().chunks_mut(BLOCK_ELEMS))
-            .zip(block_sums.iter_mut())
-            .map(|((src, dst), sum)| {
-                Box::new(move || {
-                    let mut acc = 0u64;
-                    for (s, d) in src.iter().zip(dst.iter_mut()) {
-                        *d = acc;
-                        acc = acc.wrapping_add(*s);
-                    }
-                    *sum = acc;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        gpu.run_tasks(tasks);
-    }
-    // Phase 2: scan the block sums (serial; n_blocks is tiny).
-    let mut offset = init;
-    let offsets: Vec<u64> = block_sums
-        .iter()
-        .map(|&s| {
-            let o = offset;
-            offset = offset.wrapping_add(s);
-            o
-        })
-        .collect();
-    // Phase 3: add each block's offset.
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-            .device_slice_mut()
-            .chunks_mut(BLOCK_ELEMS)
-            .zip(offsets)
-            .map(|(dst, o)| {
-                Box::new(move || {
-                    for d in dst.iter_mut() {
-                        *d = d.wrapping_add(o);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        gpu.run_tasks(tasks);
-    }
-    gpu.launch(n, &KernelCost::reduce_by_key(), vec![]);
-}
-
-/// Group a **sorted** key buffer into `(unique_keys, counts)` (like
-/// `thrust::reduce_by_key` with a constant-1 value stream).
-pub fn reduce_by_key_counts(
-    gpu: &Gpu,
-    keys: &DeviceBuffer<u64>,
-) -> Result<(DeviceBuffer<u64>, DeviceBuffer<u32>), DeviceError> {
-    let slice = keys.device_slice();
-    debug_assert!(
-        slice.windows(2).all(|w| w[0] <= w[1]),
-        "keys must be sorted"
-    );
-    let mut uniques: Vec<u64> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    // Single scan pass (a real GPU would run a prefix-scan; the cost model
-    // charges it as one).
-    for &k in slice {
-        match uniques.last() {
-            Some(&last) if last == k => *counts.last_mut().unwrap() += 1,
-            _ => {
-                uniques.push(k);
-                counts.push(1);
-            }
-        }
-    }
-    gpu.launch(keys.len(), &KernelCost::reduce_by_key(), vec![]);
-    gpu.take_fault()?;
-    let u = gpu.adopt(uniques)?;
-    let c = gpu.adopt(counts)?;
-    Ok((u, c))
-}
-
-/// Two-pointer merge of sorted `left` and `right` into `out`.
-fn merge_into<T: Pod + Ord>(left: &[T], right: &[T], out: &mut [T]) {
-    debug_assert_eq!(left.len() + right.len(), out.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        let take_left = match (left.get(i), right.get(j)) {
-            (Some(l), Some(r)) => l <= r,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("out exhausted first"),
-        };
-        if take_left {
-            *slot = left[i];
-            i += 1;
-        } else {
-            *slot = right[j];
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
+    use crate::simt::Gpu;
     use gpclust_support::rng::StdRng;
 
     fn gpu() -> Gpu {
         Gpu::with_workers(DeviceConfig::tesla_k20(), 3)
     }
 
-    #[test]
-    fn sequence_fills() {
-        let g = gpu();
-        let mut buf = g.alloc::<u32>(100_000).unwrap();
-        sequence(&g, &mut buf, 5);
-        let host = g.dtoh(&buf);
-        for (i, &x) in host.iter().enumerate() {
-            assert_eq!(x, 5 + i as u32);
+    /// Segmented sort of `data` on a fresh stream of `g`, read back.
+    fn seg_sort(g: &Gpu, data: &[u64], offsets: &[u64]) -> Vec<u64> {
+        let s = g.stream("compute");
+        let mut buf = s.htod_async(data).unwrap();
+        segmented_sort_on(&s, &mut buf, offsets);
+        s.dtoh_async(&buf)
+    }
+
+    /// Per-segment output offsets for a uniform top-`k` selection: segment
+    /// `i` contributes `min(k, |segment i|)` output slots.
+    fn select_out_offsets(seg_offsets: &[u64], k: usize) -> Vec<usize> {
+        let mut out = vec![0usize];
+        for w in seg_offsets.windows(2) {
+            out.push(out.last().unwrap() + ((w[1] - w[0]) as usize).min(k));
         }
+        out
+    }
+
+    /// Fused `f` + top-k selection of `data` on a fresh stream, read back.
+    fn select<T: Pod, F: Fn(T) -> u64 + Sync>(
+        g: &Gpu,
+        data: &[T],
+        offsets: &[u64],
+        out_offsets: &[usize],
+        f: F,
+    ) -> Vec<u64> {
+        let s = g.stream("compute");
+        let input = s.htod_async(data).unwrap();
+        let mut out = g.alloc::<u64>(*out_offsets.last().unwrap()).unwrap();
+        transform_select_on(&s, &input, offsets, out_offsets, &mut out, f);
+        s.dtoh_async(&out)
+    }
+
+    /// Sort-then-truncate oracle for the select kernel.
+    fn select_oracle(data: &[u64], offsets: &[u64], k: usize) -> Vec<u64> {
+        let mut expected = Vec::new();
+        for w in offsets.windows(2) {
+            let mut seg = data[w[0] as usize..w[1] as usize].to_vec();
+            seg.sort_unstable();
+            seg.truncate(k);
+            expected.extend(seg);
+        }
+        expected
     }
 
     #[test]
     fn transform_applies_function() {
         let g = gpu();
+        let s = g.stream("compute");
         let data: Vec<u64> = (0..200_000).collect();
-        let input = g.htod(&data).unwrap();
+        let input = s.htod_async(&data).unwrap();
         let mut output = g.alloc::<u64>(data.len()).unwrap();
-        transform(&g, &input, &mut output, |x| x * 3 + 1);
-        let host = g.dtoh(&output);
+        transform_on(&s, &input, &mut output, |x| x * 3 + 1);
+        let host = s.dtoh_async(&output);
         assert!(host.iter().enumerate().all(|(i, &x)| x == i as u64 * 3 + 1));
-        assert!(g.counters().kernel_launches >= 1);
-    }
-
-    #[test]
-    fn transform_in_place_works() {
-        let g = gpu();
-        let mut buf = g.htod(&[1u64, 2, 3]).unwrap();
-        transform_in_place(&g, &mut buf, |x| x + 10);
-        assert_eq!(g.dtoh(&buf), vec![11, 12, 13]);
-    }
-
-    #[test]
-    fn sort_matches_std() {
-        let g = gpu();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut data: Vec<u64> = (0..300_000).map(|_| rng.gen()).collect();
-        let mut buf = g.htod(&data).unwrap();
-        sort(&g, &mut buf);
-        data.sort_unstable();
-        assert_eq!(g.dtoh(&buf), data);
-    }
-
-    #[test]
-    fn sort_small_and_empty() {
-        let g = gpu();
-        let mut empty = g.htod::<u64>(&[]).unwrap();
-        sort(&g, &mut empty);
-        assert!(g.dtoh(&empty).is_empty());
-        let mut one = g.htod(&[7u64]).unwrap();
-        sort(&g, &mut one);
-        assert_eq!(g.dtoh(&one), vec![7]);
-        let mut two = g.htod(&[9u64, 1]).unwrap();
-        sort(&g, &mut two);
-        assert_eq!(g.dtoh(&two), vec![1, 9]);
-    }
-
-    #[test]
-    fn sort_deterministic_across_worker_counts() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let data: Vec<u64> = (0..100_000).map(|_| rng.gen_range(0..1000)).collect();
-        let mut results = Vec::new();
-        for workers in [1, 2, 7] {
-            let g = Gpu::with_workers(DeviceConfig::tesla_k20(), workers);
-            let mut buf = g.htod(&data).unwrap();
-            sort(&g, &mut buf);
-            results.push(g.dtoh(&buf));
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
+        assert_eq!(g.counters().kernel_launches, 1);
     }
 
     #[test]
@@ -736,9 +346,10 @@ mod tests {
         let g = gpu();
         let data = vec![5u64, 3, 9, /*|*/ 2, 1, /*|*/ 8, 7, 6, 0];
         let offsets = vec![0u64, 3, 5, 9];
-        let mut buf = g.htod(&data).unwrap();
-        segmented_sort(&g, &mut buf, &offsets);
-        assert_eq!(g.dtoh(&buf), vec![3, 5, 9, 1, 2, 0, 6, 7, 8]);
+        assert_eq!(
+            seg_sort(&g, &data, &offsets),
+            vec![3, 5, 9, 1, 2, 0, 6, 7, 8]
+        );
     }
 
     #[test]
@@ -759,9 +370,7 @@ mod tests {
         for w in offsets.windows(2) {
             expected[w[0] as usize..w[1] as usize].sort_unstable();
         }
-        let mut buf = g.htod(&data).unwrap();
-        segmented_sort(&g, &mut buf, &offsets);
-        assert_eq!(g.dtoh(&buf), expected);
+        assert_eq!(seg_sort(&g, &data, &offsets), expected);
     }
 
     #[test]
@@ -770,30 +379,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut data: Vec<u64> = (0..200_000).map(|_| rng.gen()).collect();
         let offsets = vec![0u64, data.len() as u64];
-        let mut buf = g.htod(&data).unwrap();
-        segmented_sort(&g, &mut buf, &offsets);
+        let got = seg_sort(&g, &data, &offsets);
         data.sort_unstable();
-        assert_eq!(g.dtoh(&buf), data);
+        assert_eq!(got, data);
     }
 
     #[test]
     #[should_panic(expected = "cover the buffer")]
     fn segmented_sort_rejects_bad_offsets() {
-        let g = gpu();
-        let mut buf = g.htod(&[1u64, 2, 3]).unwrap();
-        segmented_sort(&g, &mut buf, &[0, 2]);
-    }
-
-    /// Sort-then-truncate oracle for the select primitives.
-    fn select_oracle(data: &[u64], offsets: &[u64], k: usize) -> Vec<u64> {
-        let mut expected = Vec::new();
-        for w in offsets.windows(2) {
-            let mut seg = data[w[0] as usize..w[1] as usize].to_vec();
-            seg.sort_unstable();
-            seg.truncate(k);
-            expected.extend(seg);
-        }
-        expected
+        seg_sort(&gpu(), &[1, 2, 3], &[0, 2]);
     }
 
     #[test]
@@ -812,10 +406,11 @@ mod tests {
         }
         for k in [1usize, 2, 3, 7] {
             let out_offsets = select_out_offsets(&offsets, k);
-            let input = g.htod(&data).unwrap();
-            let mut out = g.alloc::<u64>(*out_offsets.last().unwrap()).unwrap();
-            segmented_select_k(&g, &input, &offsets, &out_offsets, &mut out);
-            assert_eq!(g.dtoh(&out), select_oracle(&data, &offsets, k), "k={k}");
+            assert_eq!(
+                select(&g, &data, &offsets, &out_offsets, |x| x),
+                select_oracle(&data, &offsets, k),
+                "k={k}"
+            );
         }
     }
 
@@ -828,31 +423,27 @@ mod tests {
         // sorted — min(k, |segment|) slots per segment.
         let out_offsets = select_out_offsets(&offsets, 10);
         assert_eq!(out_offsets, vec![0, 3, 5, 6]);
-        let input = g.htod(&data).unwrap();
-        let mut out = g.alloc::<u64>(6).unwrap();
-        segmented_select_k(&g, &input, &offsets, &out_offsets, &mut out);
-        assert_eq!(g.dtoh(&out), vec![3, 5, 9, 1, 2, 8]);
+        assert_eq!(
+            select(&g, &data, &offsets, &out_offsets, |x| x),
+            vec![3, 5, 9, 1, 2, 8]
+        );
     }
 
     #[test]
     fn segmented_select_empty_segments_and_empty_input() {
         let g = gpu();
         // All-empty segments.
-        let input = g.htod::<u64>(&[]).unwrap();
         let offsets = vec![0u64, 0, 0, 0];
         let out_offsets = select_out_offsets(&offsets, 2);
         assert_eq!(out_offsets, vec![0, 0, 0, 0]);
-        let mut out = g.alloc::<u64>(0).unwrap();
-        segmented_select_k(&g, &input, &offsets, &out_offsets, &mut out);
-        assert!(g.dtoh(&out).is_empty());
+        assert!(select::<u64, _>(&g, &[], &offsets, &out_offsets, |x| x).is_empty());
         // Empty segments interleaved with real ones.
-        let data = vec![4u64, 2, 9];
         let offsets = vec![0u64, 0, 3, 3];
         let out_offsets = select_out_offsets(&offsets, 2);
-        let input = g.htod(&data).unwrap();
-        let mut out = g.alloc::<u64>(2).unwrap();
-        segmented_select_k(&g, &input, &offsets, &out_offsets, &mut out);
-        assert_eq!(g.dtoh(&out), vec![2, 4]);
+        assert_eq!(
+            select(&g, &[4u64, 2, 9], &offsets, &out_offsets, |x| x),
+            vec![2, 4]
+        );
     }
 
     #[test]
@@ -862,10 +453,10 @@ mod tests {
         let data: Vec<u64> = (0..200_000).map(|_| rng.gen()).collect();
         let offsets = vec![0u64, data.len() as u64];
         let out_offsets = select_out_offsets(&offsets, 5);
-        let input = g.htod(&data).unwrap();
-        let mut out = g.alloc::<u64>(5).unwrap();
-        segmented_select_k(&g, &input, &offsets, &out_offsets, &mut out);
-        assert_eq!(g.dtoh(&out), select_oracle(&data, &offsets, 5));
+        assert_eq!(
+            select(&g, &data, &offsets, &out_offsets, |x| x),
+            select_oracle(&data, &offsets, 5)
+        );
     }
 
     #[test]
@@ -874,14 +465,13 @@ mod tests {
         let data: Vec<u64> = (0..50_000).map(|_| rng.gen_range(0..100)).collect();
         let offsets: Vec<u64> = (0..=100).map(|i| i * 500).collect();
         let out_offsets = select_out_offsets(&offsets, 2);
-        let mut results = Vec::new();
-        for workers in [1usize, 2, 7] {
-            let g = Gpu::with_workers(DeviceConfig::tesla_k20(), workers);
-            let input = g.htod(&data).unwrap();
-            let mut out = g.alloc::<u64>(*out_offsets.last().unwrap()).unwrap();
-            segmented_select_k(&g, &input, &offsets, &out_offsets, &mut out);
-            results.push(g.dtoh(&out));
-        }
+        let results: Vec<Vec<u64>> = [1usize, 2, 7]
+            .into_iter()
+            .map(|workers| {
+                let g = Gpu::with_workers(DeviceConfig::tesla_k20(), workers);
+                select(&g, &data, &offsets, &out_offsets, |x| x)
+            })
+            .collect();
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0], results[2]);
     }
@@ -897,10 +487,7 @@ mod tests {
         let mapped: Vec<u64> = data.iter().map(|&v| f(v)).collect();
         let expected = select_oracle(&mapped, &offsets, 2);
         let out_offsets = select_out_offsets(&offsets, 2);
-        let input = g.htod(&data).unwrap();
-        let mut out = g.alloc::<u64>(*out_offsets.last().unwrap()).unwrap();
-        transform_select(&g, &input, &offsets, &out_offsets, &mut out, f);
-        assert_eq!(g.dtoh(&out), expected);
+        assert_eq!(select(&g, &data, &offsets, &out_offsets, f), expected);
     }
 
     #[test]
@@ -911,57 +498,33 @@ mod tests {
         // Middle segment skipped entirely (k = 0), as the shingling pass
         // does for interior segments shorter than s.
         let out_offsets = vec![0usize, 2, 2, 4];
-        let input = g.htod(&data).unwrap();
-        let mut out = g.alloc::<u64>(4).unwrap();
-        transform_select(&g, &input, &offsets, &out_offsets, &mut out, |v| v as u64);
-        assert_eq!(g.dtoh(&out), vec![1, 7, 3, 8]);
+        assert_eq!(
+            select(&g, &data, &offsets, &out_offsets, |v| v as u64),
+            vec![1, 7, 3, 8]
+        );
     }
 
     #[test]
     #[should_panic(expected = "cover the buffer")]
     fn segmented_select_rejects_bad_seg_offsets() {
-        let g = gpu();
-        let input = g.htod(&[1u64, 2, 3]).unwrap();
-        let mut out = g.alloc::<u64>(2).unwrap();
-        segmented_select_k(&g, &input, &[0, 2], &[0, 2], &mut out);
+        select(&gpu(), &[1u64, 2, 3], &[0, 2], &[0, 2], |x| x);
     }
 
     #[test]
     #[should_panic(expected = "exceeds segment length")]
     fn segmented_select_rejects_overlong_selection() {
-        let g = gpu();
-        let input = g.htod(&[1u64, 2, 3]).unwrap();
-        let mut out = g.alloc::<u64>(5).unwrap();
         // Asks for 5 outputs from a 3-element segment.
-        segmented_select_k(&g, &input, &[0, 3], &[0, 5], &mut out);
+        select(&gpu(), &[1u64, 2, 3], &[0, 3], &[0, 5], |x| x);
     }
 
     #[test]
     #[should_panic(expected = "cover the output buffer")]
     fn segmented_select_rejects_mismatched_output() {
         let g = gpu();
-        let input = g.htod(&[1u64, 2, 3]).unwrap();
-        let mut out = g.alloc::<u64>(3).unwrap();
-        segmented_select_k(&g, &input, &[0, 3], &[0, 2], &mut out);
-    }
-
-    #[test]
-    fn select_stream_variants_match_sync_variants() {
-        let g = gpu();
         let s = g.stream("compute");
-        let mut rng = StdRng::seed_from_u64(25);
-        let data: Vec<u32> = (0..50_000).map(|_| rng.gen_range(0..1_000)).collect();
-        let offsets: Vec<u64> = (0..=50).map(|i| i * 1_000).collect();
-        let out_offsets = select_out_offsets(&offsets, 3);
-        let f = |v: u32| (v as u64).rotate_left(7);
-        let input = g.htod(&data).unwrap();
-        let n_out = *out_offsets.last().unwrap();
-        let mut out_sync = g.alloc::<u64>(n_out).unwrap();
-        transform_select(&g, &input, &offsets, &out_offsets, &mut out_sync, f);
-        let mut out_stream = g.alloc::<u64>(n_out).unwrap();
-        transform_select_on(&s, &input, &offsets, &out_offsets, &mut out_stream, f);
-        assert_eq!(g.dtoh(&out_sync), g.dtoh(&out_stream));
-        assert!(s.completed_seconds() > 0.0);
+        let input = s.htod_async(&[1u64, 2, 3]).unwrap();
+        let mut out = g.alloc::<u64>(3).unwrap();
+        transform_select_on(&s, &input, &[0, 3], &[0, 2], &mut out, |x| x);
     }
 
     #[test]
@@ -981,121 +544,18 @@ mod tests {
     }
 
     #[test]
-    fn gather_permutes() {
-        let g = gpu();
-        let src = g.htod(&[10u64, 20, 30, 40]).unwrap();
-        let idx = g.htod(&[3u32, 0, 2, 2]).unwrap();
-        let mut out = g.alloc::<u64>(4).unwrap();
-        gather(&g, &src, &idx, &mut out);
-        assert_eq!(g.dtoh(&out), vec![40, 10, 30, 30]);
-    }
-
-    #[test]
-    fn reduce_by_key_counts_groups() {
-        let g = gpu();
-        let keys = g.htod(&[1u64, 1, 2, 5, 5, 5]).unwrap();
-        let (u, c) = reduce_by_key_counts(&g, &keys).unwrap();
-        assert_eq!(g.dtoh(&u), vec![1, 2, 5]);
-        assert_eq!(g.dtoh(&c), vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn reduce_by_key_empty() {
-        let g = gpu();
-        let keys = g.htod::<u64>(&[]).unwrap();
-        let (u, c) = reduce_by_key_counts(&g, &keys).unwrap();
-        assert!(g.dtoh(&u).is_empty());
-        assert!(g.dtoh(&c).is_empty());
-    }
-
-    #[test]
-    fn reduce_sum_matches_oracle() {
-        let g = gpu();
-        let mut rng = StdRng::seed_from_u64(12);
-        for n in [0usize, 1, 7, 1000, 200_000] {
-            let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000_000)).collect();
-            let buf = g.htod(&data).unwrap();
-            let got = reduce_sum(&g, &buf, 1024).unwrap();
-            assert_eq!(got, data.iter().sum::<u64>(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn reduce_sum_rejects_oversized_tile() {
-        let g = Gpu::with_workers(DeviceConfig::tiny_test_device(), 1);
-        let buf = g.htod(&[1u64, 2, 3]).unwrap();
-        // tiny device: 4 KiB shared per block = 512 u64 slots.
-        assert!(reduce_sum(&g, &buf, 512).is_ok());
-        let err = reduce_sum(&g, &buf, 513).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::memory::DeviceError::SharedMemExceeded { .. }
-        ));
-    }
-
-    #[test]
-    fn exclusive_scan_matches_oracle() {
-        let g = gpu();
-        let mut rng = StdRng::seed_from_u64(8);
-        for (n, init) in [(0usize, 0u64), (1, 5), (1000, 0), (200_000, 7)] {
-            let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-            let buf = g.htod(&data).unwrap();
-            let mut out = g.alloc::<u64>(n).unwrap();
-            exclusive_scan(&g, &buf, &mut out, init);
-            let mut acc = init;
-            let expected: Vec<u64> = data
-                .iter()
-                .map(|&x| {
-                    let o = acc;
-                    acc += x;
-                    o
-                })
-                .collect();
-            assert_eq!(g.dtoh(&out), expected, "n={n}");
-        }
-    }
-
-    #[test]
-    fn exclusive_scan_deterministic_across_workers() {
-        let data: Vec<u64> = (0..300_000).map(|i| i % 97).collect();
-        let mut results = Vec::new();
-        for workers in [1usize, 5] {
-            let g = Gpu::with_workers(DeviceConfig::tesla_k20(), workers);
-            let buf = g.htod(&data).unwrap();
-            let mut out = g.alloc::<u64>(data.len()).unwrap();
-            exclusive_scan(&g, &buf, &mut out, 3);
-            results.push(g.dtoh(&out));
-        }
-        assert_eq!(results[0], results[1]);
-    }
-
-    #[test]
-    fn stream_variants_match_sync_variants() {
+    fn kernels_charge_device_time_to_the_stream() {
         let g = gpu();
         let s = g.stream("compute");
-        let mut rng = StdRng::seed_from_u64(9);
-        let data: Vec<u64> = (0..50_000).map(|_| rng.gen_range(0..1_000)).collect();
-        let offsets: Vec<u64> = (0..=50).map(|i| i * 1_000).collect();
-        let input = g.htod(&data).unwrap();
-        let mut out_sync = g.alloc::<u64>(data.len()).unwrap();
-        transform(&g, &input, &mut out_sync, |x| x.rotate_left(7));
-        segmented_sort(&g, &mut out_sync, &offsets);
-        let mut out_stream = g.alloc::<u64>(data.len()).unwrap();
-        transform_on(&s, &input, &mut out_stream, |x| x.rotate_left(7));
-        segmented_sort_on(&s, &mut out_stream, &offsets);
-        assert_eq!(g.dtoh(&out_sync), g.dtoh(&out_stream));
-        assert!(s.completed_seconds() > 0.0);
-    }
-
-    #[test]
-    fn primitives_charge_device_time() {
-        let g = gpu();
-        let mut buf = g.htod(&vec![1u64; 500_000]).unwrap();
+        let input = s.htod_async(&vec![1u64; 500_000]).unwrap();
+        let mut buf = g.alloc::<u64>(input.len()).unwrap();
         g.reset_counters();
-        transform_in_place(&g, &mut buf, |x| x ^ 0xff);
-        sort(&g, &mut buf);
+        let before = s.completed_seconds();
+        transform_on(&s, &input, &mut buf, |x| x ^ 0xff);
+        segmented_sort_on(&s, &mut buf, &[0, 500_000]);
         let snap = g.counters();
+        assert_eq!(snap.kernel_launches, 2);
         assert!(snap.kernel_seconds > 0.0);
-        assert!(snap.kernel_launches >= 2);
+        assert!((s.completed_seconds() - before - snap.kernel_seconds).abs() < 1e-6);
     }
 }

@@ -1,19 +1,11 @@
-//! Synchronous host↔device transfers.
+//! Host↔device transfer accounting.
 //!
-//! Thrust 1.5 (the version the paper used) only offered synchronous copies;
-//! the paper repeatedly notes that "the data movement overhead between CPU
-//! and GPU is unavoidable" in that setting and projects further speedup
-//! from asynchronous CUDA copies. We model exactly that: every copy is
-//! blocking, is charged `latency + bytes / bandwidth` of simulated time,
-//! and is tallied in the counters that become the *Data c→g* and
-//! *Data g→c* columns of Table I.
-//!
-//! An `overlap` escape hatch ([`Gpu::set_transfer_overlap`]) implements the
-//! paper's "future work": when enabled, transfer time is still accounted
-//! (so the ablation can report it) but flagged as overlapped, letting the
-//! harness subtract it from the critical path.
+//! The paper notes that "the data movement overhead between CPU and GPU
+//! is unavoidable"; every copy here is charged `latency + bytes /
+//! bandwidth` of simulated time and tallied in the counters that become
+//! the *Data c→g* and *Data g→c* columns of Table I. Copies are issued on
+//! a [`crate::stream::Stream`], which also queues that time on its cursor.
 
-use crate::memory::{DeviceBuffer, DeviceError, Pod};
 use crate::simt::Gpu;
 use std::sync::atomic::Ordering;
 
@@ -24,10 +16,9 @@ impl Gpu {
         c.pcie_latency_us * 1e-6 + bytes as f64 / (c.pcie_bandwidth_gbps * 1e9)
     }
 
-    /// Account one host→device copy of `bytes`: counters, timeline event,
-    /// clock charge (plus the overlap sub-account for stream-issued copies).
+    /// Account one host→device copy of `bytes`: counters and clock charge.
     /// Returns the modeled transfer seconds.
-    pub(crate) fn tally_h2d(&self, bytes: usize, overlapped: bool) -> f64 {
+    pub(crate) fn tally_h2d(&self, bytes: usize) -> f64 {
         self.shared
             .counters
             .h2d_transfers
@@ -37,18 +28,12 @@ impl Gpu {
             .h2d_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
         let modeled = self.model_transfer_seconds(bytes);
-        self.shared
-            .timeline
-            .record(crate::timeline::Event::H2D(modeled));
         self.shared.clock.charge_h2d(modeled);
-        if overlapped {
-            self.shared.clock.charge_h2d_overlap(modeled);
-        }
         modeled
     }
 
     /// Account one device→host copy of `bytes` (see [`Gpu::tally_h2d`]).
-    pub(crate) fn tally_d2h(&self, bytes: usize, overlapped: bool) -> f64 {
+    pub(crate) fn tally_d2h(&self, bytes: usize) -> f64 {
         self.shared
             .counters
             .d2h_transfers
@@ -58,65 +43,15 @@ impl Gpu {
             .d2h_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
         let modeled = self.model_transfer_seconds(bytes);
-        self.shared
-            .timeline
-            .record(crate::timeline::Event::D2H(modeled));
         self.shared.clock.charge_d2h(modeled);
-        if overlapped {
-            self.shared.clock.charge_d2h_overlap(modeled);
-        }
         modeled
-    }
-
-    /// Copy a host slice to a new device buffer (synchronous). Subject to
-    /// fault injection: an injected H2D fault fails the call before any
-    /// bytes move or are accounted.
-    pub fn htod<T: Pod>(&self, src: &[T]) -> Result<DeviceBuffer<T>, DeviceError> {
-        let bytes = std::mem::size_of_val(src);
-        if let Some(e) = self.injected_fault(crate::fault::FaultSite::H2D, bytes) {
-            return Err(e);
-        }
-        let buf = self.adopt(src.to_vec())?;
-        self.tally_h2d(buf.bytes(), false);
-        Ok(buf)
-    }
-
-    /// Copy a device buffer back to a host vector (synchronous,
-    /// infallible — not subject to fault injection; resilient callers use
-    /// [`Gpu::try_dtoh`]).
-    pub fn dtoh<T: Pod>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
-        self.tally_d2h(buf.bytes(), false);
-        buf.device_slice().to_vec()
-    }
-
-    /// Fallible device→host copy: surfaces any pending (sticky) kernel
-    /// fault first — this is the synchronization point where an injected
-    /// launch failure becomes visible — then draws at the D2H site. A
-    /// failed copy charges nothing.
-    pub fn try_dtoh<T: Pod>(&self, buf: &DeviceBuffer<T>) -> Result<Vec<T>, DeviceError> {
-        self.take_fault()?;
-        if let Some(e) = self.injected_fault(crate::fault::FaultSite::D2H, buf.bytes()) {
-            return Err(e);
-        }
-        Ok(self.dtoh(buf))
-    }
-
-    /// Copy only `range` of a device buffer back to the host.
-    pub fn dtoh_range<T: Pod>(
-        &self,
-        buf: &DeviceBuffer<T>,
-        range: std::ops::Range<usize>,
-    ) -> Vec<T> {
-        let slice = &buf.device_slice()[range];
-        self.tally_d2h(std::mem::size_of_val(slice), false);
-        slice.to_vec()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::DeviceConfig;
+    use crate::simt::Gpu;
 
     fn gpu() -> Gpu {
         Gpu::with_workers(DeviceConfig::tesla_k20(), 1)
@@ -125,19 +60,19 @@ mod tests {
     #[test]
     fn htod_dtoh_roundtrip() {
         let g = gpu();
+        let s = g.stream("copy");
         let data: Vec<u64> = (0..10_000).collect();
-        let buf = g.htod(&data).unwrap();
-        let back = g.dtoh(&buf);
-        assert_eq!(back, data);
+        let buf = s.htod_async(&data).unwrap();
+        assert_eq!(s.dtoh_async(&buf), data);
     }
 
     #[test]
     fn transfer_counters_accumulate() {
         let g = gpu();
-        let data = vec![0u32; 1_000]; // 4 KB
-        let buf = g.htod(&data).unwrap();
-        let _ = g.dtoh(&buf);
-        let _ = g.dtoh(&buf);
+        let s = g.stream("copy");
+        let buf = s.htod_async(&vec![0u32; 1_000]).unwrap(); // 4 KB
+        let _ = s.dtoh_async(&buf);
+        let _ = s.dtoh_async(&buf);
         let snap = g.counters();
         assert_eq!(snap.h2d_transfers, 1);
         assert_eq!(snap.d2h_transfers, 2);
@@ -148,42 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_transfers_never_mark_overlap() {
-        let g = gpu();
-        let buf = g.htod(&vec![0u64; 10_000]).unwrap();
-        let _ = g.dtoh(&buf);
-        let snap = g.counters();
-        assert_eq!(snap.h2d_overlapped_seconds, 0.0);
-        assert_eq!(snap.d2h_overlapped_seconds, 0.0);
-        assert!(
-            (snap.blocking_transfer_seconds() - (snap.h2d_seconds + snap.d2h_seconds)).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
     fn transfer_time_model_linear_in_bytes() {
         let g = gpu();
         let t1 = g.model_transfer_seconds(1_000_000);
         let t2 = g.model_transfer_seconds(2_000_000);
         let lat = g.config().pcie_latency_us * 1e-6;
         assert!(((t2 - lat) / (t1 - lat) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn htod_respects_capacity() {
-        let g = Gpu::with_workers(DeviceConfig::tiny_test_device(), 1);
-        let big = vec![0u8; 100_000];
-        assert!(g.htod(&big).is_err());
-    }
-
-    #[test]
-    fn dtoh_range_partial() {
-        let g = gpu();
-        let data: Vec<u64> = (0..100).collect();
-        let buf = g.htod(&data).unwrap();
-        let part = g.dtoh_range(&buf, 10..20);
-        assert_eq!(part, (10..20).collect::<Vec<u64>>());
-        assert_eq!(g.counters().d2h_bytes, 80);
     }
 }

@@ -1,26 +1,12 @@
-//! Property tests for the device primitives: every primitive must agree
-//! with its host-side oracle for arbitrary inputs, worker counts, and
-//! segment structures.
+//! Property tests for the device kernels: every kernel must agree with its
+//! host-side oracle for arbitrary inputs, worker counts, and segment
+//! structures.
 
 use gpclust_gpu::{thrust, DeviceConfig, Gpu};
 use gpclust_support::check::check;
 
 fn gpu(workers: usize) -> Gpu {
     Gpu::with_workers(DeviceConfig::tesla_k20(), workers)
-}
-
-#[test]
-fn sort_matches_std() {
-    check(32, |case| {
-        let data = case.vec(0..5000, |c| c.u64());
-        let workers = case.range(1usize..5);
-        let g = gpu(workers);
-        let mut buf = g.htod(&data).unwrap();
-        thrust::sort(&g, &mut buf);
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        assert_eq!(g.dtoh(&buf), expected);
-    });
 }
 
 #[test]
@@ -47,9 +33,10 @@ fn segmented_sort_matches_per_segment_std() {
         for w in offsets.windows(2) {
             expected[w[0] as usize..w[1] as usize].sort_unstable();
         }
-        let mut buf = g.htod(&data).unwrap();
-        thrust::segmented_sort(&g, &mut buf, &offsets);
-        assert_eq!(g.dtoh(&buf), expected);
+        let s = g.stream("compute");
+        let mut buf = s.htod_async(&data).unwrap();
+        thrust::segmented_sort_on(&s, &mut buf, &offsets);
+        assert_eq!(s.dtoh_async(&buf), expected);
     });
 }
 
@@ -59,95 +46,11 @@ fn transform_matches_map() {
         let data = case.vec(0..3000, |c| c.u64());
         let mul = case.u64();
         let g = gpu(2);
-        let input = g.htod(&data).unwrap();
+        let s = g.stream("compute");
+        let input = s.htod_async(&data).unwrap();
         let mut out = g.alloc::<u64>(data.len()).unwrap();
-        thrust::transform(&g, &input, &mut out, |x| x.wrapping_mul(mul));
+        thrust::transform_on(&s, &input, &mut out, |x| x.wrapping_mul(mul));
         let expected: Vec<u64> = data.iter().map(|x| x.wrapping_mul(mul)).collect();
-        assert_eq!(g.dtoh(&out), expected);
-    });
-}
-
-#[test]
-fn scan_matches_prefix_sums() {
-    check(32, |case| {
-        let data = case.vec(0..3000, |c| c.range(0u64..1_000_000));
-        let init = case.range(0u64..1000);
-        let g = gpu(3);
-        let buf = g.htod(&data).unwrap();
-        let mut out = g.alloc::<u64>(data.len()).unwrap();
-        thrust::exclusive_scan(&g, &buf, &mut out, init);
-        let mut acc = init;
-        let expected: Vec<u64> = data
-            .iter()
-            .map(|&x| {
-                let o = acc;
-                acc += x;
-                o
-            })
-            .collect();
-        assert_eq!(g.dtoh(&out), expected);
-    });
-}
-
-#[test]
-fn reduce_by_key_matches_group_counts() {
-    check(32, |case| {
-        let mut keys = case.vec(0..2000, |c| c.range(0u64..50));
-        keys.sort_unstable();
-        let g = gpu(2);
-        let buf = g.htod(&keys).unwrap();
-        let (u, c) = thrust::reduce_by_key_counts(&g, &buf).unwrap();
-        let uniques = g.dtoh(&u);
-        let counts = g.dtoh(&c);
-        // Oracle via simple grouping.
-        let mut expected_u = Vec::new();
-        let mut expected_c: Vec<u32> = Vec::new();
-        for &k in &keys {
-            if expected_u.last() == Some(&k) {
-                *expected_c.last_mut().unwrap() += 1;
-            } else {
-                expected_u.push(k);
-                expected_c.push(1);
-            }
-        }
-        assert_eq!(uniques, expected_u);
-        assert_eq!(counts, expected_c);
-    });
-}
-
-#[test]
-fn timeline_models_are_ordered() {
-    check(32, |case| {
-        let kinds = case.vec(0..40, |c| c.range(0u8..3));
-        let durs = case.vec(0..40, |c| c.range(1u32..1000));
-        use gpclust_gpu::{pipelined_seconds, serialized_seconds, Event};
-        let events: Vec<Event> = kinds
-            .iter()
-            .zip(&durs)
-            .map(|(&k, &d)| {
-                let s = d as f64 / 1000.0;
-                match k {
-                    0 => Event::Kernel(s),
-                    1 => Event::H2D(s),
-                    _ => Event::D2H(s),
-                }
-            })
-            .collect();
-        let serial = serialized_seconds(&events);
-        let pipe = pipelined_seconds(&events);
-        // Pipelined never exceeds serial, never beats either engine's
-        // total work (its lower bound).
-        assert!(pipe <= serial + 1e-9);
-        let compute: f64 = events
-            .iter()
-            .filter(|e| !e.is_transfer())
-            .map(|e| e.seconds())
-            .sum();
-        let copies: f64 = events
-            .iter()
-            .filter(|e| e.is_transfer())
-            .map(|e| e.seconds())
-            .sum();
-        assert!(pipe + 1e-9 >= compute.max(copies));
+        assert_eq!(s.dtoh_async(&out), expected);
     });
 }

@@ -242,7 +242,7 @@ fn validate_offsets(offsets: &[u64], m2: usize) -> io::Result<()> {
 }
 
 /// Read a graph in the binary format. Streams in bounded chunks — the
-/// staging buffer never exceeds [`READ_CHUNK`] bytes regardless of the
+/// staging buffer never exceeds `READ_CHUNK` bytes regardless of the
 /// graph size (the decoded CSR itself is of course fully materialized;
 /// use [`CsrFile`] to avoid that too). Truncated or structurally
 /// malformed input yields a typed [`io::Error`] naming the byte offset,

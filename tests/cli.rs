@@ -424,3 +424,70 @@ fn corrupt_graph_files_exit_1_naming_the_byte() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hostile_graph_shapes_match_the_serial_oracle() {
+    use gpclust::graph::{io::write_file, Csr, EdgeList};
+    let dir = tmpdir("hostile_shapes");
+
+    // Degree-(n−1) star: vertex 0 lists every other vertex.
+    let n_star = 300u32;
+    let mut star: EdgeList = (1..n_star).map(|v| (0, v)).collect();
+    // Five 12-vertex groups whose lists name every group member twice,
+    // the vertex itself included, in descending order; vertex 60 lists
+    // only itself, three times.
+    let (mut offsets, mut targets) = (vec![0u64], Vec::new());
+    for v in 0..60u32 {
+        let group = v / 12 * 12..v / 12 * 12 + 12;
+        targets.extend(group.clone().rev().chain(group.rev()));
+        offsets.push(targets.len() as u64);
+    }
+    targets.extend([60, 60, 60]);
+    offsets.push(targets.len() as u64);
+    let graphs = [
+        ("empty", Csr::from_raw(vec![0], Vec::new())),
+        ("isolated", Csr::from_raw(vec![0; 51], Vec::new())),
+        ("star", Csr::from_edges(n_star as usize, &mut star)),
+        ("dup_self", Csr::from_raw(offsets, targets)),
+    ];
+
+    for (name, g) in graphs {
+        let graph = dir.join(format!("{name}.bin"));
+        write_file(&graph, &g).unwrap();
+        let cluster = |out: &str, flags: &[&str]| {
+            let out = dir.join(out);
+            let mut args = vec![
+                "cluster",
+                "--graph",
+                graph.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+                "--min-size",
+                "1",
+            ];
+            args.extend(flags);
+            let (ok, _, err) = run(&args);
+            assert!(ok, "{name} {flags:?}: {err}");
+            std::fs::read(out).unwrap()
+        };
+        let oracle = cluster("oracle.tsv", &["--serial"]);
+        let ckpt = dir.join(format!("{name}.ckpt"));
+        for flags in [
+            &[][..],
+            &["--devices", "2"],
+            &["--kernel", "select"],
+            &[
+                "--mem-budget",
+                "64K",
+                "--checkpoint-dir",
+                ckpt.to_str().unwrap(),
+            ],
+        ] {
+            assert!(
+                cluster("device.tsv", flags) == oracle,
+                "{name} {flags:?} differs from --serial"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
