@@ -9,9 +9,9 @@
 //! the input fingerprint (FNV-1a over the offset array — the structure a
 //! spilled run is only valid against), the plan axes the run was lowered
 //! with, and one *entry group* per sharded pass invocation (keyed by a
-//! plan signature over shard capacity and chunk boundaries), each entry
-//! recording a completed shard's sealed run files, their checksums, and
-//! its fragment-pool segment. Every rewrite is atomic and durable:
+//! plan signature over the device capacity and the shard ranges), each
+//! entry recording a completed shard's sealed run files, their checksums,
+//! and its fragment-pool segment. Every rewrite is atomic and durable:
 //! temp file → `fsync` → `rename` → directory `fsync`, so the manifest on
 //! disk is always a complete, parseable journal of *committed* shards.
 //!

@@ -86,7 +86,8 @@ impl MemoryBudget {
     /// Shard count for a pass whose fully-resident working set would be
     /// `est_resident_bytes`: an explicit `shards` wins; otherwise the
     /// smallest count whose per-shard slice fits `bytes`, clamped to
-    /// `[1, max_shards]` (a shard cannot be smaller than one batch).
+    /// `[1, max_shards]`. The driver's own carving packs vertices by
+    /// their resident price instead, so its count can differ.
     pub fn resolve_shards(&self, est_resident_bytes: u64, max_shards: usize) -> usize {
         let max = max_shards.max(1);
         if let Some(n) = self.shards {

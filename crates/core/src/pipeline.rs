@@ -9,13 +9,15 @@
 //! 1. CPU loads the input graph (disk I/O, optional here) — under a
 //!    bounded [`crate::params::MemoryBudget`] only the offsets, with each
 //!    shard's target window read on demand;
-//! 2. first-level shingling on the GPUs: the pass's batch list is carved
-//!    into vertex-range shards (one shard when memory is unbounded), and
-//!    each shard's batches are dealt across the surviving devices
-//!    (`multi_gpu::deal`). Every device packs its complete
-//!    records into sorted runs; boundary fragments pool on the host. A
-//!    bounded shard spills its runs and, when checkpointed, seals and
-//!    commits one manifest entry — whatever the fleet size;
+//! 2. first-level shingling on the GPUs: the pass is carved on list
+//!    boundaries into vertex-range shards (one shard when memory is
+//!    unbounded), each shard's element range is cut at the device
+//!    capacity — one batch per shard whenever the shard fits the device —
+//!    and its batches are dealt across the surviving devices
+//!    (`multi_gpu::deal`). Every device packs its complete records into
+//!    sorted runs; the fragments of lists a capacity cut splits pool on
+//!    the host. A bounded shard spills its runs and, when checkpointed,
+//!    seals and commits one manifest entry — whatever the fleet size;
 //! 3. CPU merges the runs plus the finalized fragments into the shingle
 //!    graph;
 //! 4. CPU groups the shingle graph's member lists into
@@ -33,7 +35,7 @@
 //! in for the device, not the host).
 
 use crate::aggregate::{merge_fragments, merge_runs_to_run, merge_sorted_runs, SortedRun};
-use crate::batch::{Batch, BatchStats};
+use crate::batch::{plan_batches_range, Batch, BatchStats};
 use crate::checkpoint::{
     self, write_pool, CheckpointConfig, Checkpointer, CrashInjector, CrashSite, PoolMeta, Reuse,
     RunMeta,
@@ -81,92 +83,84 @@ impl ShardSource<'_> {
             }
         }
     }
-
-    /// Total elements the source covers.
-    fn n_elements(&self) -> u64 {
-        match self {
-            ShardSource::Resident(flat) => flat.len() as u64,
-            ShardSource::File(f) => f.n_targets(),
-        }
-    }
 }
 
-/// `n_batches` batch indices carved into `n_shards` contiguous chunks of
-/// near-equal length (the vertex-range shards of the out-of-core pass —
-/// the same carving [`PassPlan::subplan`] applies to device shares).
-fn shard_chunks(n_batches: usize, n_shards: usize) -> Vec<Range<usize>> {
-    let k = n_shards.clamp(1, n_batches.max(1));
-    (0..k)
-        .map(|i| (i * n_batches / k)..((i + 1) * n_batches / k))
-        .filter(|r| !r.is_empty())
+/// Pass-I shards cut at `cuts` (ascending element positions, each a list
+/// start), dropping empty ranges.
+fn shard_ranges(cuts: &[u64]) -> Vec<Range<u64>> {
+    cuts.windows(2)
+        .filter(|w| w[1] > w[0])
+        .map(|w| w[0]..w[1])
         .collect()
 }
 
-/// Estimated working-set bytes one batch contributes to its shard: its
-/// element window, the record buffers of every emitting list that
-/// *starts* inside the window (same per-record pricing as
-/// [`Plan::estimate_pass_resident_bytes`]), and one transient raw record
-/// per boundary fragment (a list split across batch boundaries emits a
-/// fragment record in every batch it touches).
-fn batch_byte_cost(offsets: &[u64], batch: &Batch, s: usize, trials: u64) -> u64 {
-    let (lo, hi) = (batch.elem_lo, batch.elem_hi);
-    let heads = offsets.len() - 1;
-    let a = offsets[..heads].partition_point(|&o| o < lo);
-    let b = offsets[..heads].partition_point(|&o| o < hi);
-    let emitting = (a..b)
-        .filter(|&v| (offsets[v + 1] - offsets[v]) as usize >= s)
-        .count() as u64;
-    4 * (hi - lo) + (emitting + fragment_incidences(offsets, batch)) * trials * (32 + 16 * s as u64)
+/// `k` vertex-range shards of near-equal element count: cut `i` falls on
+/// the first list starting at or past `i/k` of the elements.
+fn even_shards(offsets: &[u64], k: usize) -> Vec<Range<u64>> {
+    let total = *offsets.last().unwrap_or(&0);
+    let cuts: Vec<u64> = (0..=k)
+        .map(|i| {
+            let at = (total as u128 * i as u128 / k as u128) as u64;
+            offsets[offsets.partition_point(|&o| o < at)]
+        })
+        .collect();
+    shard_ranges(&cuts)
 }
 
-/// Boundary fragments a batch emits per trial: one per end that splits a
-/// list.
-fn fragment_incidences(offsets: &[u64], batch: &Batch) -> u64 {
-    batch.first_is_fragment(offsets) as u64 + batch.last_is_fragment(offsets) as u64
-}
-
-/// Estimated bytes the fragment pool holds by the end of the sharded
-/// pass. Unlike per-shard buffers the pool persists across the whole
-/// pass (fragments reconcile only in the final run), so the greedy
-/// carving reserves this amount off the budget up front. Every batch
-/// boundary that splits a list pools its fragments; each incidence is
-/// priced as two raw fragment records per trial plus the packed share of
-/// the final in-memory run.
-fn pool_byte_cost(incidences: u64, s: usize, trials: u64) -> u64 {
-    incidences * trials * (2 * (16 + 8 * s as u64) + (16 + 4 * s as u64))
-}
-
-/// Carve the batch list into shards by *estimated bytes* rather than by
-/// count: accumulate batches greedily until the next one would push the
-/// shard's working-set estimate past `budget`. Record density varies
-/// across the vertex range (many short emitting lists cost far more than
-/// the same elements in one long list), so equal-count chunks can blow
-/// the budget on a dense shard; equal-cost chunks keep the observed peak
-/// under it. A single batch whose own estimate exceeds the budget still
-/// forms a (best-effort) shard of its own.
-fn budget_chunks(
-    batches: &[Batch],
-    offsets: &[u64],
-    s: usize,
-    trials: u64,
-    budget: u64,
-) -> Vec<Range<usize>> {
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
+/// Vertex-range shards packed greedily by estimated working-set bytes:
+/// each vertex costs its [`Plan::vertex_resident_bytes`], and a shard
+/// closes before the vertex that would push it past `budget`. Record
+/// density varies across the vertex range (many short emitting lists cost
+/// far more than the same elements in one long list), so equal-count
+/// shards can blow the budget where equal-cost ones keep the observed
+/// peak under it. A vertex priced over the budget on its own still forms
+/// a (best-effort) shard.
+fn budget_shards(offsets: &[u64], s: usize, trials: usize, budget: u64) -> Vec<Range<u64>> {
+    let mut cuts = vec![0];
     let mut acc = 0u64;
-    for (i, b) in batches.iter().enumerate() {
-        let cost = batch_byte_cost(offsets, b, s, trials);
-        if i > start && acc + cost > budget {
-            chunks.push(start..i);
-            start = i;
+    for w in offsets.windows(2) {
+        let cost = Plan::vertex_resident_bytes(w[1] - w[0], s, trials);
+        if acc > 0 && acc + cost > budget {
+            cuts.push(w[0]);
             acc = 0;
         }
         acc += cost;
     }
-    if start < batches.len() {
+    cuts.extend(offsets.last());
+    shard_ranges(&cuts)
+}
+
+/// Estimated bytes the fragment pool holds by the end of a pass cut into
+/// `batches`. Unlike per-shard buffers the pool persists across the whole
+/// pass (fragments reconcile only in the final run), so the carving
+/// reserves this amount off the budget. Shards end on list boundaries, so
+/// only a device-capacity cut inside a shard splits a list; each split
+/// end is priced as two raw fragment records per trial plus the packed
+/// share of the final in-memory run.
+fn pool_byte_cost(batches: &[Batch], offsets: &[u64], s: usize, trials: usize) -> u64 {
+    let split_ends: u64 = batches
+        .iter()
+        .map(|b| b.first_is_fragment(offsets) as u64 + b.last_is_fragment(offsets) as u64)
+        .sum();
+    split_ends * trials as u64 * (2 * (16 + 8 * s as u64) + (16 + 4 * s as u64))
+}
+
+/// Each shard's element range cut at the device capacity `cap` — one
+/// batch per shard whenever the shard fits the device — and the batch-id
+/// range every shard owns in the concatenated list.
+fn shard_batches(
+    offsets: &[u64],
+    shards: &[Range<u64>],
+    cap: usize,
+) -> (Vec<Batch>, Vec<Range<usize>>) {
+    let mut batches = Vec::new();
+    let mut chunks = Vec::with_capacity(shards.len());
+    for r in shards {
+        let start = batches.len();
+        batches.extend(plan_batches_range(offsets, r.start, r.end, cap));
         chunks.push(start..batches.len());
     }
-    chunks
+    (batches, chunks)
 }
 
 /// The gpClust pipeline over one device or a fleet.
@@ -213,6 +207,7 @@ struct Pass1 {
     spilled: Vec<SpilledRun>,
     pool: RawShingles,
     stats: BatchStats,
+    shards: u64,
     makespan: Vec<f64>,
 }
 
@@ -434,7 +429,7 @@ impl GpClust {
         let mut recovery = RecoveryReport::default();
 
         let pass1 = self.pass1(&plan, &params, offsets, &source, &mut d, &mut recovery)?;
-        let (stats1, pipe1) = (pass1.stats, slowest(&pass1.makespan));
+        let (stats1, shards, pipe1) = (pass1.stats, pass1.shards, slowest(&pass1.makespan));
         let s1 = params.s1;
         let first = match pass1.into_runs() {
             (runs, ext) if ext.is_empty() => merge_sorted_runs(s1, runs),
@@ -468,10 +463,10 @@ impl GpClust {
             recovery,
             peak_resident_bytes: d.gauge.peak(),
             spilled_bytes: d.spill.bytes,
+            shards,
             ..Default::default()
         };
-        times.record_batch_stats(&stats1);
-        times.record_batch_stats(&second.stats);
+        times.record_batch_stats(&[stats1, second.stats]);
         Ok(GpClustReport {
             partition: second.partition,
             times,
@@ -484,9 +479,12 @@ impl GpClust {
     }
 
     /// Pass I under the fault policy: an `OutOfMemory` halves the planned
-    /// batch capacity and re-plans the whole pass. Under a bounded memory
-    /// budget the batch list is carved into vertex-range shards whose runs
-    /// spill to disk; otherwise the pass is one resident shard.
+    /// batch capacity and re-plans the whole pass. The pass is carved into
+    /// vertex-range shards on list boundaries — by estimated bytes under a
+    /// byte budget, into near-equal element counts under `--shards`, one
+    /// shard when memory is unbounded — and each shard's element range is
+    /// cut at the device capacity, so a shard that fits the device runs as
+    /// one batch. More than one shard spills its runs to disk.
     fn pass1(
         &self,
         plan: &Plan,
@@ -496,65 +494,41 @@ impl GpClust {
         d: &mut Durability,
         recovery: &mut RecoveryReport,
     ) -> Result<Pass1, DeviceError> {
-        let s = params.s1;
+        let (s, trials) = (params.s1, params.c1);
         let family = params.family_pass1();
-        let n_elems = source.n_elements();
         let mut pass_rec = RecoveryReport::default();
         let mut backoff_rec = RecoveryReport::default();
         let out = with_oom_backoff(&plan.policy, &mut backoff_rec, plan.capacity, |cap| {
-            let n_shards = if plan.mem_budget.is_unbounded() {
-                1
-            } else {
-                let est = Plan::estimate_pass_resident_bytes(offsets, s, params.c1);
-                // A shard must span at least one element, so the element
-                // count is the only hard ceiling on how finely the pass
-                // can be carved.
-                plan.mem_budget
-                    .resolve_shards(est, (n_elems as usize).max(1))
-            };
-            let spill = n_shards > 1;
-            // Shards are element ranges, so the batch list must be
-            // comfortably longer than the shard count: cap the pass
-            // capacity at a quarter of one shard's element share so the
-            // greedy byte-driven carving below has fine-grained pieces to
-            // balance with. Bit-identity across batch capacities is part
-            // of the schedule contract, so the re-plan cannot change the
-            // result.
-            let cap = match spill {
-                true => cap.min(n_elems.div_ceil(4 * n_shards as u64).max(1) as usize),
-                false => cap,
-            };
-            let pass = plan.pass(s, plan.aggregation, cap, offsets);
-            let chunks = match (spill, plan.mem_budget.shards, plan.mem_budget.bytes) {
-                // A byte budget carves by estimated working-set cost, with
-                // the persistent fragment pool's share reserved up front
-                // (best-effort floor of a quarter budget when the pool
-                // alone would eat it); an explicit shard count carves by
-                // count.
-                (true, None, Some(b)) if b > 0 => {
-                    let trials = params.c1 as u64;
-                    let incidences = pass
-                        .batches
-                        .iter()
-                        .map(|bt| fragment_incidences(offsets, bt))
-                        .sum();
-                    let reserve = pool_byte_cost(incidences, s, trials);
-                    let target = b.saturating_sub(reserve).max(b / 4);
-                    budget_chunks(&pass.batches, offsets, s, trials, target)
+            let shards = match (plan.mem_budget.shards, plan.mem_budget.bytes) {
+                (Some(k), _) => even_shards(offsets, k.max(1) as usize),
+                (None, Some(b)) if b > 0 => {
+                    // The fragment pool outlives every shard, so a carving
+                    // whose device cuts split lists re-carves with the
+                    // pool's share reserved (best-effort floor of a
+                    // quarter budget when the pool alone would eat it).
+                    let shards = budget_shards(offsets, s, trials, b);
+                    let (batches, _) = shard_batches(offsets, &shards, cap);
+                    match pool_byte_cost(&batches, offsets, s, trials) {
+                        0 => shards,
+                        reserve => {
+                            let target = b.saturating_sub(reserve).max(b / 4);
+                            budget_shards(offsets, s, trials, target)
+                        }
+                    }
                 }
-                _ => shard_chunks(pass.batches.len(), n_shards),
+                _ => even_shards(offsets, 1),
             };
+            let spill = shards.len() > 1;
+            let (batches, chunks) = shard_batches(offsets, &shards, cap);
+            let pass = plan.pass_of(s, cap, batches);
             // Entry group for this exact shard carving: the signature pins
-            // the element ranges, so entries only ever rejoin a resume (or
-            // an OOM-backoff replay) whose shards carve identically — a
-            // changed carving silently starts fresh rather than refusing
-            // the run.
+            // the shard ranges and the capacity that cut them, so entries
+            // only ever rejoin a resume (or an OOM-backoff replay) whose
+            // shards carve identically — a changed carving silently starts
+            // fresh rather than refusing the run.
             if let Some(ck) = d.ckpt.as_mut().filter(|_| spill) {
                 let mut parts = vec![s as u64, cap as u64];
-                for c in &chunks {
-                    parts.push(pass.batches[c.start].elem_lo);
-                    parts.push(pass.batches[c.end - 1].elem_hi);
-                }
+                parts.extend(shards.iter().flat_map(|r| [r.start, r.end]));
                 ck.begin_group(checkpoint::signature(&parts));
             }
             self.shards(
@@ -588,9 +562,10 @@ impl GpClust {
     ///
     /// Bit-identity with one resident pass: a complete `(node, trial)`
     /// record lives wholly in one batch and so in exactly one run, the
-    /// fragments of lists split across batches, devices or shards pool
-    /// and finalize once, last, and the external merge pops in the same
-    /// `((key, node), run)` order the in-memory merge does.
+    /// fragments of lists split across batches (or the devices those
+    /// batches went to) pool and finalize once, last, and the external
+    /// merge pops in the same `((key, node), run)` order the in-memory
+    /// merge does. Shards end on list boundaries, so no list spans two.
     #[allow(clippy::too_many_arguments)] // the unit with_oom_backoff re-plans
     fn shards(
         &self,
@@ -611,6 +586,7 @@ impl GpClust {
             spilled: Vec::new(),
             pool: RawShingles::new(s),
             stats: pass.stats,
+            shards: chunks.len() as u64,
             makespan: vec![0.0; self.gpus.len()],
         };
         let mut pool_bytes = 0u64;
@@ -800,6 +776,28 @@ mod tests {
     }
 
     #[test]
+    fn shards_end_on_list_boundaries() {
+        // Degrees 3, 0, 5, 2, 6; at s = 2 and one trial the vertices cost
+        // 76, 0, 84, 72 and 88 bytes.
+        let offsets = [0u64, 3, 3, 8, 10, 16];
+        assert_eq!(even_shards(&offsets, 1), vec![0..16]);
+        assert_eq!(even_shards(&offsets, 3), vec![0..8, 8..10, 10..16]);
+        assert_eq!(even_shards(&offsets, 9).len(), 4, "one list per shard");
+        assert_eq!(budget_shards(&offsets, 2, 1, 170), vec![0..8, 8..16]);
+        assert_eq!(budget_shards(&offsets, 2, 1, 1000), vec![0..16]);
+        // A vertex over the budget on its own is a best-effort shard.
+        assert_eq!(budget_shards(&offsets, 2, 1, 50).len(), 4);
+        assert!(even_shards(&[0, 0, 0], 2).is_empty());
+        // Capacity cuts inside a shard are the only split lists: the cuts
+        // at 4 and 12 split two lists, four split ends in all.
+        let (batches, chunks) = shard_batches(&offsets, &[0..8, 8..16], 4);
+        assert_eq!(chunks, vec![0..2, 2..4]);
+        assert_eq!(pool_byte_cost(&batches, &offsets, 2, 1), 4 * (64 + 24));
+        let (whole, _) = shard_batches(&offsets, &[0..8, 8..16], 8);
+        assert_eq!(pool_byte_cost(&whole, &offsets, 2, 1), 0);
+    }
+
+    #[test]
     fn gpu_pipeline_matches_serial_exactly() {
         let g = graph(21);
         let params = ShinglingParams::light(77);
@@ -961,10 +959,21 @@ mod tests {
     }
 
     /// A byte budget (not an explicit shard count) derives the shard count
-    /// and the recorded peak respects it.
+    /// and the recorded peak respects it, on one device and a fleet. On
+    /// the K20 every list-aligned shard runs as one batch; the tiny
+    /// device is smaller than a shard, so its capacity cuts split lists
+    /// inside shards and their fragments pool across the pass.
     #[test]
     fn byte_budget_derives_shards_and_bounds_residency() {
-        let g = graph(31);
+        let g = planted_partition(&PlantedConfig {
+            group_sizes: vec![120, 100, 80],
+            n_noise_vertices: 20,
+            p_intra: 0.6,
+            max_intra_degree: f64::MAX,
+            inter_edges_per_vertex: 1.0,
+            seed: 31,
+        })
+        .graph;
         let params = ShinglingParams::light(87);
         let oracle = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
@@ -978,21 +987,31 @@ mod tests {
         }
         let est = Plan::estimate_pass_resident_bytes(g.offsets(), params.s1, params.c1);
         let budget = est / 4;
-        for n_dev in [1usize, 2] {
-            let gpus = (0..n_dev)
-                .map(|_| Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
-                .collect();
-            let r = MultiGpuClust::new(params.with_mem_budget(budget), gpus)
-                .unwrap()
-                .cluster(&g)
-                .unwrap();
-            assert_eq!(r.partition, oracle.partition, "{n_dev} devices");
-            assert!(r.times.spilled_bytes > 0, "{n_dev} devices");
-            assert!(
-                r.times.peak_resident_bytes <= budget,
-                "{n_dev} devices: peak {} exceeds budget {budget}",
-                r.times.peak_resident_bytes
-            );
+        let rows = [
+            (DeviceConfig::tesla_k20(), false),
+            (DeviceConfig::tiny_test_device(), true),
+        ];
+        for (device, cuts_lists) in rows {
+            for n_dev in [1usize, 2] {
+                let gpus = (0..n_dev)
+                    .map(|_| Gpu::with_workers(device.clone(), 2))
+                    .collect();
+                let r = MultiGpuClust::new(params.with_mem_budget(budget), gpus)
+                    .unwrap()
+                    .cluster(&g)
+                    .unwrap();
+                let row = format!("{} x{n_dev}", device.name);
+                assert_eq!(r.partition, oracle.partition, "{row}");
+                assert!(r.times.spilled_bytes > 0, "{row}");
+                assert!(r.times.shards > 1, "{row}");
+                assert!(
+                    r.times.peak_resident_bytes <= budget,
+                    "{row}: peak {} exceeds budget {budget}",
+                    r.times.peak_resident_bytes
+                );
+                let cut_inside = r.batch_stats[0].n_batches > r.times.shards;
+                assert_eq!(cut_inside, cuts_lists, "{row}");
+            }
         }
     }
 

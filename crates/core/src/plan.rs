@@ -123,25 +123,31 @@ impl Plan {
     }
 
     /// The smallest byte budget any shard carving of this input is
-    /// feasible under: the resident working set of the single heaviest
-    /// vertex (its flat adjacency plus, if it emits, its per-trial record
-    /// buffers — the same per-vertex pricing as
-    /// [`Plan::estimate_pass_resident_bytes`]). A budget below this fails
+    /// feasible under: the largest [`Plan::vertex_resident_bytes`] of any
+    /// one vertex. A budget below this fails
     /// [`MemoryBudget::validate_feasible`] even at one vertex per shard.
     pub fn min_feasible_budget(offsets: &[u64], s: usize, trials: usize) -> u64 {
         offsets
             .windows(2)
-            .map(|w| {
-                let deg = w[1] - w[0];
-                let records = if deg as usize >= s {
-                    trials as u64 * (32 + 16 * s as u64)
-                } else {
-                    0
-                };
-                4 * deg + records
-            })
+            .map(|w| Plan::vertex_resident_bytes(w[1] - w[0], s, trials))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Estimated resident bytes one vertex of degree `deg` adds to a
+    /// Pass-I shard: its flat adjacency plus, when its list reaches `s`
+    /// elements, one record per trial held twice over at the residency
+    /// peak (`2 × (16 + 8·s) B`: the gathered raw buffer plus the routed
+    /// copy the fragment merge packs from). The one price behind
+    /// [`Plan::min_feasible_budget`], [`Plan::estimate_pass_resident_bytes`]
+    /// and the driver's shard carving.
+    pub fn vertex_resident_bytes(deg: u64, s: usize, trials: usize) -> u64 {
+        let records = if deg as usize >= s {
+            trials as u64 * (32 + 16 * s as u64)
+        } else {
+            0
+        };
+        4 * deg + records
     }
 
     /// The per-batch element budget this plan's devices afford with
@@ -184,21 +190,14 @@ impl Plan {
     }
 
     /// Estimated peak host-resident bytes of one *fully resident* pass:
-    /// the flat adjacency elements plus every trial's record buffers — a
-    /// node emits a record per trial whenever its list reaches `s`
-    /// elements, and at its residency peak a record is held twice over
-    /// (`2 × (16 + 8·s) B`: the gathered raw buffer plus the routed copy
-    /// the fragment merge packs from). The budget→shard-count derivation
-    /// divides this figure by the budget; it deliberately prices the
-    /// dominant buffers only, not allocator slack, so budgets are
-    /// working-set bounds rather than RSS bounds.
+    /// the sum of every vertex's [`Plan::vertex_resident_bytes`]. It
+    /// deliberately prices the dominant buffers only, not allocator
+    /// slack, so budgets are working-set bounds rather than RSS bounds.
     pub fn estimate_pass_resident_bytes(offsets: &[u64], s: usize, trials: usize) -> u64 {
-        let n_elems = offsets.last().copied().unwrap_or(0) - offsets.first().copied().unwrap_or(0);
-        let emitting = offsets
+        offsets
             .windows(2)
-            .filter(|w| (w[1] - w[0]) as usize >= s)
-            .count() as u64;
-        4 * n_elems + emitting * trials as u64 * (32 + 16 * s as u64)
+            .map(|w| Plan::vertex_resident_bytes(w[1] - w[0], s, trials))
+            .sum()
     }
 
     /// Lower one shingling pass: plan the batches of `offsets` at
@@ -216,7 +215,12 @@ impl Plan {
         offsets: &[u64],
     ) -> PassPlan {
         let AggregationMode::Host = aggregation;
-        let batches = plan_batches(offsets, capacity);
+        self.pass_of(s, capacity, plan_batches(offsets, capacity))
+    }
+
+    /// [`Plan::pass`] over an explicit batch list planned at `capacity`
+    /// (the driver's Pass I cuts each shard's element range separately).
+    pub(crate) fn pass_of(&self, s: usize, capacity: usize, batches: Vec<Batch>) -> PassPlan {
         let stats = BatchStats::from_plan(&batches, capacity, self.kernel);
         PassPlan {
             s,

@@ -190,6 +190,12 @@ pub struct StageTimes {
     /// Batches across both device passes (capacity-driven splits must
     /// never be silent; see [`crate::batch::BatchStats`]).
     pub n_batches: u64,
+    /// Batches of each device pass (`[pass I, pass II]`); they sum to
+    /// [`StageTimes::n_batches`].
+    pub pass_batches: [u64; 2],
+    /// Vertex-range shards Pass I was carved into (one for a resident
+    /// pass over a non-empty input).
+    pub shards: u64,
     /// Elements in the largest batch of either pass.
     pub max_batch_elems: u64,
     /// Per-element device-memory footprint of the active kernel (bytes;
@@ -210,11 +216,15 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
-    /// Fold a device pass's batch plan into the visibility fields.
-    pub fn record_batch_stats(&mut self, stats: &crate::batch::BatchStats) {
-        self.n_batches += stats.n_batches;
-        self.max_batch_elems = self.max_batch_elems.max(stats.max_batch_elems);
-        self.elem_footprint_bytes = self.elem_footprint_bytes.max(stats.elem_footprint_bytes);
+    /// Fold both device passes' batch plans (`[pass I, pass II]`) into
+    /// the visibility fields.
+    pub fn record_batch_stats(&mut self, passes: &[crate::batch::BatchStats; 2]) {
+        for (n, stats) in self.pass_batches.iter_mut().zip(passes) {
+            *n = stats.n_batches;
+            self.n_batches += stats.n_batches;
+            self.max_batch_elems = self.max_batch_elems.max(stats.max_batch_elems);
+            self.elem_footprint_bytes = self.elem_footprint_bytes.max(stats.elem_footprint_bytes);
+        }
     }
 
     /// Total runtime as the paper composes it: the sum of all components
@@ -243,7 +253,7 @@ impl std::fmt::Display for StageTimes {
             f,
             "CPU {:.2}s | GPU {:.4}s | c→g {:.4}s | g→c {:.4}s \
              | disk {:.3}s | total {:.2}s | device pipelined {:.4}s \
-             | {} batch(es), max {} elems @ {} B/elem",
+             | pass I {} + pass II {} batch(es), max {} elems @ {} B/elem",
             self.cpu,
             self.gpu,
             self.h2d,
@@ -251,12 +261,17 @@ impl std::fmt::Display for StageTimes {
             self.disk_io,
             self.total(),
             self.device_pipelined,
-            self.n_batches,
+            self.pass_batches[0],
+            self.pass_batches[1],
             self.max_batch_elems,
             self.elem_footprint_bytes
         )?;
         if self.peak_resident_bytes > 0 {
-            write!(f, " | resident peak {} B", self.peak_resident_bytes)?;
+            write!(
+                f,
+                " | resident peak {} B in {} shard(s)",
+                self.peak_resident_bytes, self.shards
+            )?;
             if self.spilled_bytes > 0 {
                 write!(f, " (spilled {} B)", self.spilled_bytes)?;
             }
@@ -386,31 +401,36 @@ mod tests {
         let t = StageTimes {
             peak_resident_bytes: 150,
             spilled_bytes: 64,
+            shards: 3,
             ..Default::default()
         };
         let s = t.to_string();
-        assert!(s.contains("resident peak 150 B"), "{s}");
+        assert!(s.contains("resident peak 150 B in 3 shard(s)"), "{s}");
         assert!(s.contains("spilled 64 B"), "{s}");
     }
 
     #[test]
     fn batch_stats_fold_into_stage_times() {
         let mut t = StageTimes::default();
-        t.record_batch_stats(&crate::batch::BatchStats {
-            n_batches: 3,
-            max_batch_elems: 1000,
-            capacity_elems: 1024,
-            elem_footprint_bytes: 16,
-        });
-        t.record_batch_stats(&crate::batch::BatchStats {
-            n_batches: 2,
-            max_batch_elems: 500,
-            capacity_elems: 1024,
-            elem_footprint_bytes: 16,
-        });
+        t.record_batch_stats(&[
+            crate::batch::BatchStats {
+                n_batches: 3,
+                max_batch_elems: 1000,
+                capacity_elems: 1024,
+                elem_footprint_bytes: 16,
+            },
+            crate::batch::BatchStats {
+                n_batches: 2,
+                max_batch_elems: 500,
+                capacity_elems: 1024,
+                elem_footprint_bytes: 16,
+            },
+        ]);
         assert_eq!(t.n_batches, 5);
+        assert_eq!(t.pass_batches, [3, 2]);
         assert_eq!(t.max_batch_elems, 1000);
         assert_eq!(t.elem_footprint_bytes, 16);
-        assert!(t.to_string().contains("5 batch(es)"));
+        let s = t.to_string();
+        assert!(s.contains("pass I 3 + pass II 2 batch(es)"), "{s}");
     }
 }

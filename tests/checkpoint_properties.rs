@@ -7,7 +7,7 @@
 
 use gpclust::core::multi_gpu::MultiGpuClust;
 use gpclust::core::{
-    CheckpointConfig, CrashPlan, CrashSite, GpClust, SerialShingling, ShingleKernel,
+    CheckpointConfig, CrashPlan, CrashSite, GpClust, Plan, SerialShingling, ShingleKernel,
     ShinglingParams, StageTimes, KILL_MARKER,
 };
 use gpclust::gpu::{DeviceConfig, DeviceError, Gpu};
@@ -305,6 +305,44 @@ fn manifest_recording_removed_axes_still_resumes() {
         assert_eq!(times.recovery.checksum_failures, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A manifest whose group signature this build's carving never produces
+/// — which is how a manifest journaled under an older shard carving
+/// looks — has nothing to reuse: the resume re-runs every shard to the
+/// oracle's partition and finalize leaves none of the stale group's
+/// sealed files behind.
+#[test]
+fn stale_group_signature_resumes_fresh_and_retires_its_files() {
+    let g = gos_shaped_graph(400, 8, 17);
+    let base = ShinglingParams::light(5);
+    let oracle = SerialShingling::new(base).unwrap().cluster(&g);
+    let est = Plan::estimate_pass_resident_bytes(g.offsets(), base.s1, base.c1);
+    let params = base.with_mem_budget(est / 3);
+    let dir = checkpoint_dir("stale-group");
+    let cfg = CheckpointConfig::new(&dir)
+        .with_crash(CrashPlan::scheduled().with_kill(CrashSite::ManifestCommit, 1));
+    assert_killed(&checkpointed_run(&g, params, cfg).unwrap_err());
+    let stale = sealed_files(&dir);
+    assert!(!stale.is_empty(), "the first shard sealed before the kill");
+
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let start = text.find("\"sig\": ").expect("manifest records a group") + 7;
+    let end = start + text[start..].find(',').unwrap();
+    let sig: u64 = text[start..end].parse().unwrap();
+    let text = format!("{}{}{}", &text[..start], sig ^ 1, &text[end..]);
+    std::fs::write(&manifest, text).unwrap();
+
+    let (got, times) =
+        checkpointed_run(&g, params, CheckpointConfig::new(&dir).resuming()).unwrap();
+    assert_eq!(got, oracle);
+    assert_eq!(times.recovery.resumed_shards, 0, "{}", times.recovery);
+    assert_eq!(times.recovery.checksum_failures, 0);
+    assert!(times.shards >= 2, "the budget must shard: {}", times.shards);
+    let left = sealed_files(&dir);
+    assert!(left.is_empty(), "sealed files survived finalize: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A deterministic GOS-shaped graph (copy of the oocore helper): a few

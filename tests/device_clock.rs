@@ -8,7 +8,7 @@
 //! of the simulator that claims to leave the clock alone must pass this
 //! test unchanged.
 
-use gpclust::core::{GpClust, ShingleKernel, ShinglingParams};
+use gpclust::core::{GpClust, GpClustReport, ShingleKernel, ShinglingParams};
 use gpclust::gpu::{DeviceConfig, Gpu};
 use gpclust::graph::generate::{planted_partition, PlantedConfig};
 
@@ -26,7 +26,8 @@ struct Clock {
     device_pipelined: f64,
 }
 
-fn run(kernel: ShingleKernel) -> Clock {
+/// The fixed planted graph clustered under `params` on one K20.
+fn cluster(params: ShinglingParams) -> GpClustReport {
     let g = planted_partition(&PlantedConfig {
         group_sizes: vec![40, 30, 25, 18, 12],
         n_noise_vertices: 20,
@@ -36,9 +37,11 @@ fn run(kernel: ShingleKernel) -> Clock {
         seed: 2013,
     })
     .graph;
-    let params = ShinglingParams::light(17).with_kernel(kernel);
     let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
-    let report = GpClust::new(params, gpu).unwrap().cluster(&g).unwrap();
+    GpClust::new(params, gpu).unwrap().cluster(&g).unwrap()
+}
+
+fn clock(report: &GpClustReport) -> Clock {
     let c = report.counters;
     Clock {
         kernel_seconds: c.kernel_seconds,
@@ -51,6 +54,10 @@ fn run(kernel: ShingleKernel) -> Clock {
         d2h_bytes: c.d2h_bytes,
         device_pipelined: report.times.device_pipelined,
     }
+}
+
+fn run(kernel: ShingleKernel) -> Clock {
+    clock(&cluster(ShinglingParams::light(17).with_kernel(kernel)))
 }
 
 #[test]
@@ -89,6 +96,41 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
             h2d_bytes: 26176,
             d2h_bytes: 271680,
             device_pipelined: 0.012055136512820516,
+        }
+    );
+}
+
+/// Under a byte budget Pass I runs each list-aligned shard as one device
+/// batch (the K20 holds every shard whole), so the pass pays the per-trial
+/// launches once per shard. An explicit budget wins over
+/// `GPCLUST_MEM_BUDGET`, so this case runs under it too.
+#[test]
+fn budgeted_pass_one_pays_one_batch_per_shard() {
+    let params = ShinglingParams::light(17).with_mem_budget(96 * 1024);
+    let report = cluster(params);
+    let shards = report.times.shards;
+    assert!(
+        shards >= 3,
+        "the budget must carve several shards: {shards}"
+    );
+    let [pass1, pass2] = report.batch_stats;
+    assert_eq!(pass1.n_batches, shards, "one Pass-I batch per shard");
+    // The sort kernel launches transform + segmented sort + gather per
+    // trial of every batch.
+    let trial_batches = shards * params.c1 as u64 + pass2.n_batches * params.c2 as u64;
+    assert_eq!(report.counters.kernel_launches, 3 * trial_batches);
+    assert_eq!(
+        clock(&report),
+        Clock {
+            kernel_seconds: 0.10814054,
+            h2d_seconds: 5.4362e-5,
+            d2h_seconds: 0.00184532,
+            kernel_launches: 540,
+            h2d_transfers: 5,
+            d2h_transfers: 180,
+            h2d_bytes: 26176,
+            d2h_bytes: 271680,
+            device_pipelined: 0.10824683958974352,
         }
     );
 }
