@@ -12,13 +12,15 @@
 //!    Table-I-shaped workload and a batch-splitting 400M-element one,
 //!    computed in closed form from the simulator's own cost model and
 //!    written to `<report_dir>/BENCH_select.json`. The checked-in copy at
-//!    the repo root was produced with exactly this arithmetic. The fused
-//!    kernel wins twice: each element is cheaper, and the 8 B/elem
-//!    footprint (vs 16 B/elem with the packed sort workspace) doubles
-//!    `batch_capacity`, halving the batch count on oversized inputs.
+//!    the repo root was produced with exactly this arithmetic. Both
+//!    kernels plan at one 16 B/elem footprint, so they cut the same
+//!    batches; the fused kernel wins twice inside each batch: each element
+//!    is cheaper, and one launch and one copy cover a whole trial group
+//!    (`trial_group`), so the fixed per-launch cost is paid `⌈c / g⌉`
+//!    times instead of `c` times.
 
 use gpclust_bench::{json_fields, time, Json};
-use gpclust_core::batch::{batch_capacity, bytes_per_elem};
+use gpclust_core::batch::{batch_capacity, trial_group, BYTES_PER_ELEM};
 use gpclust_core::{GpClust, ShingleKernel, ShinglingParams};
 use gpclust_gpu::{DeviceConfig, Gpu, KernelCost};
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
@@ -62,6 +64,7 @@ struct PassModel {
     capacity_elems: usize,
     elem_footprint_bytes: usize,
     n_batches: usize,
+    trial_group: usize,
     h2d_s: f64,
     kernels_s: f64,
     d2h_s: f64,
@@ -71,21 +74,25 @@ struct PassModel {
 
 impl From<PassModel> for Json {
     fn from(r: PassModel) -> Json {
-        json_fields!(r; kernel, n_elements, trials, out_elements, capacity_elems, elem_footprint_bytes, n_batches, h2d_s, kernels_s, d2h_s, serialized_s, pipelined_s)
+        json_fields!(r; kernel, n_elements, trials, out_elements, capacity_elems, elem_footprint_bytes, n_batches, trial_group, h2d_s, kernels_s, d2h_s, serialized_s, pipelined_s)
     }
 }
 
 /// Closed-form schedule model of one shingling pass on `gpu` under
 /// `kernel`. The input is split into `ceil(n / batch_capacity)` equal
-/// batches; each batch is one upload, `trials` kernel rounds, and one
-/// top-s download per trial (the executor's stream-pair shape):
+/// batches; each batch is one upload and `⌈trials / g⌉` trial groups of
+/// `g = trial_group(..)` trials (the last one holds what is left), each
+/// group one kernel chain and one top-s download (the executor's
+/// stream-pair shape):
 ///
-/// * per-batch kernels — SortCompact: transform + segmented sort over the
-///   batch plus a gather over its share of the output; FusedSelect: a
-///   single fused `segmented_select` launch over the batch.
-/// * serialized (Thrust 1.5): `Σ_b h2d_b + trials·(kernels_b + d2h_b)`
-/// * pipelined (streams): `Σ_b h2d_b + trials·kernels_b + d2h_b` — every
-///   D2H except a batch's last hides behind the next round's kernels.
+/// * per-group kernels — SortCompact (`g = 1`): transform + segmented
+///   sort over the batch plus a gather over its share of the output;
+///   FusedSelect: a single fused `segmented_select` launch over the
+///   batch's elements once per trial of the group.
+/// * serialized (Thrust 1.5): `Σ_b h2d_b + Σ_groups (kernels + d2h)`
+/// * pipelined (streams): `Σ_b h2d_b + Σ_groups max(kernels, d2h) +
+///   min(kernels, d2h) of the last group` — each group's D2H overlaps the
+///   next group's kernels.
 fn model_pass(
     gpu: &Gpu,
     kernel: ShingleKernel,
@@ -93,37 +100,48 @@ fn model_pass(
     trials: usize,
     out_elements: usize,
 ) -> PassModel {
-    let capacity = batch_capacity(gpu.mem_available(), kernel);
+    let capacity = batch_capacity(gpu.mem_available());
     let n_batches = n_elements.div_ceil(capacity);
     let batch_elems = n_elements.div_ceil(n_batches);
     let out_per_batch = out_elements.div_ceil(n_batches);
+    let group = trial_group(kernel, batch_elems, out_per_batch, trials);
     let h2d = gpu.model_transfer_seconds(batch_elems * 4);
-    let kernels = match kernel {
+    // One group's kernels and copy, for a group of `t` trials.
+    let kernels = |t: usize| match kernel {
         ShingleKernel::SortCompact => {
             gpu.model_kernel_seconds(batch_elems, &KernelCost::transform())
                 + gpu.model_kernel_seconds(batch_elems, &KernelCost::segmented_sort())
                 + gpu.model_kernel_seconds(out_per_batch, &KernelCost::gather())
         }
         ShingleKernel::FusedSelect => {
-            gpu.model_kernel_seconds(batch_elems, &KernelCost::segmented_select())
+            gpu.model_kernel_seconds(batch_elems * t, &KernelCost::segmented_select())
         }
     };
-    let d2h = gpu.model_transfer_seconds(out_per_batch * 8);
+    let d2h = |t: usize| gpu.model_transfer_seconds(t * out_per_batch * 8);
+    // Full groups of `group` trials, then one shorter group for the rest.
+    let groups: Vec<usize> = (0..trials)
+        .step_by(group)
+        .map(|lo| group.min(trials - lo))
+        .collect();
     let b = n_batches as f64;
-    let t = trials as f64;
+    let kernels_s: f64 = groups.iter().map(|&t| kernels(t)).sum();
+    let d2h_s: f64 = groups.iter().map(|&t| d2h(t)).sum();
+    let paced: f64 = groups.iter().map(|&t| kernels(t).max(d2h(t))).sum();
+    let last = groups.last().map_or(0.0, |&t| kernels(t).min(d2h(t)));
     PassModel {
         kernel: format!("{kernel:?}"),
         n_elements,
         trials,
         out_elements,
         capacity_elems: capacity,
-        elem_footprint_bytes: bytes_per_elem(kernel),
+        elem_footprint_bytes: BYTES_PER_ELEM,
         n_batches,
+        trial_group: group,
         h2d_s: b * h2d,
-        kernels_s: b * t * kernels,
-        d2h_s: b * t * d2h,
-        serialized_s: b * (h2d + t * (kernels + d2h)),
-        pipelined_s: b * (h2d + t * kernels + d2h),
+        kernels_s: b * kernels_s,
+        d2h_s: b * d2h_s,
+        serialized_s: b * (h2d + kernels_s + d2h_s),
+        pipelined_s: b * (h2d + paced + last),
     }
 }
 
@@ -170,10 +188,10 @@ impl From<SelectReport> for Json {
     }
 }
 
-/// Model a 400M-element pass I (the only shape that exceeds the K20's
-/// sort-path `batch_capacity` of 268,435,456 elems at 5 GiB — the select
-/// path's 536,870,912-elem capacity holds it in one batch) plus a paper's
-/// 20K-workload-scaled pass II, and write the per-kernel comparison.
+/// Model a 400M-element pass I (a shape that exceeds the K20's
+/// `batch_capacity` of 268,435,456 elems at 5 GiB, so both kernels cut it
+/// into two batches) plus a paper's 20K-workload-scaled pass II, and
+/// write the per-kernel comparison.
 fn write_modeled_report() {
     let gpu = Gpu::new(DeviceConfig::tesla_k20());
     let sort_pass1 = model_pass(
@@ -230,9 +248,9 @@ fn write_modeled_report() {
         report.select.device_pipelined_s < report.sort.device_pipelined_s,
         "fused select must shorten the modeled stream makespan"
     );
-    assert!(
-        report.select.n_batches < report.sort.n_batches,
-        "the halved footprint must reduce the batch count at equal capacity"
+    assert_eq!(
+        report.select.n_batches, report.sort.n_batches,
+        "both kernels plan at one footprint"
     );
     let json = Json::from(report.clone()).pretty();
     let path = gpclust_bench::write_report("BENCH_select.json", &json);

@@ -302,7 +302,7 @@ mod tests {
         let a = Args::from_tokens(
             [
                 "--kernel",
-                "select",
+                "sort",
                 "--mem-budget",
                 "64M",
                 "--shards",
@@ -314,7 +314,7 @@ mod tests {
             .map(String::from),
         );
         let p = a.schedule().apply(base);
-        assert_eq!(p.kernel, ShingleKernel::FusedSelect);
+        assert_eq!(p.kernel, ShingleKernel::SortCompact);
         assert_eq!(p.mem_budget.bytes, Some(64 << 20));
         assert_eq!(p.mem_budget.shards, Some(4));
         assert_eq!(p.fault.max_retries, 5);
@@ -329,11 +329,11 @@ mod tests {
 
     #[test]
     fn schedule_describe_names_the_lowered_plan() {
-        let sched = Args::from_tokens(["--kernel", "select"].map(String::from)).schedule();
+        let sched = Args::from_tokens(["--kernel", "sort"].map(String::from)).schedule();
         let params = sched.apply(ShinglingParams::light(1));
         let gpus = [sched.harness_gpu(0)];
         let line = sched.describe_plan(&params, &gpus);
-        assert!(line.contains("fused-select"), "{line}");
+        assert!(line.contains("sort-compact"), "{line}");
         assert!(line.contains("1 device(s)"), "{line}");
     }
 }

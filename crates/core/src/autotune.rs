@@ -5,10 +5,12 @@
 //! Every pass runs on the double-buffered stream pair with host
 //! aggregation and host Phase III, so a plan differs only in its
 //! [`ShingleKernel`], the fleet and the capacity model. [`predict`] prices
-//! it in closed form: batch count and H2D/D2H transfer time from the
-//! kernel's [`crate::batch::bytes_per_elem`] footprint, the per-trial
-//! kernels, and the double-buffered overlap, plus modeled host seconds for
-//! the aggregation sort, the Phase-III union–find and any spill traffic.
+//! it in closed form: batch count from the
+//! [`crate::batch::BYTES_PER_ELEM`] footprint, each batch's upload, its
+//! `⌈c / g⌉` trial groups ([`crate::batch::trial_group`]) of one kernel
+//! chain and one D2H copy each, and the double-buffered overlap, plus
+//! modeled host seconds for the aggregation sort, the Phase-III
+//! union–find and any spill traffic.
 //!
 //! Three consumers:
 //!
@@ -27,7 +29,7 @@
 //! noise. [`Prediction::device_seconds`] is the stream makespan
 //! [`crate::timing::StageTimes::device_pipelined`] measures.
 
-use crate::batch::batch_capacity;
+use crate::batch::{batch_capacity, trial_group};
 use crate::params::{ShingleKernel, ShinglingParams};
 use gpclust_gpu::{Gpu, KernelCost};
 
@@ -89,7 +91,9 @@ pub struct PassShape {
     pub n_elements: usize,
     /// Non-empty adjacency lists (each emits one record per trial).
     pub n_segments: usize,
-    /// Top-s output elements per trial: `Σ min(s, len)` over the lists.
+    /// Top-s output elements per trial, what the executor downloads:
+    /// `s` per list of at least `s` elements (a shorter list holds no
+    /// shingle).
     pub out_elements: usize,
     /// Hash trials (`c1` / `c2`).
     pub trials: usize,
@@ -106,7 +110,9 @@ impl PassShape {
             let len = (w[1] - w[0]) as usize;
             if len > 0 {
                 n_segments += 1;
-                out_elements += len.min(s);
+            }
+            if len >= s {
+                out_elements += s;
             }
         }
         PassShape {
@@ -205,31 +211,79 @@ pub struct Prediction {
     pub n_batches: u64,
 }
 
-/// Per-round kernel seconds of one batch under `kernel`:
-/// transform + segmented sort + gather for [`ShingleKernel::SortCompact`],
-/// the single fused selection launch for [`ShingleKernel::FusedSelect`].
-fn kernel_round_seconds(
-    gpu: &Gpu,
-    kernel: ShingleKernel,
-    batch_elems: usize,
-    out_elems: usize,
-) -> f64 {
-    match kernel {
-        ShingleKernel::SortCompact => gpu.model_kernel_sequence_seconds(&[
-            (batch_elems, KernelCost::transform()),
-            (batch_elems, KernelCost::segmented_sort()),
-            (out_elems, KernelCost::gather()),
-        ]),
-        ShingleKernel::FusedSelect => {
-            gpu.model_kernel_sequence_seconds(&[(batch_elems, KernelCost::segmented_select())])
+/// The modeled costs of one batch of `batch_elems` elements whose top-s
+/// output holds `out_elems` pairs per trial, as the executor runs it: one
+/// upload, then trial groups of `g` trials ([`trial_group`]) and one
+/// shorter group for the `trials mod g` left over, each group one kernel
+/// chain and one D2H copy of its output.
+struct BatchCost {
+    h2d: f64,
+    /// `(count, kernels, d2h)` of the full groups, then of the shorter
+    /// last group (count 0 when `g` divides `trials`). A group's kernels
+    /// are transform + segmented sort + gather for
+    /// [`ShingleKernel::SortCompact`]'s one trial, or the fused selection
+    /// over `batch_elems` elements per trial of the group for
+    /// [`ShingleKernel::FusedSelect`].
+    groups: [(f64, f64, f64); 2],
+}
+
+impl BatchCost {
+    fn of(
+        gpu: &Gpu,
+        kernel: ShingleKernel,
+        batch_elems: usize,
+        out_elems: usize,
+        trials: usize,
+    ) -> Self {
+        let g = trial_group(kernel, batch_elems, out_elems, trials);
+        let group = |count: usize, trials: usize| {
+            let kernels = match kernel {
+                ShingleKernel::SortCompact => gpu.model_kernel_sequence_seconds(&[
+                    (batch_elems, KernelCost::transform()),
+                    (batch_elems, KernelCost::segmented_sort()),
+                    (out_elems, KernelCost::gather()),
+                ]),
+                ShingleKernel::FusedSelect => {
+                    gpu.model_kernel_seconds(batch_elems * trials, &KernelCost::segmented_select())
+                }
+            };
+            let d2h = gpu.model_transfer_seconds(trials * out_elems * 8);
+            (count as f64, kernels, d2h)
+        };
+        let rest = trials % g;
+        BatchCost {
+            h2d: gpu.model_transfer_seconds(batch_elems * 4),
+            groups: [group(trials / g, g), group(usize::from(rest > 0), rest)],
         }
+    }
+
+    /// Stream makespan: each group's copy overlaps the next group's
+    /// kernels, so the slower of the two sets the pace, and the last
+    /// group's faster half shows once, at the end.
+    fn pipelined(&self) -> f64 {
+        let paced: f64 = self.groups.iter().map(|&(n, k, d)| n * k.max(d)).sum();
+        let [(_, full_k, full_d), (rest, rest_k, rest_d)] = self.groups;
+        let last = if rest > 0.0 {
+            rest_k.min(rest_d)
+        } else {
+            full_k.min(full_d)
+        };
+        self.h2d + paced + last
+    }
+
+    /// Every operation back to back.
+    fn serialized(&self) -> f64 {
+        self.h2d
+            + self
+                .groups
+                .iter()
+                .map(|&(n, k, d)| n * (k + d))
+                .sum::<f64>()
     }
 }
 
 /// Closed-form stream makespan of `b_d` of a pass's `n_batches` batches
-/// on `gpu`: each batch's upload, its trials' kernels back to back, and
-/// the last trial's download (the others hide behind the next trial's
-/// kernels on the copy stream).
+/// on `gpu` ([`BatchCost::pipelined`] per batch).
 fn model_pass_share(
     gpu: &Gpu,
     kernel: ShingleKernel,
@@ -242,10 +296,8 @@ fn model_pass_share(
     }
     let batch_elems = shape.n_elements.div_ceil(n_batches);
     let out_per_batch = shape.out_elements.div_ceil(n_batches).max(1);
-    let h2d = gpu.model_transfer_seconds(batch_elems * 4);
-    let kernels = kernel_round_seconds(gpu, kernel, batch_elems, out_per_batch);
-    let d2h = gpu.model_transfer_seconds(out_per_batch * 8);
-    b_d as f64 * (h2d + shape.trials as f64 * kernels + d2h)
+    let batch = BatchCost::of(gpu, kernel, batch_elems, out_per_batch, shape.trials);
+    b_d as f64 * batch.pipelined()
 }
 
 /// Modeled host seconds on the critical path for a run that emitted
@@ -258,7 +310,8 @@ pub fn host_model_seconds(records1: usize, union_edges: usize) -> f64 {
 /// Relative throughput of each device on a nominal probe batch
 /// ([`NOMINAL_BATCH_ELEMS`] elements, half of them surviving to the top-s
 /// output) under `kernel` with `trials` hash rounds: `1 / serialized
-/// batch seconds`, 0 for lost devices. Bandwidth, compute rate, PCIe and
+/// batch seconds` (upload, then every trial group's kernels and copy back
+/// to back), 0 for lost devices. Bandwidth, compute rate, PCIe and
 /// launch overhead all land in the figure through the same model the
 /// executor charges.
 pub fn device_weights(gpus: &[Gpu], kernel: ShingleKernel, trials: usize) -> Vec<f64> {
@@ -268,11 +321,7 @@ pub fn device_weights(gpus: &[Gpu], kernel: ShingleKernel, trials: usize) -> Vec
                 return 0.0;
             }
             let n = NOMINAL_BATCH_ELEMS;
-            let out = n / 2;
-            let h2d = gpu.model_transfer_seconds(n * 4);
-            let kernels = kernel_round_seconds(gpu, kernel, n, out);
-            let d2h = gpu.model_transfer_seconds(out * 8);
-            1.0 / (h2d + trials.max(1) as f64 * (kernels + d2h))
+            1.0 / BatchCost::of(gpu, kernel, n, n / 2, trials.max(1)).serialized()
         })
         .collect()
 }
@@ -367,7 +416,7 @@ pub fn predict(
         .map(|(g, _)| g.mem_available())
         .min()?;
 
-    let capacity = batch_capacity(min_mem, axes.kernel);
+    let capacity = batch_capacity(min_mem);
     let mut device_seconds = 0.0;
     let mut n_batches = 0u64;
     for shape in [&w.pass1, &w.pass2] {
@@ -486,7 +535,7 @@ mod tests {
         let shape = PassShape::from_offsets(&[0, 3, 3, 8, 9], 10, 2);
         assert_eq!(shape.n_elements, 9);
         assert_eq!(shape.n_segments, 3, "empty list skipped");
-        assert_eq!(shape.out_elements, 2 + 2 + 1, "min(s, len) per list");
+        assert_eq!(shape.out_elements, 2 + 2, "s per list of at least s");
         assert_eq!(shape.n_records(), 30);
     }
 

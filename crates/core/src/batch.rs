@@ -143,41 +143,52 @@ pub fn plan_batches_range(
     batches
 }
 
-/// Device-memory footprint of one batch element under the given kernel.
-///
-/// * [`ShingleKernel::SortCompact`] — each element needs a `u32` input
-///   slot, a `u64` packed `(hash, vertex)` workspace slot for the
-///   segmented sort, and a second `u32` staging slot so the stream pair
-///   can upload the *next* batch while the current one computes (double
-///   buffering): `4 + 8 + 4 = 16` bytes.
-/// * [`ShingleKernel::FusedSelect`] — the fused kernel hashes on the fly
-///   and keeps only an s-sized insertion buffer per segment (O(s) per
-///   segment, not per element), so the 8-byte packed workspace disappears
-///   and only the input + staging slots remain: `4 + 4 = 8` bytes.
-pub const fn bytes_per_elem(kernel: ShingleKernel) -> usize {
-    match kernel {
-        ShingleKernel::SortCompact => 4 + 8 + 4, // input + packed workspace + staged next input
-        ShingleKernel::FusedSelect => 4 + 4,     // input + staged next input
-    }
-}
+/// Device-memory footprint of one batch element, the same under both
+/// kernels: a `u32` input slot, a second `u32` staging slot so the stream
+/// pair can upload the *next* batch while the current one computes
+/// (double buffering), and an 8-byte slot for what the kernel writes per
+/// element — [`ShingleKernel::SortCompact`]'s packed `(hash, vertex)`
+/// workspace for the segmented sort, or the trial group
+/// [`ShingleKernel::FusedSelect`] writes in one launch, which
+/// [`trial_group`] bounds to 8 bytes per batch element:
+/// `4 + 4 + 8 = 16` bytes.
+pub const BYTES_PER_ELEM: usize = 4 + 4 + 8;
 
 /// Fraction of the available bytes the per-element planner may claim.
 ///
-/// The remainder covers the per-segment top-s output buffers (a few bytes
-/// per *list*, not per element — `2·s·4` bytes each — so their worst case
-/// is bounded and small) plus stream events and allocator slack. If an
+/// The remainder covers [`ShingleKernel::SortCompact`]'s per-trial top-s
+/// output buffer (at most `s` of every list's elements, so bounded and
+/// small next to the batch) plus stream events and allocator slack. If an
 /// adversarial graph of near-empty lists blows past the reserve anyway,
 /// the device pass's OOM-retry (drop the staged buffer and re-plan) is
 /// the backstop; the headroom just keeps that path cold.
 pub const HEADROOM: f64 = 0.8;
 
 /// Batch capacity (elements) for a device with `available_bytes` free
-/// under the given kernel's per-element footprint (see
-/// [`bytes_per_elem`]). FusedSelect's footprint is half of SortCompact's,
-/// so it plans ~2× larger batches from the same memory — fewer batches,
-/// fewer transfers, fewer kernel launches.
-pub fn batch_capacity(available_bytes: usize, kernel: ShingleKernel) -> usize {
-    (((available_bytes as f64) * HEADROOM) as usize / bytes_per_elem(kernel)).max(1)
+/// at [`BYTES_PER_ELEM`] per element.
+pub fn batch_capacity(available_bytes: usize) -> usize {
+    (((available_bytes as f64) * HEADROOM) as usize / BYTES_PER_ELEM).max(1)
+}
+
+/// Trials one launch of `kernel` runs on a batch of `n_elems` elements
+/// whose top-s output holds `out_elems` pairs per trial.
+///
+/// [`ShingleKernel::SortCompact`] sorts one trial's packed workspace at a
+/// time, so its group is one trial. [`ShingleKernel::FusedSelect`] runs
+/// `g = clamp(n_elems / out_elems, 1, trials)` trials per launch: the
+/// group's output, `g · out_elems` pairs, then fits the 8 bytes per batch
+/// element that [`BYTES_PER_ELEM`] reserves, and the batch pays the fixed
+/// launch and copy costs `⌈trials / g⌉` times instead of `trials` times.
+pub fn trial_group(
+    kernel: ShingleKernel,
+    n_elems: usize,
+    out_elems: usize,
+    trials: usize,
+) -> usize {
+    match kernel {
+        ShingleKernel::SortCompact => 1,
+        ShingleKernel::FusedSelect => (n_elems / out_elems.max(1)).clamp(1, trials.max(1)),
+    }
 }
 
 /// Visibility record for a device pass's batch plan: how the capacity
@@ -190,14 +201,14 @@ pub struct BatchStats {
     pub max_batch_elems: u64,
     /// Planned per-batch element capacity ([`batch_capacity`]).
     pub capacity_elems: u64,
-    /// Device bytes per element charged by the active kernel
-    /// ([`bytes_per_elem`]).
+    /// Device bytes per element the capacity was planned at
+    /// ([`BYTES_PER_ELEM`]).
     pub elem_footprint_bytes: u64,
 }
 
 impl BatchStats {
-    /// Stats for a plan produced with the given capacity and kernel.
-    pub fn from_plan(batches: &[Batch], capacity: usize, kernel: ShingleKernel) -> Self {
+    /// Stats for a plan produced with the given capacity.
+    pub fn from_plan(batches: &[Batch], capacity: usize) -> Self {
         BatchStats {
             n_batches: batches.len() as u64,
             max_batch_elems: batches
@@ -206,7 +217,7 @@ impl BatchStats {
                 .max()
                 .unwrap_or(0),
             capacity_elems: capacity as u64,
-            elem_footprint_bytes: bytes_per_elem(kernel) as u64,
+            elem_footprint_bytes: BYTES_PER_ELEM as u64,
         }
     }
 
@@ -356,30 +367,44 @@ mod tests {
 
     #[test]
     fn capacity_model_positive_and_monotone() {
-        for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
-            let small = batch_capacity(64 * 1024, kernel);
-            let large = batch_capacity(5 * 1024 * 1024 * 1024, kernel);
-            assert!(small >= 1);
-            assert!(large > small);
-            // 5 GB device → batches of a few hundred million elements.
-            assert!(large > 100_000_000);
-        }
+        let small = batch_capacity(64 * 1024);
+        let large = batch_capacity(5 * 1024 * 1024 * 1024);
+        assert!(small >= 1);
+        assert!(large > small);
+        // 5 GB device → batches of a few hundred million elements.
+        assert!(large > 100_000_000);
     }
 
+    /// Both kernels plan at one 16-byte footprint: the fused kernel's
+    /// trial group takes the 8 bytes per element the sort's packed
+    /// workspace takes, so neither plans larger batches.
     #[test]
-    fn fused_select_doubles_capacity() {
-        assert_eq!(bytes_per_elem(ShingleKernel::SortCompact), 16);
-        assert_eq!(bytes_per_elem(ShingleKernel::FusedSelect), 8);
+    fn both_kernels_share_one_footprint() {
+        assert_eq!(BYTES_PER_ELEM, 16);
         let bytes = 5usize * 1024 * 1024 * 1024;
-        let sort = batch_capacity(bytes, ShingleKernel::SortCompact);
-        let select = batch_capacity(bytes, ShingleKernel::FusedSelect);
-        assert_eq!(select, sort * 2);
+        assert_eq!(
+            batch_capacity(bytes),
+            (bytes as f64 * HEADROOM) as usize / 16
+        );
+        let (n, out, c) = (1000, 40, 200);
+        assert_eq!(trial_group(ShingleKernel::SortCompact, n, out, c), 1);
+        let g = trial_group(ShingleKernel::FusedSelect, n, out, c);
+        assert_eq!(g, 25);
+        assert!(
+            g * out * 8 <= n * 8,
+            "a group's output fits its 8 B/elem slot"
+        );
+        // Clamped to [1, trials]: an output as large as the batch still
+        // runs, and a tiny output never runs more trials than there are.
+        assert_eq!(trial_group(ShingleKernel::FusedSelect, 10, 10, c), 1);
+        assert_eq!(trial_group(ShingleKernel::FusedSelect, n, 1, c), c);
+        assert_eq!(trial_group(ShingleKernel::FusedSelect, n, 0, c), c);
     }
 
     #[test]
     fn batch_stats_describe_the_plan() {
         let bs = plan_batches(&OFFSETS, 4);
-        let stats = BatchStats::from_plan(&bs, 4, ShingleKernel::SortCompact);
+        let stats = BatchStats::from_plan(&bs, 4);
         assert_eq!(stats.n_batches, 3);
         assert_eq!(stats.max_batch_elems, 4);
         assert_eq!(stats.capacity_elems, 4);
@@ -390,18 +415,14 @@ mod tests {
         assert!(text.contains("16 B/elem"), "{text}");
 
         let mut merged = stats;
-        merged.merge(&BatchStats::from_plan(
-            &plan_batches(&OFFSETS, 8),
-            8,
-            ShingleKernel::FusedSelect,
-        ));
+        merged.merge(&BatchStats::from_plan(&plan_batches(&OFFSETS, 8), 8));
         assert_eq!(merged.n_batches, 3 + 2);
         assert_eq!(merged.max_batch_elems, 8);
     }
 
     #[test]
     fn empty_plan_stats_are_zero() {
-        let stats = BatchStats::from_plan(&[], 7, ShingleKernel::FusedSelect);
+        let stats = BatchStats::from_plan(&[], 7);
         assert_eq!(stats.n_batches, 0);
         assert_eq!(stats.max_batch_elems, 0);
         assert_eq!(stats.max_batch_footprint_bytes(), 0);

@@ -554,7 +554,10 @@ pub enum Reuse {
 
 /// The plan axes a manifest pins — compared key-by-key on `--resume`,
 /// walking only this record's keys, so a manifest that also records axes
-/// this build no longer has still resumes. Capacity-derived quantities are deliberately *not* here: they live in
+/// this build no longer has still resumes. The kernel is not an axis:
+/// both kernels seal bit-identical records, so a journal written under
+/// one resumes under the other. Capacity-derived quantities are
+/// deliberately *not* here either: they live in
 /// the per-invocation group signature, where a mismatch means "no
 /// reusable entries", not "refuse the resume" (an OOM backoff mid-run
 /// must not strand an otherwise valid checkpoint).
@@ -564,7 +567,6 @@ pub fn axes_record(
     n_devices: usize,
 ) -> BTreeMap<String, String> {
     let mut m = BTreeMap::new();
-    m.insert("kernel".into(), format!("{:?}", p.kernel));
     m.insert("s1".into(), p.s1.to_string());
     m.insert("c1".into(), p.c1.to_string());
     m.insert("s2".into(), p.s2.to_string());

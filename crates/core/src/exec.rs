@@ -2,16 +2,18 @@
 //! [`PassPlan`] against one (simulated) device.
 //!
 //! Every pass runs on a double-buffered compute/copy stream pair: the
-//! next batch's H2D and each trial's D2H overlap compute, and the pass's
-//! pipelined makespan is the max of the two stream cursors. The counters
-//! still tally every kernel and copy, so the serialized total the paper
-//! reports ([`crate::timing::StageTimes::device_serialized`]) is the same
-//! as under blocking copies. Inside [`Executor::run`]:
+//! next batch's H2D and each trial group's D2H overlap compute, and the
+//! pass's pipelined makespan is the max of the two stream cursors. The
+//! counters still tally every kernel and copy, so the serialized total
+//! the paper reports ([`crate::timing::StageTimes::device_serialized`])
+//! is the same as under blocking copies. Inside [`Executor::run`]:
 //!
-//! * `KernelStrategy` *(internal)* — the top-s extraction plan per
-//!   trial: `SortCompact` (transform → segmented sort → compaction, the
-//!   paper's pipeline) or `FusedSelect` (one fused hash + ascending
-//!   selection kernel). Both emit bit-identical bytes.
+//! * the kernel ([`ShingleKernel`]) — the top-s extraction plan of a
+//!   batch's trials, run in groups of [`trial_group`] trials with one
+//!   D2H copy per group: `SortCompact` (transform → segmented sort →
+//!   compaction, the paper's pipeline, one trial per group) or
+//!   `FusedSelect` (one fused hash + ascending selection launch over the
+//!   whole group). Both emit bit-identical bytes.
 //! * `SinkState` *(internal, from the public [`Sink`] request)* —
 //!   where finalized records go: a caller closure, a [`RawShingles`]
 //!   buffer, sorted runs packed on the host ([`StreamAggregator`]), or
@@ -31,17 +33,18 @@
 //! complete records), and unfinished-share reporting on device loss.
 //! `Merge` (in-order batches, host-side carry merge of boundary
 //! fragments) serves callers that step through a single pass by hand.
-//! Both prefetch the next batch on the copy stream, and the per-trial
-//! device code is shared, which is what keeps both kernels bit-identical:
-//! same batch plan + same emission order ⇒ same records.
+//! Both run every batch through one per-batch device body (upload,
+//! prefetch of the next batch, trial groups), which is what keeps both
+//! kernels bit-identical: same batch plan + same emission order ⇒ same
+//! records.
 
 #![deny(dead_code)]
 
 use crate::aggregate::{SortedRun, StreamAggregator};
-use crate::batch::{Batch, BatchStats};
+use crate::batch::{trial_group, Batch, BatchStats};
 use crate::gpu_pass::{compaction_tasks, host_trial_out, plan_batch, BatchPlan};
 use crate::minwise::{hash_with, pack, unpack_element, HashFamily};
-use crate::params::{FaultPolicy, ShingleKernel};
+use crate::params::ShingleKernel;
 use crate::plan::{FragmentMode, PassPlan};
 use crate::report::DistinctLists;
 use crate::resilience::retry_transient;
@@ -49,6 +52,7 @@ use crate::shingle::{AdjacencyInput, RawShingles};
 use crate::timing::RecoveryReport;
 use gpclust_gpu::{thrust, DeviceBuffer, DeviceError, Gpu, KernelCost, Stream, StreamEvent};
 use gpclust_graph::UnionFind;
+use std::ops::Range;
 use std::time::Instant;
 
 /// The pass's compute and copy streams.
@@ -93,6 +97,11 @@ impl<'a> PassInput<'a> {
             flat,
             base,
         }
+    }
+
+    /// The elements of `batch`.
+    fn elements(&self, batch: &Batch) -> &'a [u32] {
+        &self.flat[(batch.elem_lo - self.base) as usize..(batch.elem_hi - self.base) as usize]
     }
 }
 
@@ -220,15 +229,6 @@ impl<'g> Executor<'g> {
         recovery: &mut RecoveryReport,
         state: &mut SinkState<'_>,
     ) -> Result<(), DeviceError> {
-        let gpu = self.gpu;
-        let kernel = KernelStrategy::of(pass.kernel);
-        let policy = &pass.policy;
-        let offsets = input.offsets;
-        let flat = input.flat;
-        let base = input.base;
-        let s = pass.s;
-        let batches = &pass.batches;
-
         // Carry buffers for the one adjacency list that can span the
         // current batch boundary: per-trial top candidates of the
         // fragments seen so far.
@@ -236,106 +236,22 @@ impl<'g> Executor<'g> {
         let mut carry_node: Option<u32> = None;
         // Double buffer: the next batch's elements already uploaded.
         let mut staged: Staged = None;
-        for (bi, batch) in batches.iter().enumerate() {
-            let plan = plan_batch(batch, offsets, s);
-            let staged_now = staged.take();
-            if plan.nodes.is_empty() {
-                continue;
-            }
-            let range = (batch.elem_lo - base) as usize..(batch.elem_hi - base) as usize;
-            let batch_elems = &flat[range];
-            // Once true, every remaining trial of this batch runs on the
-            // bit-identical host path.
-            let mut degraded = false;
-
-            // 1. The batch's elements on the device: staged by the
-            // previous iteration's prefetch, or moved now (H2D once,
-            // reused across trials). Transient upload faults retry; an
-            // exhausted budget degrades the whole batch.
-            let (compute, copy) = streams;
-            let upload = match staged_now {
-                Some((buf, uploaded)) => {
-                    compute.wait_event(&uploaded);
-                    Ok(buf)
-                }
-                None => retry_transient(policy, recovery, || {
-                    let buf = copy.htod_async(batch_elems)?;
-                    compute.wait_event(&copy.record_event());
-                    Ok(buf)
-                }),
-            };
-            let elems_dev: Option<DeviceBuffer<u32>> = match upload {
-                Ok(buf) => Some(buf),
-                Err(e) if e.is_transient() && policy.degrade_to_host => {
-                    degraded = true;
-                    recovery.degraded_batches += 1;
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-            let mut packed_dev =
-                kernel.alloc_workspace(gpu, &elems_dev, policy, recovery, &mut degraded)?;
-
-            // Prefetch batch k+1 on the copy stream while batch k
-            // computes. Best effort: under memory pressure (or an
-            // injected upload fault) the upload simply happens at the top
-            // of the next iteration instead.
-            if let Some(next) = batches.get(bi + 1) {
-                let next_range = (next.elem_lo - base) as usize..(next.elem_hi - base) as usize;
-                if let Ok(buf) = copy.htod_async(&flat[next_range]) {
-                    staged = Some((buf, copy.record_event()));
-                }
-            }
-
-            // The previous trial's output buffer stays allocated while its
-            // D2H is modeled in flight.
-            let mut prev_out: Option<DeviceBuffer<u64>> = None;
-            #[allow(clippy::needless_range_loop)] // trial indexes both family and carry
-            for trial in 0..family.len() {
-                let (a, b) = family.coeffs(trial);
-                let host_out = match elems_dev.as_ref().filter(|_| !degraded) {
-                    Some(elems) => {
-                        let attempt = retry_transient(policy, recovery, || {
-                            device_trial(
-                                gpu,
-                                streams,
-                                kernel,
-                                &plan,
-                                elems,
-                                &mut packed_dev,
-                                a,
-                                b,
-                                &mut prev_out,
-                                &mut staged,
-                            )
-                        });
-                        match attempt {
-                            Ok(out) => out,
-                            Err(e) if e.is_transient() && policy.degrade_to_host => {
-                                degraded = true;
-                                recovery.degraded_batches += 1;
-                                let t0 = Instant::now();
-                                let out = host_trial_out(&plan, batch_elems, a, b);
-                                recovery.recovery_seconds += t0.elapsed().as_secs_f64();
-                                out
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    None => {
-                        let t0 = Instant::now();
-                        let out = host_trial_out(&plan, batch_elems, a, b);
-                        recovery.recovery_seconds += t0.elapsed().as_secs_f64();
-                        out
-                    }
-                };
-                emit_trial_records(&plan, &host_out, trial, s, &mut carry, carry_node, state);
-            }
-            carry_node = if plan.last_frag {
-                Some(plan.nodes[plan.nodes.len() - 1])
-            } else {
-                None
-            };
+        for (bi, batch) in pass.batches.iter().enumerate() {
+            let plan = plan_batch(batch, input.offsets, pass.s);
+            self.run_batch(
+                pass,
+                &plan,
+                input.elements(batch),
+                pass.batches.get(bi + 1).map(|next| input.elements(next)),
+                family,
+                streams,
+                recovery,
+                &mut staged,
+                &mut |trial, out| {
+                    emit_trial_records(&plan, out, trial, pass.s, &mut carry, carry_node, state)
+                },
+            )?;
+            carry_node = plan.nodes.last().copied().filter(|_| plan.last_frag);
         }
         debug_assert!(carry_node.is_none(), "carry must drain by the final batch");
         Ok(())
@@ -349,6 +265,8 @@ impl<'g> Executor<'g> {
     /// [`Sink::Clusters`]'s unions of complete records, which are exact,
     /// so a re-run only repeats them. A [`DeviceError::DeviceLost`]
     /// mid-share stops the loop and reports the unfinished batch ids.
+    /// Every batch of a share is addressable in the input, so the
+    /// prefetch of the share's next batch needs no contiguity.
     #[allow(clippy::type_complexity)] // the unfinished-share pair mirrors PassReport
     fn run_deferred(
         &self,
@@ -370,18 +288,29 @@ impl<'g> Executor<'g> {
         let mut staged: Staged = None;
         for (i, &bid) in share.iter().enumerate() {
             let mark = state.mark();
-            let next = share.get(i + 1).map(|&b| &pass.batches[b]);
             let batch = &pass.batches[bid];
+            let plan = plan_batch(batch, input.offsets, pass.s);
+            let n_segs = plan.nodes.len();
             let done = self.run_batch(
                 pass,
-                batch,
-                next,
-                input,
+                &plan,
+                input.elements(batch),
+                share
+                    .get(i + 1)
+                    .map(|&next| input.elements(&pass.batches[next])),
                 family,
                 streams,
                 recovery,
                 &mut staged,
-                state,
+                &mut |trial, out| {
+                    for &seg in &plan.emit_segs {
+                        let seg = seg as usize;
+                        let pairs = &out[plan.out_offsets[seg]..plan.out_offsets[seg + 1]];
+                        let fragment =
+                            (seg == 0 && plan.first_frag) || (seg == n_segs - 1 && plan.last_frag);
+                        state.record(trial as u32, plan.nodes[seg], pairs, fragment);
+                    }
+                },
             );
             if let Err(e) = done {
                 state.rollback(mark);
@@ -391,45 +320,42 @@ impl<'g> Executor<'g> {
         Ok(None)
     }
 
-    /// Algorithm 1 on a single batch under the fault policy, handing each
-    /// `(trial, node, top-s pairs, is_fragment)` record to the sink.
-    /// Fragments (first/last segments continuing into a neighboring
-    /// batch, possibly on another device) need host-side reconciliation;
-    /// complete records carry exactly `s` pairs and may aggregate
-    /// anywhere. Records are bit-identical across schedules and across
-    /// the retry/degrade paths, which replay the same computation. The
-    /// batch consumes the upload `staged` for it and stages the share's
-    /// `next` batch in turn — every batch of a share is addressable in the
-    /// input, so the prefetch needs no contiguity.
-    #[allow(clippy::too_many_arguments)] // per-batch helper of run_deferred
+    /// Algorithm 1 on a single batch under the fault policy — the one
+    /// per-batch device body both loops share. Uploads the batch `elems`
+    /// (or takes the copy `staged` for it), allocates the sort kernel's
+    /// packed workspace, stages the `next` batch in turn, then runs the
+    /// batch's trials in groups ([`trial_group`]): one launch chain, one
+    /// retry scope and one D2H copy per group. Hands each trial's output
+    /// (its top-s pairs per kept segment, laid out by
+    /// `BatchPlan::out_offsets`) to `emit` in trial order. Outputs are
+    /// bit-identical across kernels, group sizes and the retry/degrade
+    /// paths, which replay the same computation.
+    #[allow(clippy::too_many_arguments)] // per-batch body of both loops
     fn run_batch(
         &self,
         pass: &PassPlan,
-        batch: &Batch,
-        next: Option<&Batch>,
-        input: PassInput<'_>,
+        plan: &BatchPlan,
+        elems: &[u32],
+        next: Option<&[u32]>,
         family: &HashFamily,
         streams: Streams<'_>,
         recovery: &mut RecoveryReport,
         staged: &mut Staged,
-        state: &mut SinkState<'_>,
+        emit: &mut dyn FnMut(usize, &[u64]),
     ) -> Result<(), DeviceError> {
         let gpu = self.gpu;
-        let kernel = KernelStrategy::of(pass.kernel);
         let policy = &pass.policy;
-        let plan = plan_batch(batch, input.offsets, pass.s);
         let staged_now = staged.take();
         if plan.nodes.is_empty() {
             return Ok(());
         }
-        let n_segs = plan.nodes.len();
-        let elements = |b: &Batch| {
-            &input.flat[(b.elem_lo - input.base) as usize..(b.elem_hi - input.base) as usize]
-        };
-        let batch_elems = elements(batch);
         // Once true, every remaining trial runs on the host path.
         let mut degraded = false;
 
+        // 1. The batch's elements on the device: staged by the previous
+        // batch's prefetch, or moved now (H2D once, reused across trials).
+        // Transient upload faults retry; an exhausted budget degrades the
+        // whole batch.
         let (compute, copy) = streams;
         let upload = match staged_now {
             Some((buf, uploaded)) => {
@@ -437,7 +363,7 @@ impl<'g> Executor<'g> {
                 Ok(buf)
             }
             None => retry_transient(policy, recovery, || {
-                let buf = copy.htod_async(batch_elems)?;
+                let buf = copy.htod_async(elems)?;
                 compute.wait_event(&copy.record_event());
                 Ok(buf)
             }),
@@ -451,33 +377,51 @@ impl<'g> Executor<'g> {
             }
             Err(e) => return Err(e),
         };
-        let mut packed_dev =
-            kernel.alloc_workspace(gpu, &elems_dev, policy, recovery, &mut degraded)?;
-        // Best effort, as in the merged loop: under memory pressure (or an
-        // injected upload fault) the next batch uploads when it starts.
+        // Only the sort path materializes the 8-byte `(hash, vertex)`
+        // workspace; the fused kernel hashes on the fly.
+        let mut packed_dev = match (&elems_dev, pass.kernel) {
+            (Some(dev), ShingleKernel::SortCompact) => {
+                match retry_transient(policy, recovery, || gpu.alloc::<u64>(dev.len())) {
+                    Ok(buf) => Some(buf),
+                    Err(e) if e.is_transient() && policy.degrade_to_host => {
+                        degraded = true;
+                        recovery.degraded_batches += 1;
+                        None
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            _ => None,
+        };
+        // Prefetch the next batch on the copy stream while this one
+        // computes. Best effort: under memory pressure (or an injected
+        // upload fault) the next batch uploads when it starts.
         if let Some(next) = next {
-            if let Ok(buf) = copy.htod_async(elements(next)) {
+            if let Ok(buf) = copy.htod_async(next) {
                 *staged = Some((buf, copy.record_event()));
             }
         }
-        // The buffer whose async download is still "in flight" — kept
-        // alive for one trial (stream semantics), freed before the next
+
+        let c = family.len();
+        let g = trial_group(pass.kernel, elems.len(), plan.out_total, c);
+        // The group whose async download is still "in flight" — kept alive
+        // for one group (stream semantics), freed before the next
         // allocation.
         let mut prev_out: Option<DeviceBuffer<u64>> = None;
-        for trial in 0..family.len() {
-            let (a, b) = family.coeffs(trial);
-            let host_out = match elems_dev.as_ref().filter(|_| !degraded) {
-                Some(elems) => {
+        for lo in (0..c).step_by(g) {
+            let trials = lo..(lo + g).min(c);
+            let group_out = match elems_dev.as_ref().filter(|_| !degraded) {
+                Some(elems_dev) => {
                     let attempt = retry_transient(policy, recovery, || {
-                        device_trial(
+                        device_group(
                             gpu,
                             streams,
-                            kernel,
-                            &plan,
-                            elems,
+                            pass.kernel,
+                            plan,
+                            elems_dev,
                             &mut packed_dev,
-                            a,
-                            b,
+                            family,
+                            trials.clone(),
                             &mut prev_out,
                             staged,
                         )
@@ -487,164 +431,119 @@ impl<'g> Executor<'g> {
                         Err(e) if e.is_transient() && policy.degrade_to_host => {
                             degraded = true;
                             recovery.degraded_batches += 1;
-                            let t0 = Instant::now();
-                            let out = host_trial_out(&plan, batch_elems, a, b);
-                            recovery.recovery_seconds += t0.elapsed().as_secs_f64();
-                            out
+                            host_group_out(plan, elems, family, trials.clone(), recovery)
                         }
                         Err(e) => return Err(e),
                     }
                 }
-                None => {
-                    let t0 = Instant::now();
-                    let out = host_trial_out(&plan, batch_elems, a, b);
-                    recovery.recovery_seconds += t0.elapsed().as_secs_f64();
-                    out
-                }
+                None => host_group_out(plan, elems, family, trials.clone(), recovery),
             };
-            for &seg in &plan.emit_segs {
-                let i = seg as usize;
-                let pairs = &host_out[plan.out_offsets[i]..plan.out_offsets[i + 1]];
-                let fragment = (i == 0 && plan.first_frag) || (i == n_segs - 1 && plan.last_frag);
-                state.record(trial as u32, plan.nodes[i], pairs, fragment);
+            let w = plan.out_total;
+            for (i, trial) in trials.enumerate() {
+                emit(trial, &group_out[i * w..(i + 1) * w]);
             }
         }
-        drop(prev_out);
         Ok(())
     }
 }
 
-/// The kernel strategy: which device plan extracts each segment's top-s
-/// pairs. Both plans emit bit-identical bytes — the ascending s-smallest
-/// selection equals the sorted prefix, duplicates included.
-#[derive(Clone, Copy)]
-enum KernelStrategy {
-    SortCompact,
-    FusedSelect,
-}
-
-impl KernelStrategy {
-    fn of(kernel: ShingleKernel) -> Self {
-        match kernel {
-            ShingleKernel::SortCompact => KernelStrategy::SortCompact,
-            ShingleKernel::FusedSelect => KernelStrategy::FusedSelect,
-        }
-    }
-
-    /// Allocate the per-batch packed workspace if this kernel needs one
-    /// (only the sort path materializes the 8-byte `(hash, vertex)`
-    /// buffer; the fused kernel hashes on the fly), with the standard
-    /// retry/degrade wrapping.
-    fn alloc_workspace(
-        &self,
-        gpu: &Gpu,
-        elems_dev: &Option<DeviceBuffer<u32>>,
-        policy: &FaultPolicy,
-        recovery: &mut RecoveryReport,
-        degraded: &mut bool,
-    ) -> Result<Option<DeviceBuffer<u64>>, DeviceError> {
-        match (self, elems_dev) {
-            (KernelStrategy::SortCompact, Some(elems)) => {
-                let n = elems.len();
-                match retry_transient(policy, recovery, || gpu.alloc::<u64>(n)) {
-                    Ok(buf) => Ok(Some(buf)),
-                    Err(e) if e.is_transient() && policy.degrade_to_host => {
-                        *degraded = true;
-                        recovery.degraded_batches += 1;
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Launch this kernel plan for one trial on the `compute` stream: fill
-    /// `out_dev` with each kept segment's ascending top-k packed pairs.
-    #[allow(clippy::too_many_arguments)] // per-trial launch point of device_trial
-    fn launch(
-        &self,
-        compute: &Stream,
-        plan: &BatchPlan,
-        elems_dev: &DeviceBuffer<u32>,
-        packed_dev: &mut Option<DeviceBuffer<u64>>,
-        out_dev: &mut DeviceBuffer<u64>,
-        a: u64,
-        b: u64,
-    ) {
-        let xform = move |v: u32| pack(hash_with(a, b, v), v);
-        match (self, packed_dev) {
-            (KernelStrategy::SortCompact, Some(packed_dev)) => {
-                // 2a. Random permutation via the min-wise hash, then
-                // 2b. segmented sort within each adjacency list, then
-                // 2c. compact the top-s pairs of each kept segment.
-                thrust::transform_on(compute, elems_dev, packed_dev, xform);
-                thrust::segmented_sort_on(compute, packed_dev, &plan.local_offsets);
-                let tasks =
-                    compaction_tasks(plan, packed_dev.device_slice(), out_dev.device_slice_mut());
-                compute.launch(plan.out_total, &KernelCost::gather(), tasks);
-            }
-            (KernelStrategy::FusedSelect, _) => {
-                // 2a–c fused: hash + per-segment ascending top-s
-                // selection straight into the dense output. Identical
-                // bytes to the sorted prefix the compaction copies.
-                thrust::transform_select_on(
-                    compute,
-                    elems_dev,
-                    &plan.local_offsets,
-                    &plan.out_offsets,
-                    out_dev,
-                    xform,
-                );
-            }
-            (KernelStrategy::SortCompact, None) => unreachable!("workspace allocated above"),
-        }
-    }
-}
-
-/// One trial's device execution: allocate the dense output, run the
-/// kernel plan, and copy the result back via the *fallible* transfers —
-/// the sync point where injected kernel faults surface. Idempotent:
-/// every buffer it writes is recomputed from `elems_dev`, so
-/// [`retry_transient`] can re-run it after a transient fault and get
-/// bit-identical bytes. `staged` is the loop's prefetch slot (given back
-/// under memory pressure).
-#[allow(clippy::too_many_arguments)] // internal per-trial helper of the executor
-fn device_trial(
+/// One trial group's device execution: allocate the group's dense,
+/// trial-major output, launch the kernel chain (the sort kernel's three
+/// launches for its one trial, or one fused selection over the group),
+/// and copy the result back via the *fallible* transfer — the sync point
+/// where injected kernel faults surface. Idempotent: every buffer it
+/// writes is recomputed from `elems_dev`, so [`retry_transient`] can
+/// re-run it after a transient fault and get bit-identical bytes.
+/// `staged` is the loop's prefetch slot (given back under memory
+/// pressure).
+#[allow(clippy::too_many_arguments)] // internal per-group helper of run_batch
+fn device_group(
     gpu: &Gpu,
     streams: Streams<'_>,
-    kernel: KernelStrategy,
+    kernel: ShingleKernel,
     plan: &BatchPlan,
     elems_dev: &DeviceBuffer<u32>,
     packed_dev: &mut Option<DeviceBuffer<u64>>,
-    a: u64,
-    b: u64,
+    family: &HashFamily,
+    trials: Range<usize>,
     prev_out: &mut Option<DeviceBuffer<u64>>,
     staged: &mut Staged,
 ) -> Result<Vec<u64>, DeviceError> {
-    // The previous trial's output has drained by now; free it before
+    // The previous group's output has drained by now; free it before
     // allocating the next so peak memory holds at most one in-flight
     // output buffer.
     *prev_out = None;
-    let mut out_dev = match gpu.alloc::<u64>(plan.out_total) {
+    let len = trials.len() * plan.out_total;
+    let mut out_dev = match gpu.alloc::<u64>(len) {
         Ok(buf) => buf,
         Err(DeviceError::OutOfMemory { .. }) if staged.is_some() => {
             // Memory pressure: give the prefetched batch back (it will
             // re-upload next iteration) and retry.
             *staged = None;
-            gpu.alloc::<u64>(plan.out_total)?
+            gpu.alloc::<u64>(len)?
         }
         Err(e) => return Err(e),
     };
     let (compute, copy) = streams;
-    kernel.launch(compute, plan, elems_dev, packed_dev, &mut out_dev, a, b);
-    // 2d. Per-trial transfer back to the host: the copy queues behind the
-    // trial's kernels and the next trial's kernels start meanwhile.
+    match (kernel, packed_dev) {
+        (ShingleKernel::SortCompact, Some(packed_dev)) => {
+            debug_assert_eq!(trials.len(), 1, "the sort kernel runs one trial at a time");
+            let (a, b) = family.coeffs(trials.start);
+            // 2a. Random permutation via the min-wise hash, then
+            // 2b. segmented sort within each adjacency list, then
+            // 2c. compact the top-s pairs of each kept segment.
+            thrust::transform_on(compute, elems_dev, packed_dev, move |v: u32| {
+                pack(hash_with(a, b, v), v)
+            });
+            thrust::segmented_sort_on(compute, packed_dev, &plan.local_offsets);
+            let tasks =
+                compaction_tasks(plan, packed_dev.device_slice(), out_dev.device_slice_mut());
+            compute.launch(plan.out_total, &KernelCost::gather(), tasks);
+        }
+        (ShingleKernel::FusedSelect, _) => {
+            // 2a–c fused over the whole group: hash + per-segment
+            // ascending top-s selection straight into each trial's slice
+            // of the output. Identical bytes to the sorted prefix the
+            // compaction copies.
+            let coeffs: Vec<(u64, u64)> = trials.map(|t| family.coeffs(t)).collect();
+            thrust::transform_select_on(
+                compute,
+                elems_dev,
+                &plan.local_offsets,
+                &plan.out_offsets,
+                coeffs.len(),
+                &mut out_dev,
+                |t, v: u32| pack(hash_with(coeffs[t].0, coeffs[t].1, v), v),
+            );
+        }
+        (ShingleKernel::SortCompact, None) => unreachable!("workspace allocated per batch"),
+    }
+    // 2d. One transfer back to the host per group: the copy queues behind
+    // the group's kernels and the next group's kernels start meanwhile.
     copy.wait_event(&compute.record_event());
     let data = copy.try_dtoh_async(&out_dev)?;
     *prev_out = Some(out_dev);
     Ok(data)
+}
+
+/// The degradation path for one trial group: the host builds the bytes
+/// the group's D2H would have delivered, trial by trial.
+fn host_group_out(
+    plan: &BatchPlan,
+    elems: &[u32],
+    family: &HashFamily,
+    trials: Range<usize>,
+    recovery: &mut RecoveryReport,
+) -> Vec<u64> {
+    let t0 = Instant::now();
+    let out = trials
+        .flat_map(|t| {
+            let (a, b) = family.coeffs(t);
+            host_trial_out(plan, elems, a, b)
+        })
+        .collect();
+    recovery.recovery_seconds += t0.elapsed().as_secs_f64();
+    out
 }
 
 /// CPU-side record building for one trial's host output, with
@@ -938,19 +837,28 @@ mod tests {
         }
     }
 
+    /// One H2D per batch and one D2H per trial group: every trial under
+    /// the sort kernel, `⌈c / g⌉` groups under the fused one.
     #[test]
-    fn per_trial_d2h_traffic() {
+    fn per_group_d2h_traffic() {
         let g = planted_graph(4);
         let c = 10;
         let family = HashFamily::new(c, 6);
         for kernel in KERNELS {
             let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
+            let pass = pass_plan(&gpu, 2, kernel, None, &g);
+            assert_eq!(pass.batches.len(), 1);
+            let out_total = plan_batch(&pass.batches[0], g.offsets(), 2).out_total;
+            let group = trial_group(kernel, g.flat().len(), out_total, c);
             gather(&gpu, &g, 2, &family, kernel, None);
             let snap = gpu.counters();
-            // One D2H per trial per batch (single batch here).
-            assert_eq!(snap.d2h_transfers, c as u64, "{kernel:?}");
+            assert_eq!(snap.d2h_transfers, c.div_ceil(group) as u64, "{kernel:?}");
             assert_eq!(snap.h2d_transfers, 1, "{kernel:?}");
             assert!(snap.d2h_seconds > 0.0, "{kernel:?}");
+            match kernel {
+                ShingleKernel::SortCompact => assert_eq!(group, 1),
+                ShingleKernel::FusedSelect => assert!(group > 1, "{group}"),
+            }
         }
     }
 
@@ -1002,8 +910,9 @@ mod tests {
 
     /// At a shared (forced) capacity the two kernels share a batch plan
     /// and must emit **record-identical streams**, while the fused kernel
-    /// does strictly less device work: one launch per (batch, trial)
-    /// instead of three, and less modeled kernel time.
+    /// does strictly less device work: one launch per (batch, trial
+    /// group) instead of three per (batch, trial), and less modeled
+    /// kernel time.
     #[test]
     fn fused_select_bit_identical_and_cheaper_at_equal_capacity() {
         let g = batching_graph(7);
@@ -1044,33 +953,32 @@ mod tests {
             b.kernel_seconds,
             a.kernel_seconds
         );
-        // Transfer traffic is identical under a shared plan.
+        // The same bytes cross the bus under a shared plan; the fused
+        // kernel's groups move them in fewer copies.
         assert_eq!(a.h2d_bytes, b.h2d_bytes);
         assert_eq!(a.d2h_bytes, b.d2h_bytes);
+        assert!(b.d2h_transfers < a.d2h_transfers);
     }
 
-    /// With device-derived capacities the fused kernel's halved footprint
-    /// plans ~2× larger batches: fewer batches, fewer H2D invocations.
+    /// With device-derived capacities both kernels plan at one footprint:
+    /// the same batches, uploaded alike, while the fused kernel's groups
+    /// launch and download fewer times.
     #[test]
-    fn fused_select_plans_larger_batches() {
+    fn both_kernels_plan_one_footprint() {
         let g = batching_graph(8);
         let family = HashFamily::new(6, 2);
         let gpu_sort = Gpu::with_workers(DeviceConfig::tiny_test_device(), 2);
         let gpu_sel = Gpu::with_workers(DeviceConfig::tiny_test_device(), 2);
         let sort = gather(&gpu_sort, &g, 2, &family, ShingleKernel::SortCompact, None);
         let sel = gather(&gpu_sel, &g, 2, &family, ShingleKernel::FusedSelect, None);
-        assert_eq!(sort.raw.len(), sel.raw.len());
-        // Halved footprint → ~2× capacity (±1 from integer division).
-        assert!(sel.stats.capacity_elems >= 2 * sort.stats.capacity_elems - 1);
-        assert!(
-            sel.stats.n_batches < sort.stats.n_batches,
-            "select {} batches vs sort {}",
-            sel.stats.n_batches,
-            sort.stats.n_batches
-        );
-        assert!(gpu_sel.counters().h2d_transfers < gpu_sort.counters().h2d_transfers);
-        assert_eq!(sel.stats.elem_footprint_bytes, 8);
-        assert_eq!(sort.stats.elem_footprint_bytes, 16);
+        assert_eq!(sort.raw, sel.raw);
+        assert_eq!(sel.stats, sort.stats);
+        assert_eq!(sel.stats.elem_footprint_bytes, 16);
+        assert!(sel.stats.n_batches > 1, "the tiny device must batch");
+        let (a, b) = (gpu_sort.counters(), gpu_sel.counters());
+        assert_eq!(a.h2d_transfers, b.h2d_transfers);
+        assert!(b.kernel_launches < a.kernel_launches);
+        assert!(b.d2h_transfers < a.d2h_transfers);
     }
 
     /// BatchStats reflect the actual plan on an unconstrained device.

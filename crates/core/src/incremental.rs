@@ -731,22 +731,22 @@ mod tests {
         }
     }
 
+    /// The kernel is not a plan axis: an index sealed under one kernel
+    /// resumes under the other and serves the oracle's partition.
     #[test]
-    fn resume_refuses_a_different_kernel() {
+    fn resume_accepts_a_different_kernel() {
         let dir = ScratchDir::new("kernel");
         let g = planted(23);
-        let params = light(23).with_kernel(ShingleKernel::FusedSelect);
-        let _engine = IncrementalEngine::bootstrap(&params, fleet(1), g)
+        let params = light(23).with_kernel(ShingleKernel::SortCompact);
+        let _engine = IncrementalEngine::bootstrap(&params, fleet(1), g.clone())
             .unwrap()
             .with_store(IndexStore::new(dir.path()))
             .unwrap();
-        match IncrementalEngine::resume(&light(23), fleet(1), IndexStore::new(dir.path())) {
-            Err(EngineError::Checkpoint(CheckpointError::AxesMismatch { axis, .. })) => {
-                assert_eq!(axis, "kernel");
-            }
-            Err(other) => panic!("expected axes refusal, got {other:?}"),
-            Ok(_) => panic!("resume must refuse a different kernel"),
-        }
+        let other = params.with_kernel(ShingleKernel::FusedSelect);
+        let engine = IncrementalEngine::resume(&other, fleet(1), IndexStore::new(dir.path()))
+            .expect("an index resumes under the other kernel");
+        let oracle = SerialShingling::new(other).unwrap().cluster(&g);
+        assert_eq!(*engine.partition(), oracle);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   delta-versus-full pricing, and the capability-proportional share
 //!   weighting for heterogeneous fleets.
 //! * [`exec`] — the single [`exec::Executor`] that interprets a pass plan
-//!   against the simulated device (Algorithm 1: per-trial hash transform,
-//!   segmented sort / fused selection, top-s compaction, per-iteration
-//!   D2H transfer) on a double-buffered compute/copy stream pair.
+//!   against the simulated device (Algorithm 1: hash transform,
+//!   segmented sort / fused selection and top-s compaction over a group
+//!   of trials, one D2H transfer per group) on a double-buffered
+//!   compute/copy stream pair.
 //! * [`aggregate`] — the CPU-side shingle-graph aggregation, including the
 //!   merge of shingle fragments from split adjacency lists.
 //! * [`spill`] — spill-to-disk sorted runs and the external k-way merge,

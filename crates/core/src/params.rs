@@ -16,14 +16,17 @@ pub const PRIME_P: u64 = 4_294_967_291;
 pub enum ShingleKernel {
     /// The paper's pipeline: `thrust::transform` into a packed `u64`
     /// workspace, a full `O(d log d)` segmented sort per trial, then a
-    /// gather compacting each segment's sorted prefix. Kept as the oracle.
-    #[default]
+    /// gather compacting each segment's sorted prefix — three launches and
+    /// one D2H copy per trial. Kept for the paper's Table I and as the
+    /// device-side oracle.
     SortCompact,
-    /// Fused hash + segmented top-s selection: one `O(d)` kernel per trial
-    /// hashes each element and maintains an s-sized insertion buffer per
-    /// segment, writing the selected pairs straight to the output buffer.
-    /// No 8-byte packed workspace is materialized, so
-    /// [`crate::batch::batch_capacity`] plans roughly 2× larger batches.
+    /// Fused hash + segmented top-s selection: one `O(d)` kernel hashes
+    /// each element and keeps an s-sized insertion buffer per segment,
+    /// writing the selected pairs straight to the output buffer. One
+    /// launch and one D2H copy cover a whole group of trials
+    /// ([`crate::batch::trial_group`]), so a batch pays the fixed costs
+    /// `⌈c / g⌉` times. The general path and the default.
+    #[default]
     FusedSelect,
 }
 
@@ -246,7 +249,7 @@ impl ShinglingParams {
             s2: 2,
             c2: 100,
             seed,
-            kernel: ShingleKernel::SortCompact,
+            kernel: ShingleKernel::FusedSelect,
             par_sort_min: PAR_SORT_MIN,
             fault: FaultPolicy::default(),
             mem_budget: MemoryBudget::default(),
@@ -261,7 +264,7 @@ impl ShinglingParams {
             s2: 2,
             c2: 20,
             seed,
-            kernel: ShingleKernel::SortCompact,
+            kernel: ShingleKernel::FusedSelect,
             par_sort_min: PAR_SORT_MIN,
             fault: FaultPolicy::default(),
             mem_budget: MemoryBudget::default(),
@@ -353,13 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_defaults_to_sort_compact() {
-        assert_eq!(ShingleKernel::default(), ShingleKernel::SortCompact);
+    fn kernel_defaults_to_fused_select() {
+        assert_eq!(ShingleKernel::default(), ShingleKernel::FusedSelect);
         let p = ShinglingParams::paper_default(7);
-        assert_eq!(p.kernel, ShingleKernel::SortCompact);
-        let sel = p.with_kernel(ShingleKernel::FusedSelect);
-        assert_eq!(sel.kernel, ShingleKernel::FusedSelect);
-        assert_eq!((sel.s1, sel.c1, sel.seed), (2, 200, 7));
+        assert_eq!(p.kernel, ShingleKernel::FusedSelect);
+        assert_eq!(ShinglingParams::light(7).kernel, ShingleKernel::FusedSelect);
+        let sort = p.with_kernel(ShingleKernel::SortCompact);
+        assert_eq!(sort.kernel, ShingleKernel::SortCompact);
+        assert_eq!((sort.s1, sort.c1, sort.seed), (2, 200, 7));
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub struct Plan {
     /// share* at lowering time (a benched device receives no batches, so
     /// its memory no longer bounds anyone's batch size).
     pub min_device_mem: usize,
-    /// Per-batch element budget at the configured kernel
-    /// ([`batch_capacity`] of `min_device_mem`).
+    /// Per-batch element budget ([`batch_capacity`] of
+    /// `min_device_mem`).
     pub capacity: usize,
     /// Host-memory budget for the out-of-core path (resolved from params
     /// and the `GPCLUST_MEM_BUDGET` environment override at lowering
@@ -96,7 +96,7 @@ impl Plan {
             n_devices: gpus.len(),
             shares,
             min_device_mem,
-            capacity: batch_capacity(min_device_mem, params.kernel),
+            capacity: batch_capacity(min_device_mem),
             mem_budget: params.mem_budget.or_env(),
         })
     }
@@ -221,7 +221,7 @@ impl Plan {
     /// [`Plan::pass`] over an explicit batch list planned at `capacity`
     /// (the driver's Pass I cuts each shard's element range separately).
     pub(crate) fn pass_of(&self, s: usize, capacity: usize, batches: Vec<Batch>) -> PassPlan {
-        let stats = BatchStats::from_plan(&batches, capacity, self.kernel);
+        let stats = BatchStats::from_plan(&batches, capacity);
         PassPlan {
             s,
             kernel: self.kernel,
@@ -302,10 +302,7 @@ mod tests {
         let plan = Plan::lower(&params, &gpus).unwrap();
         assert_eq!(plan.n_devices, 3);
         assert_eq!(plan.kernel, ShingleKernel::FusedSelect);
-        assert_eq!(
-            plan.capacity,
-            batch_capacity(plan.min_device_mem, ShingleKernel::FusedSelect)
-        );
+        assert_eq!(plan.capacity, batch_capacity(plan.min_device_mem));
         assert_eq!(plan.capacity_for(AggregationMode::Host), plan.capacity);
     }
 

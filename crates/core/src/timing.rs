@@ -198,8 +198,8 @@ pub struct StageTimes {
     pub shards: u64,
     /// Elements in the largest batch of either pass.
     pub max_batch_elems: u64,
-    /// Per-element device-memory footprint of the active kernel (bytes;
-    /// see [`crate::batch::bytes_per_elem`]).
+    /// Per-element device-memory footprint the batches were planned at
+    /// (bytes; see [`crate::batch::BYTES_PER_ELEM`]).
     pub elem_footprint_bytes: u64,
     /// Every recovery action the resilience layer took (all zeros on a
     /// fault-free run).

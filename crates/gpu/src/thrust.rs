@@ -6,9 +6,9 @@
 //! adjacency list). This module provides those two kernels over
 //! [`DeviceBuffer`]s, plus the fused hash + segmented top-s selection
 //! ([`transform_select_on`]) that replaces the transform → segmented sort
-//! → compaction chain in one launch. Each launch executes in parallel on
-//! the SM pool and charges modeled device time via its [`KernelCost`] to
-//! the stream's cursor.
+//! → compaction chain with one launch per group of trials. Each launch
+//! executes in parallel on the SM pool and charges modeled device time via
+//! its [`KernelCost`] to the stream's cursor.
 //!
 //! All kernels are deterministic and independent of the worker count:
 //! work is partitioned into disjoint output ranges, so any schedule
@@ -167,19 +167,22 @@ where
 }
 
 /// Build the per-block tasks of a fused transform + segmented top-k
-/// selection. Segments are grouped into contiguous
+/// selection over a group of `trials` maps. The grid covers trial ×
+/// segment group: segments are grouped into contiguous
 /// ~[`BLOCK_ELEMS`]-input-element tasks, exactly like
-/// [`segmented_sort_on`], so skewed segment sizes stay balanced; each task
-/// borrows a disjoint window of the dense output.
+/// [`segmented_sort_on`], so skewed segment sizes stay balanced, and each
+/// task borrows a disjoint window of its trial's slice of the
+/// trial-major output.
 fn transform_select_tasks<'a, T: Pod, U: Pod + Ord, F>(
     input: &'a DeviceBuffer<T>,
     seg_offsets: &'a [u64],
     out_offsets: &'a [usize],
+    trials: usize,
     out: &'a mut DeviceBuffer<U>,
     f: &'a F,
 ) -> Vec<Box<dyn FnOnce() + Send + 'a>>
 where
-    F: Fn(T) -> U + Sync,
+    F: Fn(usize, T) -> U + Sync,
 {
     assert!(!seg_offsets.is_empty(), "offsets must contain at least [0]");
     assert_eq!(
@@ -192,10 +195,11 @@ where
         seg_offsets.len(),
         "one output offset per segment boundary"
     );
+    let out_total = *out_offsets.last().unwrap();
     assert_eq!(
-        *out_offsets.last().unwrap(),
+        trials * out_total,
         out.len(),
-        "output offsets must cover the output buffer"
+        "output offsets must cover the output buffer once per trial"
     );
     for (i, (s, o)) in seg_offsets
         .windows(2)
@@ -214,42 +218,52 @@ where
     let src = input.device_slice();
     let mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>> = Vec::new();
     let mut rest = out.device_slice_mut();
-    let mut consumed_out = 0usize;
-    let mut seg_lo = 0usize;
-    while seg_lo + 1 < seg_offsets.len() {
-        let mut seg_hi = seg_lo + 1;
-        while seg_hi + 1 < seg_offsets.len()
-            && (seg_offsets[seg_hi] - seg_offsets[seg_lo]) < BLOCK_ELEMS as u64
-        {
-            seg_hi += 1;
-        }
-        let out_start = out_offsets[seg_lo];
-        let (head, tail) = rest.split_at_mut(out_offsets[seg_hi] - consumed_out);
+    for trial in 0..trials {
+        let (trial_out, tail) = rest.split_at_mut(out_total);
         rest = tail;
-        debug_assert_eq!(consumed_out, out_start);
-        consumed_out = out_offsets[seg_hi];
-        let seg_window = &seg_offsets[seg_lo..=seg_hi];
-        let out_window = &out_offsets[seg_lo..=seg_hi];
-        tasks.push(Box::new(move || {
-            for i in 0..seg_window.len() - 1 {
-                let seg = &src[seg_window[i] as usize..seg_window[i + 1] as usize];
-                let w = &mut head[out_window[i] - out_start..out_window[i + 1] - out_start];
-                select_smallest_into(seg, w, f);
+        let mut trial_rest = trial_out;
+        let mut consumed_out = 0usize;
+        let mut seg_lo = 0usize;
+        while seg_lo + 1 < seg_offsets.len() {
+            let mut seg_hi = seg_lo + 1;
+            while seg_hi + 1 < seg_offsets.len()
+                && (seg_offsets[seg_hi] - seg_offsets[seg_lo]) < BLOCK_ELEMS as u64
+            {
+                seg_hi += 1;
             }
-        }));
-        seg_lo = seg_hi;
+            let out_start = out_offsets[seg_lo];
+            let (head, tail) = trial_rest.split_at_mut(out_offsets[seg_hi] - consumed_out);
+            trial_rest = tail;
+            debug_assert_eq!(consumed_out, out_start);
+            consumed_out = out_offsets[seg_hi];
+            let seg_window = &seg_offsets[seg_lo..=seg_hi];
+            let out_window = &out_offsets[seg_lo..=seg_hi];
+            tasks.push(Box::new(move || {
+                let map = |x: T| f(trial, x);
+                for i in 0..seg_window.len() - 1 {
+                    let seg = &src[seg_window[i] as usize..seg_window[i + 1] as usize];
+                    let w = &mut head[out_window[i] - out_start..out_window[i + 1] - out_start];
+                    select_smallest_into(seg, w, &map);
+                }
+            }));
+            seg_lo = seg_hi;
+        }
     }
     tasks
 }
 
-/// Fused elementwise map + segmented top-k selection in **one kernel
-/// pass**: for each segment `i` of `input` (delimited by `seg_offsets`),
-/// write the `out_offsets[i+1] - out_offsets[i]` smallest values of
-/// `f(element)`, ascending, into the dense `out`. Replaces the
-/// transform → segmented-sort → compaction trio of the shingling hot path
-/// with a single `O(d)`-per-segment launch, and never materializes the
-/// mapped values of non-selected elements — there is no full-width packed
-/// workspace.
+/// Fused elementwise map + segmented top-k selection for a **group of
+/// trials in one kernel launch**: for each trial `t < trials` and each
+/// segment `i` of `input` (delimited by `seg_offsets`), write the
+/// `out_offsets[i+1] - out_offsets[i]` smallest values of `f(t, element)`,
+/// ascending, into trial `t`'s slice of the dense, trial-major `out`
+/// (`trials × out_offsets.last()` slots). Replaces the transform →
+/// segmented-sort → compaction trio of the shingling hot path with a
+/// single `O(d)`-per-segment launch per trial group, and never
+/// materializes the mapped values of non-selected elements — there is no
+/// full-width packed workspace. The launch charges `trials × input.len()`
+/// elements at [`KernelCost::segmented_select`], so a group pays the
+/// fixed launch overhead once.
 ///
 /// Per-segment selection counts may be any value `≤` the segment length
 /// (zero skips the segment entirely).
@@ -262,13 +276,14 @@ pub fn transform_select_on<T: Pod, U: Pod + Ord, F>(
     input: &DeviceBuffer<T>,
     seg_offsets: &[u64],
     out_offsets: &[usize],
+    trials: usize,
     out: &mut DeviceBuffer<U>,
     f: F,
 ) where
-    F: Fn(T) -> U + Sync,
+    F: Fn(usize, T) -> U + Sync,
 {
-    let n = input.len();
-    let tasks = transform_select_tasks(input, seg_offsets, out_offsets, out, &f);
+    let n = input.len() * trials;
+    let tasks = transform_select_tasks(input, seg_offsets, out_offsets, trials, out, &f);
     stream.launch(n, &KernelCost::segmented_select(), tasks);
 }
 
@@ -312,7 +327,7 @@ mod tests {
         let s = g.stream("compute");
         let input = s.htod_async(data).unwrap();
         let mut out = g.alloc::<u64>(*out_offsets.last().unwrap()).unwrap();
-        transform_select_on(&s, &input, offsets, out_offsets, &mut out, f);
+        transform_select_on(&s, &input, offsets, out_offsets, 1, &mut out, |_, x| f(x));
         s.dtoh_async(&out)
     }
 
@@ -504,6 +519,37 @@ mod tests {
         );
     }
 
+    /// A trial group is one launch charged at `trials × n` elements, and
+    /// its trial-major output is the concatenation of the single-trial
+    /// selections.
+    #[test]
+    fn transform_select_runs_a_trial_group_in_one_launch() {
+        let g = gpu();
+        let mut rng = StdRng::seed_from_u64(25);
+        let data: Vec<u32> = (0..150_000).map(|_| rng.gen()).collect();
+        // Skewed segments, so each trial spans several block tasks.
+        let offsets = vec![0u64, 3, 100_000, 120_000, 120_001, 150_000];
+        let out_offsets = select_out_offsets(&offsets, 3);
+        let map = |t: usize, v: u32| (v as u64).wrapping_mul(2 * t as u64 + 1) % 1_000_003;
+        let trials = 5;
+        let expected: Vec<u64> = (0..trials)
+            .flat_map(|t| select(&g, &data, &offsets, &out_offsets, |v| map(t, v)))
+            .collect();
+        let s = g.stream("compute");
+        let input = s.htod_async(&data).unwrap();
+        let mut out = g
+            .alloc::<u64>(trials * out_offsets.last().unwrap())
+            .unwrap();
+        g.reset_counters();
+        transform_select_on(&s, &input, &offsets, &out_offsets, trials, &mut out, map);
+        let snap = g.counters();
+        assert_eq!(s.dtoh_async(&out), expected);
+        assert_eq!(snap.kernel_launches, 1);
+        let charged = g.model_kernel_seconds(trials * data.len(), &KernelCost::segmented_select());
+        // The device clock keeps whole nanoseconds.
+        assert!((snap.kernel_seconds - charged).abs() < 1e-9);
+    }
+
     #[test]
     #[should_panic(expected = "cover the buffer")]
     fn segmented_select_rejects_bad_seg_offsets() {
@@ -524,7 +570,7 @@ mod tests {
         let s = g.stream("compute");
         let input = s.htod_async(&[1u64, 2, 3]).unwrap();
         let mut out = g.alloc::<u64>(3).unwrap();
-        transform_select_on(&s, &input, &[0, 3], &[0, 2], &mut out, |x| x);
+        transform_select_on(&s, &input, &[0, 3], &[0, 2], 1, &mut out, |_, x| x);
     }
 
     #[test]

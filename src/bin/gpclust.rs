@@ -5,7 +5,7 @@
 //! gpclust build-graph --fasta data.faa --out graph.bin [--loose]
 //! gpclust cluster     --graph graph.bin --out clusters.tsv
 //!                     [--serial] [--devices N] [--seed 7]
-//!                     [--kernel sort|select]
+//!                     [--kernel select|sort]
 //!                     [--mem-budget 64M] [--shards N]
 //!                     [--s1 2 --c1 200 --s2 2 --c2 100] [--min-size 1]
 //! gpclust serve       --index-dir DIR [--graph graph.bin] [--resume] ...
@@ -142,8 +142,9 @@ subcommands:
                                                [--backend kmer|suffix])
   cluster      graph -> clusters              (--graph, --out, [--serial],
                                                [--devices N], [--seed],
-                                               [--kernel sort|select] for the
-                                               top-s extraction kernel,
+                                               [--kernel select|sort] for the
+                                               top-s extraction kernel
+                                               (default select),
                                                [--mem-budget BYTES] out-of-core
                                                resident-byte budget (K/M/G
                                                suffixes; also env

@@ -404,7 +404,7 @@ fn corrupt_graph_files_exit_1_naming_the_byte() {
             &[
                 &["--serial"][..],
                 &[],
-                &["--devices", "2", "--kernel", "select"],
+                &["--devices", "2", "--kernel", "sort"],
                 &["--mem-budget", "16K"],
             ],
         ),
@@ -475,7 +475,7 @@ fn hostile_graph_shapes_match_the_serial_oracle() {
         for flags in [
             &[][..],
             &["--devices", "2"],
-            &["--kernel", "select"],
+            &["--kernel", "sort"],
             &[
                 "--mem-budget",
                 "64K",

@@ -8,9 +8,14 @@
 //! of the simulator that claims to leave the clock alone must pass this
 //! test unchanged.
 
-use gpclust::core::{GpClust, GpClustReport, ShingleKernel, ShinglingParams};
+use gpclust::core::autotune::{predict, PassShape, PlanAxes, Sharing, WorkloadShape};
+use gpclust::core::shingle::AdjacencyInput;
+use gpclust::core::{
+    DistinctLists, GpClust, GpClustReport, SerialShingling, ShingleKernel, ShinglingParams,
+};
 use gpclust::gpu::{DeviceConfig, Gpu};
 use gpclust::graph::generate::{planted_partition, PlantedConfig};
+use gpclust::graph::Csr;
 
 /// The modeled figures of one run, in the order they are pinned.
 #[derive(Debug, PartialEq)]
@@ -28,7 +33,16 @@ struct Clock {
 
 /// The fixed planted graph clustered under `params` on one K20.
 fn cluster(params: ShinglingParams) -> GpClustReport {
-    let g = planted_partition(&PlantedConfig {
+    let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
+    GpClust::new(params, gpu)
+        .unwrap()
+        .cluster(&graph())
+        .unwrap()
+}
+
+/// The fixed planted graph.
+fn graph() -> Csr {
+    planted_partition(&PlantedConfig {
         group_sizes: vec![40, 30, 25, 18, 12],
         n_noise_vertices: 20,
         p_intra: 0.75,
@@ -36,9 +50,7 @@ fn cluster(params: ShinglingParams) -> GpClustReport {
         inter_edges_per_vertex: 0.6,
         seed: 2013,
     })
-    .graph;
-    let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
-    GpClust::new(params, gpu).unwrap().cluster(&g).unwrap()
+    .graph
 }
 
 fn clock(report: &GpClustReport) -> Clock {
@@ -68,8 +80,14 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
         return;
     }
     // Both kernels upload the same adjacency lists and download the same
-    // records; only the kernel chain (transform + segmented sort + gather
-    // versus one fused select per trial) and so the makespan differ.
+    // bytes. The sort kernel runs transform + segmented sort + gather and
+    // one D2H per trial: 3 · (c1 + c2) = 180 launches and c1 + c2 = 60
+    // copies over Pass I's and Pass II's one batch each. The fused kernel
+    // runs one launch and one D2H per trial group of g = clamp(elements /
+    // outputs, 1, c) trials, Σ⌈c/g⌉ of each: Pass I's 2,664 elements
+    // against 258 outputs per trial give g = 10 and ⌈40/10⌉ = 4 groups,
+    // Pass II's 3,880 against 1,182 give g = 3 and ⌈20/3⌉ = 7 groups, so
+    // 4 + 7 = 11 launches and 11 copies.
     assert_eq!(
         run(ShingleKernel::SortCompact),
         Clock {
@@ -87,15 +105,15 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
     assert_eq!(
         run(ShingleKernel::FusedSelect),
         Clock {
-            kernel_seconds: 0.01200886,
+            kernel_seconds: 0.002208857,
             h2d_seconds: 2.4363e-5,
-            d2h_seconds: 0.00064528,
-            kernel_launches: 60,
+            d2h_seconds: 0.00015528,
+            kernel_launches: 11,
             h2d_transfers: 2,
-            d2h_transfers: 60,
+            d2h_transfers: 11,
             h2d_bytes: 26176,
             d2h_bytes: 271680,
-            device_pipelined: 0.012055136512820516,
+            device_pipelined: 0.0022598085128205125,
         }
     );
 }
@@ -106,7 +124,9 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
 /// `GPCLUST_MEM_BUDGET`, so this case runs under it too.
 #[test]
 fn budgeted_pass_one_pays_one_batch_per_shard() {
-    let params = ShinglingParams::light(17).with_mem_budget(96 * 1024);
+    let params = ShinglingParams::light(17)
+        .with_kernel(ShingleKernel::SortCompact)
+        .with_mem_budget(96 * 1024);
     let report = cluster(params);
     let shards = report.times.shards;
     assert!(
@@ -133,4 +153,35 @@ fn budgeted_pass_one_pays_one_batch_per_shard() {
             device_pipelined: 0.10824683958974352,
         }
     );
+}
+
+/// The cost model prices each kernel's trial groups: given the run's
+/// exact pass shapes, its predicted stream makespan stays within 0.1 % of
+/// the measured one. (The predictor proper estimates Pass II's shape
+/// before Pass I has run; that estimate is a separate error.)
+#[test]
+fn prediction_prices_the_trial_groups_of_the_measured_run() {
+    if std::env::var_os("GPCLUST_MEM_BUDGET").is_some() {
+        return;
+    }
+    let g = graph();
+    let gpus = [Gpu::with_workers(DeviceConfig::tesla_k20(), 1)];
+    for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
+        let params = ShinglingParams::light(17).with_kernel(kernel);
+        let measured = cluster(params).times.device_pipelined;
+        let first = SerialShingling::new(params).unwrap().run(&g).first;
+        let lists = DistinctLists::new(&first, params.s2, g.n());
+        let shape = WorkloadShape {
+            pass2: PassShape::from_offsets(lists.offsets(), params.c2, params.s2),
+            ..WorkloadShape::from_input(g.n(), g.offsets(), &params)
+        };
+        let predicted = predict(PlanAxes::of(&params), &shape, &gpus, Sharing::Weighted)
+            .unwrap()
+            .device_seconds;
+        let error = (predicted - measured) / measured;
+        assert!(
+            error.abs() < 0.001,
+            "{kernel:?}: predicted {predicted} s vs measured {measured} s"
+        );
+    }
 }

@@ -319,10 +319,10 @@ fn serve_refuses_hostile_lines_and_keeps_serving() {
 }
 
 /// An index sealed in the format written before the pipeline-mode,
-/// aggregation and components axes were removed records those axes in
-/// its manifest. `serve --resume` compares only the axes this build
-/// records, so it reopens the index and serves the same partition as a
-/// from-scratch `cluster`; a kernel mismatch still refuses, naming it.
+/// aggregation, components and kernel axes were removed records those
+/// axes in its manifest. `serve --resume` compares only the axes this
+/// build records, so it reopens the index under either kernel and serves
+/// the same partition as a from-scratch `cluster`.
 #[test]
 fn serve_resumes_an_index_recording_removed_axes() {
     let dir = tmpdir("removed-axes");
@@ -357,18 +357,6 @@ fn serve_resumes_an_index_recording_removed_axes() {
     )
     .unwrap();
 
-    let (code, _, stderr) = serve(&dir, &["--resume", "--kernel", "select"], "quit\n");
-    assert_eq!(code, Some(1), "a kernel mismatch must refuse: {stderr}");
-    assert!(
-        stderr.contains("plan axes mismatch on \"kernel\""),
-        "{stderr}"
-    );
-
-    let dump = dir.join("served.tsv");
-    let script = format!("dump {}\nquit\n", dump.display());
-    let (code, _, stderr) = serve(&dir, &["--resume"], &script);
-    assert_eq!(code, Some(0), "resume failed: {stderr}");
-    assert!(stderr.contains("resumed generation 1"), "{stderr}");
     let full = dir.join("scratch.tsv");
     let status = Command::new(bin())
         .arg("cluster")
@@ -379,9 +367,24 @@ fn serve_resumes_an_index_recording_removed_axes() {
         .output()
         .expect("spawn cluster");
     assert!(status.status.success());
-    let served = std::fs::read_to_string(&dump).unwrap();
-    assert!(!served.is_empty());
-    assert_eq!(served, std::fs::read_to_string(&full).unwrap());
+    let full = std::fs::read_to_string(&full).unwrap();
+    assert!(!full.is_empty());
+
+    // The legacy record names the sort kernel and the index was sealed
+    // under the default fused one; the kernel is no axis, so the index
+    // resumes under either.
+    for kernel in ["sort", "select"] {
+        let dump = dir.join(format!("served-{kernel}.tsv"));
+        let script = format!("dump {}\nquit\n", dump.display());
+        let (code, _, stderr) = serve(&dir, &["--resume", "--kernel", kernel], &script);
+        assert_eq!(
+            code,
+            Some(0),
+            "resume under --kernel {kernel} failed: {stderr}"
+        );
+        assert!(stderr.contains("resumed generation 1"), "{stderr}");
+        assert_eq!(std::fs::read_to_string(&dump).unwrap(), full, "{kernel}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
