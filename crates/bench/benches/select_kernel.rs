@@ -20,7 +20,7 @@
 //!    times instead of `c` times.
 
 use gpclust_bench::{json_fields, time, Json};
-use gpclust_core::batch::{batch_capacity, trial_group, BYTES_PER_ELEM};
+use gpclust_core::batch::{batch_capacity, trial_group, BYTES_PER_ELEM, OUT_ELEM_BYTES};
 use gpclust_core::{GpClust, ShingleKernel, ShinglingParams};
 use gpclust_gpu::{DeviceConfig, Gpu, KernelCost};
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
@@ -82,8 +82,8 @@ impl From<PassModel> for Json {
 /// `kernel`. The input is split into `ceil(n / batch_capacity)` equal
 /// batches; each batch is one upload and `⌈trials / g⌉` trial groups of
 /// `g = trial_group(..)` trials (the last one holds what is left), each
-/// group one kernel chain and one top-s download (the executor's
-/// stream-pair shape):
+/// group one kernel chain and one download of its 4-byte top-s element
+/// ids (the executor's stream-pair shape):
 ///
 /// * per-group kernels — SortCompact (`g = 1`): transform + segmented
 ///   sort over the batch plus a gather over its share of the output;
@@ -117,7 +117,7 @@ fn model_pass(
             gpu.model_kernel_seconds(batch_elems * t, &KernelCost::segmented_select())
         }
     };
-    let d2h = |t: usize| gpu.model_transfer_seconds(t * out_per_batch * 8);
+    let d2h = |t: usize| gpu.model_transfer_seconds(t * out_per_batch * OUT_ELEM_BYTES);
     // Full groups of `group` trials, then one shorter group for the rest.
     let groups: Vec<usize> = (0..trials)
         .step_by(group)

@@ -3,7 +3,7 @@
 
 use gpclust_bench::time;
 use gpclust_core::aggregate::{aggregate, StreamAggregator};
-use gpclust_core::minwise::HashFamily;
+use gpclust_core::minwise::{unpack_element, HashFamily};
 use gpclust_core::serial::{shingle_pass, shingle_pass_foreach};
 use gpclust_core::{
     Executor, PassInput, Plan, RecoveryReport, ShingleKernel, ShinglingParams, Sink,
@@ -64,7 +64,9 @@ fn bench_aggregation(g: &Csr, family: &HashFamily) {
     time("aggregation/generic_path", 10, || aggregate(&ungrouped));
     time("aggregation/stream_aggregator", 10, || {
         let mut agg = StreamAggregator::new(2);
-        shingle_pass_foreach(g, 2, family, |t, n, p| agg.push(t, n, p));
+        shingle_pass_foreach(g, 2, family, |t, n, p| {
+            agg.push(t, n, p.iter().map(|&p| unpack_element(p)))
+        });
         agg.finish()
     });
 }

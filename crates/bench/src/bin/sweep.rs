@@ -17,6 +17,7 @@ use gpclust_bench::datasets;
 use gpclust_bench::reports::{render_table, secs, Experiment};
 use gpclust_bench::Args;
 use gpclust_bench::{json_fields, Json};
+use gpclust_core::minwise::unpack_element;
 use gpclust_core::serial::shingle_pass_foreach;
 use gpclust_core::{GpClust, SerialShingling, ShinglingParams};
 use std::time::Instant;
@@ -72,7 +73,7 @@ fn main() {
         let p1 = t0.elapsed().as_secs_f64();
         let mut agg = gpclust_core::aggregate::StreamAggregator::new(params.s1);
         shingle_pass_foreach(&g, params.s1, &params.family_pass1(), |t, nn, p| {
-            agg.push(t, nn, p);
+            agg.push(t, nn, p.iter().map(|&p| unpack_element(p)));
         });
         let first = agg.finish();
         let t0 = Instant::now();

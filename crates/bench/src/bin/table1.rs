@@ -36,6 +36,7 @@ use gpclust_bench::datasets;
 use gpclust_bench::reports::{render_table, secs, Experiment};
 use gpclust_bench::{json_fields, Json};
 use gpclust_bench::{Args, ScheduleArgs};
+use gpclust_core::minwise::unpack_element;
 use gpclust_core::serial::shingle_pass_foreach;
 use gpclust_core::{GpClust, SerialShingling, ShingleKernel, ShinglingParams};
 use gpclust_graph::{io as graph_io, Csr};
@@ -105,7 +106,7 @@ fn measure(sched: &ScheduleArgs, graph: &Csr, label: &str, seed: u64) -> Row {
     let shingling1 = t0.elapsed().as_secs_f64();
     let mut agg1 = gpclust_core::aggregate::StreamAggregator::new(params.s1);
     shingle_pass_foreach(graph, params.s1, &params.family_pass1(), |t, n, p| {
-        agg1.push(t, n, p);
+        agg1.push(t, n, p.iter().map(|&p| unpack_element(p)));
     });
     let first = agg1.finish();
     let t0 = Instant::now();

@@ -1,8 +1,9 @@
 //! CPU-side shingle aggregation — "compute shingle graph" in Figure 3.
 //!
 //! Input: the raw `(trial, node, top-s pairs)` records streamed back from
-//! the device, batch by batch. This step performs the two CPU duties the
-//! paper assigns to the host:
+//! the device, batch by batch — complete records as element ids in hash
+//! order, boundary fragments re-packed with their hashes. This step
+//! performs the two CPU duties the paper assigns to the host:
 //!
 //! 1. **Fragment merging** — when an adjacency list was split between two
 //!    job batches, its per-batch top-s candidate lists are merged and the
@@ -305,18 +306,16 @@ impl StreamAggregator {
         self.packed.is_empty()
     }
 
-    /// Absorb one record: `pairs` sorted ascending, exactly `s` of them.
-    /// Two pairs are equal when an adjacency list names a target twice.
+    /// Absorb one record: its `s` element ids in ascending hash order.
+    /// Two elements are equal when an adjacency list names a target twice.
     #[inline]
-    pub fn push(&mut self, trial: u32, node: u32, pairs: &[PackedHash]) {
-        debug_assert_eq!(pairs.len(), self.s);
-        debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
-        let idx = (self.elements.len() / self.s) as u128;
+    pub fn push(&mut self, trial: u32, node: u32, elements: impl IntoIterator<Item = u32>) {
+        let start = self.elements.len();
+        let idx = (start / self.s) as u128;
         assert!(idx < (1 << 32), "too many shingle records");
-        for &p in pairs {
-            self.elements.push(unpack_element(p));
-        }
-        let key = shingle_key(trial, pairs.iter().map(|&p| unpack_element(p)));
+        self.elements.extend(elements);
+        debug_assert_eq!(self.elements.len() - start, self.s);
+        let key = shingle_key(trial, self.elements[start..].iter().copied());
         self.packed
             .push(((key as u128) << 64) | ((node as u128) << 32) | idx);
     }
@@ -549,7 +548,7 @@ mod tests {
             let pairs = [pack(e, e), pack(e + 1, e + 1)];
             grouped.push(trial, i, &pairs);
             ungrouped.push(trial, i, &pairs);
-            streaming.push(trial, i, &pairs);
+            streaming.push(trial, i, pairs.map(unpack_element));
         }
         grouped.mark_grouped();
         let via_grouped = aggregate(&grouped);
@@ -589,7 +588,7 @@ mod tests {
                 let trial = i % 5;
                 let e = i % 37;
                 let pairs = [pack(e, e), pack(e + 1, e + 1)];
-                oracle.push(trial, i, &pairs);
+                oracle.push(trial, i, pairs.map(unpack_element));
                 // Split in contiguous chunks, like batches of nodes.
                 let run = (i as usize * n_runs) / 2_000;
                 push_run_record(&mut runs[run], trial, i, &pairs);
@@ -609,7 +608,7 @@ mod tests {
         let mut small = SortedRun::default();
         for i in 0..100u32 {
             let pairs = [pack(i % 9, i % 9)];
-            oracle.push(0, i, &pairs);
+            oracle.push(0, i, pairs.map(unpack_element));
             push_run_record(if i < 99 { &mut big } else { &mut small }, 0, i, &pairs);
         }
         big.packed.sort_unstable();

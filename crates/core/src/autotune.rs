@@ -29,7 +29,7 @@
 //! noise. [`Prediction::device_seconds`] is the stream makespan
 //! [`crate::timing::StageTimes::device_pipelined`] measures.
 
-use crate::batch::{batch_capacity, trial_group};
+use crate::batch::{batch_capacity, trial_group, OUT_ELEM_BYTES};
 use crate::params::{ShingleKernel, ShinglingParams};
 use gpclust_gpu::{Gpu, KernelCost};
 
@@ -247,7 +247,7 @@ impl BatchCost {
                     gpu.model_kernel_seconds(batch_elems * trials, &KernelCost::segmented_select())
                 }
             };
-            let d2h = gpu.model_transfer_seconds(trials * out_elems * 8);
+            let d2h = gpu.model_transfer_seconds(trials * out_elems * OUT_ELEM_BYTES);
             (count as f64, kernels, d2h)
         };
         let rest = trials % g;

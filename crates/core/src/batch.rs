@@ -143,16 +143,25 @@ pub fn plan_batches_range(
     batches
 }
 
+/// Bytes one kernel output slot occupies, on the device and on the bus:
+/// both kernels select by the packed `(hash, element)` key but write and
+/// download only the 4-byte element id. The host re-derives the hashes
+/// of the few boundary fragments that need them.
+pub const OUT_ELEM_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Bytes per batch element reserved for what the kernel writes:
+/// [`ShingleKernel::SortCompact`]'s packed `(hash, vertex)` workspace for
+/// the segmented sort, or the trial group [`ShingleKernel::FusedSelect`]
+/// writes in one launch, which [`trial_group`] bounds to this slot.
+const KERNEL_SLOT_BYTES: usize = 8;
+
 /// Device-memory footprint of one batch element, the same under both
 /// kernels: a `u32` input slot, a second `u32` staging slot so the stream
 /// pair can upload the *next* batch while the current one computes
-/// (double buffering), and an 8-byte slot for what the kernel writes per
-/// element — [`ShingleKernel::SortCompact`]'s packed `(hash, vertex)`
-/// workspace for the segmented sort, or the trial group
-/// [`ShingleKernel::FusedSelect`] writes in one launch, which
-/// [`trial_group`] bounds to 8 bytes per batch element:
-/// `4 + 4 + 8 = 16` bytes.
-pub const BYTES_PER_ELEM: usize = 4 + 4 + 8;
+/// (double buffering), and the 8-byte kernel slot — the sort's packed
+/// workspace, or a fused trial group of `8 / OUT_ELEM_BYTES = 2` output
+/// slots per batch element: `4 + 4 + 8 = 16` bytes.
+pub const BYTES_PER_ELEM: usize = 4 + 4 + KERNEL_SLOT_BYTES;
 
 /// Fraction of the available bytes the per-element planner may claim.
 ///
@@ -171,14 +180,17 @@ pub fn batch_capacity(available_bytes: usize) -> usize {
 }
 
 /// Trials one launch of `kernel` runs on a batch of `n_elems` elements
-/// whose top-s output holds `out_elems` pairs per trial.
+/// whose top-s output holds `out_elems` slots per trial.
 ///
 /// [`ShingleKernel::SortCompact`] sorts one trial's packed workspace at a
 /// time, so its group is one trial. [`ShingleKernel::FusedSelect`] runs
-/// `g = clamp(n_elems / out_elems, 1, trials)` trials per launch: the
-/// group's output, `g · out_elems` pairs, then fits the 8 bytes per batch
-/// element that [`BYTES_PER_ELEM`] reserves, and the batch pays the fixed
-/// launch and copy costs `⌈trials / g⌉` times instead of `trials` times.
+/// as many trials per launch as the kernel slot holds outputs:
+/// `g = clamp(n_elems · 8 / (OUT_ELEM_BYTES · out_elems), 1, trials)`,
+/// which is `clamp(2 · n_elems / out_elems, 1, trials)` for 4-byte
+/// outputs. The group's output, `g · out_elems` slots, then fits the 8
+/// bytes per batch element that [`BYTES_PER_ELEM`] reserves, and the
+/// batch pays the fixed launch and copy costs `⌈trials / g⌉` times
+/// instead of `trials` times.
 pub fn trial_group(
     kernel: ShingleKernel,
     n_elems: usize,
@@ -187,7 +199,9 @@ pub fn trial_group(
 ) -> usize {
     match kernel {
         ShingleKernel::SortCompact => 1,
-        ShingleKernel::FusedSelect => (n_elems / out_elems.max(1)).clamp(1, trials.max(1)),
+        ShingleKernel::FusedSelect => (n_elems * KERNEL_SLOT_BYTES
+            / (OUT_ELEM_BYTES * out_elems.max(1)))
+        .clamp(1, trials.max(1)),
     }
 }
 
@@ -377,10 +391,12 @@ mod tests {
 
     /// Both kernels plan at one 16-byte footprint: the fused kernel's
     /// trial group takes the 8 bytes per element the sort's packed
-    /// workspace takes, so neither plans larger batches.
+    /// workspace takes, so neither plans larger batches. At 4 bytes an
+    /// output slot, that slot holds a group twice the batch's size.
     #[test]
     fn both_kernels_share_one_footprint() {
         assert_eq!(BYTES_PER_ELEM, 16);
+        assert_eq!(OUT_ELEM_BYTES, 4);
         let bytes = 5usize * 1024 * 1024 * 1024;
         assert_eq!(
             batch_capacity(bytes),
@@ -389,14 +405,16 @@ mod tests {
         let (n, out, c) = (1000, 40, 200);
         assert_eq!(trial_group(ShingleKernel::SortCompact, n, out, c), 1);
         let g = trial_group(ShingleKernel::FusedSelect, n, out, c);
-        assert_eq!(g, 25);
+        assert_eq!(g, 50);
+        assert_eq!(g, (2 * n / out).clamp(1, c));
         assert!(
-            g * out * 8 <= n * 8,
+            g * out * OUT_ELEM_BYTES <= n * 8,
             "a group's output fits its 8 B/elem slot"
         );
-        // Clamped to [1, trials]: an output as large as the batch still
-        // runs, and a tiny output never runs more trials than there are.
-        assert_eq!(trial_group(ShingleKernel::FusedSelect, 10, 10, c), 1);
+        // Clamped to [1, trials]: an output twice the batch still runs,
+        // and a tiny output never runs more trials than there are.
+        assert_eq!(trial_group(ShingleKernel::FusedSelect, 10, 20, c), 1);
+        assert_eq!(trial_group(ShingleKernel::FusedSelect, 10, 10, c), 2);
         assert_eq!(trial_group(ShingleKernel::FusedSelect, n, 1, c), c);
         assert_eq!(trial_group(ShingleKernel::FusedSelect, n, 0, c), c);
     }

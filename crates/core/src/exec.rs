@@ -13,12 +13,17 @@
 //!   D2H copy per group: `SortCompact` (transform → segmented sort →
 //!   compaction, the paper's pipeline, one trial per group) or
 //!   `FusedSelect` (one fused hash + ascending selection launch over the
-//!   whole group). Both emit bit-identical bytes.
+//!   whole group). Both select by the packed `(hash, element)` key and
+//!   download only the 4-byte element ids, in hash order, and both emit
+//!   bit-identical bytes.
 //! * `SinkState` *(internal, from the public [`Sink`] request)* —
-//!   where finalized records go: a caller closure, a [`RawShingles`]
-//!   buffer, sorted runs packed on the host ([`StreamAggregator`]), or
-//!   Phase III ([`Sink::Clusters`]): each record of a distinct member
-//!   list folds onto the list's anchor in a host union–find.
+//!   where finalized records go: a [`RawShingles`] buffer, sorted runs
+//!   packed on the host ([`StreamAggregator`]), or Phase III
+//!   ([`Sink::Clusters`]): each record of a distinct member list folds
+//!   onto the list's anchor in a host union–find. Complete records reach
+//!   the sink as element slices; only a boundary fragment (at most two
+//!   segments per batch and trial) is re-packed with its trial's hashes
+//!   (`repack`), because fragments merge by hash.
 //! * [`crate::resilience`] combinators — wrapped uniformly around every
 //!   device op: transient faults retry, an exhausted batch degrades to
 //!   the bit-identical host path when the policy allows, `OutOfMemory`
@@ -43,7 +48,7 @@
 use crate::aggregate::{SortedRun, StreamAggregator};
 use crate::batch::{trial_group, Batch, BatchStats};
 use crate::gpu_pass::{compaction_tasks, host_trial_out, plan_batch, BatchPlan};
-use crate::minwise::{hash_with, pack, unpack_element, HashFamily};
+use crate::minwise::{hash_with, pack, unpack_element, HashFamily, PackedHash};
 use crate::params::ShingleKernel;
 use crate::plan::{FragmentMode, PassPlan};
 use crate::report::DistinctLists;
@@ -107,16 +112,11 @@ impl<'a> PassInput<'a> {
 
 /// What the caller wants out of the pass — the sink half of the plan.
 pub enum Sink<'a> {
-    /// Stream each finalized `(trial, node, top-s pairs)` record to the
-    /// callback. A streamed record cannot be taken back, so under
-    /// [`FragmentMode::Defer`] a batch a lost device half-finished may
-    /// already have handed some of its records over.
-    Stream(&'a mut dyn FnMut(u32, u32, &[u64])),
     /// Materialize records. Under [`FragmentMode::Defer`] complete
     /// records pack into one sorted [`PassReport::runs`] entry on the host
     /// as they stream, and only boundary fragments stay in
     /// [`PassReport::raw`]. A [`FragmentMode::Merge`] pass returns every
-    /// record in `raw`, grouped.
+    /// record in `raw`, grouped ([`RawShingles::push_complete`]).
     Gather,
     /// Stream Pass II into Phase III ([`PassReport::clusters`]). The pass
     /// runs over the given [`DistinctLists`] (also its adjacency input),
@@ -248,7 +248,9 @@ impl<'g> Executor<'g> {
                 recovery,
                 &mut staged,
                 &mut |trial, out| {
-                    emit_trial_records(&plan, out, trial, pass.s, &mut carry, carry_node, state)
+                    let coeffs = family.coeffs(trial);
+                    let carry = &mut carry[trial];
+                    emit_trial_records(&plan, out, trial, coeffs, pass.s, carry, carry_node, state)
                 },
             )?;
             carry_node = plan.nodes.last().copied().filter(|_| plan.last_frag);
@@ -305,10 +307,14 @@ impl<'g> Executor<'g> {
                 &mut |trial, out| {
                     for &seg in &plan.emit_segs {
                         let seg = seg as usize;
-                        let pairs = &out[plan.out_offsets[seg]..plan.out_offsets[seg + 1]];
-                        let fragment =
-                            (seg == 0 && plan.first_frag) || (seg == n_segs - 1 && plan.last_frag);
-                        state.record(trial as u32, plan.nodes[seg], pairs, fragment);
+                        let elements = &out[plan.out_offsets[seg]..plan.out_offsets[seg + 1]];
+                        let node = plan.nodes[seg];
+                        if (seg == 0 && plan.first_frag) || (seg == n_segs - 1 && plan.last_frag) {
+                            let pairs = repack(elements, family.coeffs(trial));
+                            state.fragment(trial as u32, node, &pairs);
+                        } else {
+                            state.record(trial as u32, node, elements);
+                        }
                     }
                 },
             );
@@ -326,8 +332,9 @@ impl<'g> Executor<'g> {
     /// packed workspace, stages the `next` batch in turn, then runs the
     /// batch's trials in groups ([`trial_group`]): one launch chain, one
     /// retry scope and one D2H copy per group. Hands each trial's output
-    /// (its top-s pairs per kept segment, laid out by
-    /// `BatchPlan::out_offsets`) to `emit` in trial order. Outputs are
+    /// (the element ids of its top-s pairs per kept segment, in hash
+    /// order, laid out by `BatchPlan::out_offsets`) to `emit` in trial
+    /// order. Outputs are
     /// bit-identical across kernels, group sizes and the retry/degrade
     /// paths, which replay the same computation.
     #[allow(clippy::too_many_arguments)] // per-batch body of both loops
@@ -341,7 +348,7 @@ impl<'g> Executor<'g> {
         streams: Streams<'_>,
         recovery: &mut RecoveryReport,
         staged: &mut Staged,
-        emit: &mut dyn FnMut(usize, &[u64]),
+        emit: &mut dyn FnMut(usize, &[u32]),
     ) -> Result<(), DeviceError> {
         let gpu = self.gpu;
         let policy = &pass.policy;
@@ -407,7 +414,7 @@ impl<'g> Executor<'g> {
         // The group whose async download is still "in flight" — kept alive
         // for one group (stream semantics), freed before the next
         // allocation.
-        let mut prev_out: Option<DeviceBuffer<u64>> = None;
+        let mut prev_out: Option<DeviceBuffer<u32>> = None;
         for lo in (0..c).step_by(g) {
             let trials = lo..(lo + g).min(c);
             let group_out = match elems_dev.as_ref().filter(|_| !degraded) {
@@ -448,9 +455,9 @@ impl<'g> Executor<'g> {
 }
 
 /// One trial group's device execution: allocate the group's dense,
-/// trial-major output, launch the kernel chain (the sort kernel's three
-/// launches for its one trial, or one fused selection over the group),
-/// and copy the result back via the *fallible* transfer — the sync point
+/// trial-major output of element ids, launch the kernel chain (the sort
+/// kernel's three launches for its one trial, or one fused selection over
+/// the group), and copy the result back via the *fallible* transfer — the sync point
 /// where injected kernel faults surface. Idempotent: every buffer it
 /// writes is recomputed from `elems_dev`, so [`retry_transient`] can
 /// re-run it after a transient fault and get bit-identical bytes.
@@ -466,21 +473,21 @@ fn device_group(
     packed_dev: &mut Option<DeviceBuffer<u64>>,
     family: &HashFamily,
     trials: Range<usize>,
-    prev_out: &mut Option<DeviceBuffer<u64>>,
+    prev_out: &mut Option<DeviceBuffer<u32>>,
     staged: &mut Staged,
-) -> Result<Vec<u64>, DeviceError> {
+) -> Result<Vec<u32>, DeviceError> {
     // The previous group's output has drained by now; free it before
     // allocating the next so peak memory holds at most one in-flight
     // output buffer.
     *prev_out = None;
     let len = trials.len() * plan.out_total;
-    let mut out_dev = match gpu.alloc::<u64>(len) {
+    let mut out_dev = match gpu.alloc::<u32>(len) {
         Ok(buf) => buf,
         Err(DeviceError::OutOfMemory { .. }) if staged.is_some() => {
             // Memory pressure: give the prefetched batch back (it will
             // re-upload next iteration) and retry.
             *staged = None;
-            gpu.alloc::<u64>(len)?
+            gpu.alloc::<u32>(len)?
         }
         Err(e) => return Err(e),
     };
@@ -491,7 +498,7 @@ fn device_group(
             let (a, b) = family.coeffs(trials.start);
             // 2a. Random permutation via the min-wise hash, then
             // 2b. segmented sort within each adjacency list, then
-            // 2c. compact the top-s pairs of each kept segment.
+            // 2c. compact the top-s elements of each kept segment.
             thrust::transform_on(compute, elems_dev, packed_dev, move |v: u32| {
                 pack(hash_with(a, b, v), v)
             });
@@ -502,9 +509,9 @@ fn device_group(
         }
         (ShingleKernel::FusedSelect, _) => {
             // 2a–c fused over the whole group: hash + per-segment
-            // ascending top-s selection straight into each trial's slice
-            // of the output. Identical bytes to the sorted prefix the
-            // compaction copies.
+            // ascending top-s selection by the packed key, writing each
+            // selected element straight into its trial's slice of the
+            // output. Identical bytes to what the compaction writes.
             let coeffs: Vec<(u64, u64)> = trials.map(|t| family.coeffs(t)).collect();
             thrust::transform_select_on(
                 compute,
@@ -514,6 +521,7 @@ fn device_group(
                 coeffs.len(),
                 &mut out_dev,
                 |t, v: u32| pack(hash_with(coeffs[t].0, coeffs[t].1, v), v),
+                unpack_element,
             );
         }
         (ShingleKernel::SortCompact, None) => unreachable!("workspace allocated per batch"),
@@ -534,7 +542,7 @@ fn host_group_out(
     family: &HashFamily,
     trials: Range<usize>,
     recovery: &mut RecoveryReport,
-) -> Vec<u64> {
+) -> Vec<u32> {
     let t0 = Instant::now();
     let out = trials
         .flat_map(|t| {
@@ -546,18 +554,32 @@ fn host_group_out(
     out
 }
 
+/// A boundary fragment's downloaded elements re-packed with their trial's
+/// hashes `pack(h(v), v)` for coefficients `(a, b)` — the bytes the
+/// kernels select by. Fragments merge by hash across batches (and
+/// devices); complete records never need their hashes again.
+fn repack(elements: &[u32], (a, b): (u64, u64)) -> Vec<PackedHash> {
+    elements
+        .iter()
+        .map(|&v| pack(hash_with(a, b, v), v))
+        .collect()
+}
+
 /// CPU-side record building for one trial's host output, with
 /// boundary-fragment merging ("the CPU has to combine the shingle results
 /// for the split adjacency lists after it receives shingles from the
-/// GPU"). Only the merged loop calls this; the deferred loop emits
-/// fragments unmerged for the driver.
+/// GPU"): fragments re-pack under the trial's `coeffs` into the trial's
+/// `carry`, and a merged list that completes goes out as elements. Only
+/// the merged loop calls this; the deferred loop emits fragments
+/// unmerged for the driver.
 #[allow(clippy::too_many_arguments)] // internal per-trial helper of run_merged
 fn emit_trial_records(
     plan: &BatchPlan,
-    host_out: &[u64],
+    host_out: &[u32],
     trial: usize,
+    coeffs: (u64, u64),
     s: usize,
-    carry: &mut [Vec<u64>],
+    carry: &mut Vec<PackedHash>,
     carry_node: Option<u32>,
     state: &mut SinkState<'_>,
 ) {
@@ -566,33 +588,32 @@ fn emit_trial_records(
         let i = seg as usize;
         let lo = plan.out_offsets[i];
         let hi = plan.out_offsets[i + 1];
-        let pairs = &host_out[lo..hi];
+        let elements = &host_out[lo..hi];
         let is_first = i == 0;
         let is_last = i == n_segs - 1;
         if is_first && plan.first_frag {
             debug_assert_eq!(carry_node, Some(plan.nodes[i]));
-            let mut merged = std::mem::take(&mut carry[trial]);
-            merged.extend_from_slice(pairs);
+            let mut merged = std::mem::take(carry);
+            merged.extend(repack(elements, coeffs));
             merged.sort_unstable();
             merged.dedup();
             merged.truncate(s);
             if is_last && plan.last_frag {
-                carry[trial] = merged; // list continues further
+                *carry = merged; // list continues further
             } else if merged.len() == s {
-                state.record(trial as u32, plan.nodes[i], &merged, false);
+                let merged: Vec<u32> = merged.iter().map(|&p| unpack_element(p)).collect();
+                state.record(trial as u32, plan.nodes[i], &merged);
             }
         } else if is_last && plan.last_frag {
-            carry[trial] = pairs.to_vec();
-        } else if pairs.len() == s {
-            state.record(trial as u32, plan.nodes[i], pairs, false);
+            *carry = repack(elements, coeffs);
+        } else if elements.len() == s {
+            state.record(trial as u32, plan.nodes[i], elements);
         }
     }
 }
 
 /// The sink strategy, instantiated from the public [`Sink`] request.
 enum SinkState<'a> {
-    /// Finalized records stream to the caller.
-    Stream(&'a mut dyn FnMut(u32, u32, &[u64])),
     /// Records materialize: complete records to the run builder when
     /// there is one (a deferred pass), everything else (fragments, or
     /// every record of a merged pass) to `raw`.
@@ -620,7 +641,6 @@ struct Mark {
 impl<'a> SinkState<'a> {
     fn new(plan: &PassPlan, sink: Sink<'a>) -> Self {
         match sink {
-            Sink::Stream(f) => SinkState::Stream(f),
             Sink::Gather => SinkState::Gather {
                 raw: RawShingles::new(plan.s),
                 builder: match plan.fragments {
@@ -637,19 +657,28 @@ impl<'a> SinkState<'a> {
         }
     }
 
-    fn record(&mut self, trial: u32, node: u32, pairs: &[u64], fragment: bool) {
+    /// Take one complete record: its `s` element ids in hash order.
+    fn record(&mut self, trial: u32, node: u32, elements: &[u32]) {
         match self {
-            SinkState::Stream(f) => f(trial, node, pairs),
             SinkState::Gather {
                 builder: Some(agg), ..
-            } if !fragment => agg.push(trial, node, pairs),
-            SinkState::Gather { raw, .. } => raw.push(trial, node, pairs),
-            SinkState::Clusters { raw, .. } if fragment => raw.push(trial, node, pairs),
+            } => agg.push(trial, node, elements.iter().copied()),
+            SinkState::Gather { raw, .. } => raw.push_complete(trial, node, elements),
             SinkState::Clusters {
                 lists, uf, records, ..
             } => {
                 *records += lists.owners(node);
-                lists.union_record(uf, node, pairs.iter().map(|&p| unpack_element(p)));
+                lists.union_record(uf, node, elements.iter().copied());
+            }
+        }
+    }
+
+    /// Take one boundary fragment: its packed `(hash, element)` pairs,
+    /// for the driver's merge.
+    fn fragment(&mut self, trial: u32, node: u32, pairs: &[PackedHash]) {
+        match self {
+            SinkState::Gather { raw, .. } | SinkState::Clusters { raw, .. } => {
+                raw.push(trial, node, pairs)
             }
         }
     }
@@ -657,7 +686,6 @@ impl<'a> SinkState<'a> {
     /// What the sink holds now (see [`Mark`]).
     fn mark(&self) -> Mark {
         match self {
-            SinkState::Stream(_) => Mark { raw: 0, built: 0 },
             SinkState::Gather { raw, builder } => Mark {
                 raw: raw.len(),
                 built: builder.as_ref().map_or(0, StreamAggregator::len),
@@ -674,7 +702,6 @@ impl<'a> SinkState<'a> {
     /// exact complete records a re-run repeats.
     fn rollback(&mut self, mark: Mark) {
         match self {
-            SinkState::Stream(_) => {}
             SinkState::Gather { raw, builder } => {
                 raw.truncate(mark.raw);
                 if let Some(agg) = builder {
@@ -689,7 +716,6 @@ impl<'a> SinkState<'a> {
     /// `clusters`.
     fn finish(self, plan: &PassPlan) -> (RawShingles, Vec<SortedRun>, Option<ClusterLabels>) {
         match self {
-            SinkState::Stream(_) => (RawShingles::new(plan.s), Vec::new(), None),
             SinkState::Gather { mut raw, builder } => {
                 let runs = match builder {
                     Some(agg) if !agg.is_empty() => vec![agg.into_run()],
@@ -838,7 +864,9 @@ mod tests {
     }
 
     /// One H2D per batch and one D2H per trial group: every trial under
-    /// the sort kernel, `⌈c / g⌉` groups under the fused one.
+    /// the sort kernel, `⌈c / g⌉` groups of `g = clamp(2n / out, 1, c)`
+    /// under the fused one. Either way the copies move 4 bytes per
+    /// output slot of every group: `4 · c · out` bytes in all.
     #[test]
     fn per_group_d2h_traffic() {
         let g = planted_graph(4);
@@ -849,15 +877,91 @@ mod tests {
             let pass = pass_plan(&gpu, 2, kernel, None, &g);
             assert_eq!(pass.batches.len(), 1);
             let out_total = plan_batch(&pass.batches[0], g.offsets(), 2).out_total;
-            let group = trial_group(kernel, g.flat().len(), out_total, c);
+            let n = g.flat().len();
+            let group = trial_group(kernel, n, out_total, c);
             gather(&gpu, &g, 2, &family, kernel, None);
             let snap = gpu.counters();
             assert_eq!(snap.d2h_transfers, c.div_ceil(group) as u64, "{kernel:?}");
+            let group_slots: usize = (0..c)
+                .step_by(group)
+                .map(|lo| group.min(c - lo) * out_total)
+                .sum();
+            assert_eq!(snap.d2h_bytes, 4 * group_slots as u64, "{kernel:?}");
             assert_eq!(snap.h2d_transfers, 1, "{kernel:?}");
             assert!(snap.d2h_seconds > 0.0, "{kernel:?}");
             match kernel {
                 ShingleKernel::SortCompact => assert_eq!(group, 1),
-                ShingleKernel::FusedSelect => assert!(group > 1, "{group}"),
+                ShingleKernel::FusedSelect => {
+                    assert_eq!(group, (2 * n / out_total).clamp(1, c));
+                    assert!(group > 1, "{group}");
+                }
+            }
+        }
+    }
+
+    /// At a capacity this small most batches start and end inside an
+    /// adjacency list, so most records pass through the host's
+    /// re-packing of fragment elements. Under both kernels, fault-free
+    /// and with every device op failing (each batch degraded to the host
+    /// path), the gathered records — merged in one pass, or deferred and
+    /// reconciled — and the Phase-III partition equal the serial
+    /// oracle's.
+    #[test]
+    fn fragment_heavy_passes_match_the_serial_oracle() {
+        use crate::aggregate::{merge_fragments, merge_sorted_runs};
+        use crate::serial::SerialShingling;
+        use gpclust_gpu::FaultPlan;
+        use gpclust_graph::components::absorb_labels;
+        let g = batching_graph(23);
+        let family = HashFamily::new(8, 5);
+        let serial = aggregate(&shingle_pass(&g, 2, &family));
+        for kernel in KERNELS {
+            for faulty in [false, true] {
+                let what = format!("{kernel:?}, faults {faulty}");
+                let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
+                if faulty {
+                    gpu.set_fault_plan(FaultPlan::random(7, 1.0));
+                }
+                let mut rec = RecoveryReport::default();
+                let pass = pass_plan(&gpu, 2, kernel, Some(40), &g);
+                let fragmented = pass
+                    .batches
+                    .iter()
+                    .filter(|b| b.first_is_fragment(g.offsets()) && b.last_is_fragment(g.offsets()))
+                    .count();
+                assert!(2 * fragmented > pass.batches.len(), "{what}");
+                let exec = Executor::new(&gpu);
+                let input = PassInput::of(&g);
+                let merged = exec
+                    .run(&pass, input, &family, &mut rec, Sink::Gather)
+                    .unwrap();
+                assert_eq!(aggregate(&merged.raw), serial, "{what}: merged");
+                let sub = pass.subplan((0..pass.batches.len()).collect());
+                let deferred = exec
+                    .run(&sub, input, &family, &mut rec, Sink::Gather)
+                    .unwrap();
+                let mut runs = deferred.runs;
+                runs.push(merge_fragments(&deferred.raw));
+                assert_eq!(merge_sorted_runs(2, runs), serial, "{what}: deferred");
+
+                let fx = clusters_fixture(&gpu, Some(24));
+                let run = SerialShingling::new(fx.params).unwrap().run(&fx.g);
+                let oracle = crate::report::partition_clusters(fx.g.n(), &run.first, &run.second);
+                let pass2 = PassPlan { kernel, ..fx.pass2 };
+                let report = exec
+                    .run(
+                        &pass2,
+                        PassInput::of(&fx.lists),
+                        &fx.params.family_pass2(),
+                        &mut rec,
+                        Sink::Clusters(&fx.lists),
+                    )
+                    .unwrap();
+                let mut uf = UnionFind::new(fx.g.n());
+                absorb_labels(&mut uf, &report.clusters.unwrap().labels);
+                let (partition, _) = fx.lists.finish(uf, fx.params.s2, &SortedRun::default());
+                assert_eq!(partition, oracle, "{what}: partition");
+                assert_eq!(rec.degraded_batches > 0, faulty, "{what}: {rec}");
             }
         }
     }

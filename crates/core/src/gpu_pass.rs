@@ -12,18 +12,24 @@
 //!   (they can never yield a shingle); boundary segments are kept
 //!   regardless, because they may be fragments of lists split across
 //!   batches (possibly across devices).
-//! * [`compaction_tasks`] — step 2c of Algorithm 1: copy each kept
-//!   segment's sorted prefix into the dense output buffer.
+//! * [`compaction_tasks`] — step 2c of Algorithm 1: write the element
+//!   ids of each kept segment's sorted prefix into the dense output
+//!   buffer.
 //! * [`host_trial_out`] — the degradation path: one `(batch, trial)` on
 //!   the CPU, producing **exactly the bytes** the device pipeline's D2H
 //!   would have delivered, so records stay bit-identical under faults.
+//!
+//! Both kernels download 4-byte element ids in hash order, not the packed
+//! `(hash, element)` pairs they select by: the host reads only the
+//! elements of a complete record, and re-derives the hashes of the
+//! boundary fragments it merges from the trial's `<A, B>`.
 
 // The refactor deletes superseded entry points rather than deprecating
 // them; anything unreferenced in here is a bug.
 #![deny(dead_code)]
 
 use crate::batch::Batch;
-use crate::minwise::{hash_with, pack};
+use crate::minwise::{hash_with, pack, unpack_element};
 
 /// Trial-invariant shape of one batch, computed once up front: segment
 /// offsets, fragment flags, compaction output layout and task groups.
@@ -91,12 +97,13 @@ pub(crate) fn plan_batch(batch: &Batch, offsets: &[u64], s: usize) -> BatchPlan 
     }
 }
 
-/// Build the compaction tasks extracting the top `k` pairs of each kept
-/// segment of `src` into the dense `dst` (one task per plan group).
+/// Build the compaction tasks writing the element ids of the top `k`
+/// packed pairs of each kept segment of `src` into the dense `dst` (one
+/// task per plan group).
 pub(crate) fn compaction_tasks<'a>(
     plan: &'a BatchPlan,
     src: &'a [u64],
-    dst: &'a mut [u64],
+    dst: &'a mut [u32],
 ) -> Vec<Box<dyn FnOnce() + Send + 'a>> {
     let mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>> = Vec::with_capacity(plan.groups.len());
     let mut rest = dst;
@@ -114,8 +121,10 @@ pub(crate) fn compaction_tasks<'a>(
                     continue;
                 }
                 let seg_lo = local_offsets[seg] as usize;
-                head[out_offsets[seg] - start_out..out_offsets[seg + 1] - start_out]
-                    .copy_from_slice(&src[seg_lo..seg_lo + k]);
+                let out = &mut head[out_offsets[seg] - start_out..out_offsets[seg + 1] - start_out];
+                for (slot, &p) in out.iter_mut().zip(&src[seg_lo..seg_lo + k]) {
+                    *slot = unpack_element(p);
+                }
             }
         }));
     }
@@ -125,12 +134,12 @@ pub(crate) fn compaction_tasks<'a>(
 /// Host execution of one `(batch, trial)`: the degradation path a batch
 /// falls back to when its device retries are exhausted. Produces **exactly
 /// the bytes** the device pipeline's D2H would have delivered — per kept
-/// segment, the ascending sorted prefix of the packed
+/// segment, the element ids of the ascending sorted prefix of the packed
 /// `(h_i(v) << 32) | v` permutation (what `SortCompact` compacts and
 /// `FusedSelect` selects) — so every record downstream is bit-identical
 /// to a fault-free run.
-pub(crate) fn host_trial_out(plan: &BatchPlan, elems: &[u32], a: u64, b: u64) -> Vec<u64> {
-    let mut out = vec![0u64; plan.out_total];
+pub(crate) fn host_trial_out(plan: &BatchPlan, elems: &[u32], a: u64, b: u64) -> Vec<u32> {
+    let mut out = vec![0u32; plan.out_total];
     for i in 0..plan.nodes.len() {
         let k = plan.out_offsets[i + 1] - plan.out_offsets[i];
         if k == 0 {
@@ -143,7 +152,12 @@ pub(crate) fn host_trial_out(plan: &BatchPlan, elems: &[u32], a: u64, b: u64) ->
             .map(|&v| pack(hash_with(a, b, v), v))
             .collect();
         seg.sort_unstable();
-        out[plan.out_offsets[i]..plan.out_offsets[i + 1]].copy_from_slice(&seg[..k]);
+        for (slot, &p) in out[plan.out_offsets[i]..plan.out_offsets[i + 1]]
+            .iter_mut()
+            .zip(&seg[..k])
+        {
+            *slot = unpack_element(p);
+        }
     }
     out
 }

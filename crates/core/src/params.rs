@@ -16,13 +16,13 @@ pub const PRIME_P: u64 = 4_294_967_291;
 pub enum ShingleKernel {
     /// The paper's pipeline: `thrust::transform` into a packed `u64`
     /// workspace, a full `O(d log d)` segmented sort per trial, then a
-    /// gather compacting each segment's sorted prefix — three launches and
-    /// one D2H copy per trial. Kept for the paper's Table I and as the
-    /// device-side oracle.
+    /// gather compacting the element ids of each segment's sorted prefix
+    /// — three launches and one D2H copy per trial. Kept for the paper's
+    /// Table I and as the device-side oracle.
     SortCompact,
     /// Fused hash + segmented top-s selection: one `O(d)` kernel hashes
     /// each element and keeps an s-sized insertion buffer per segment,
-    /// writing the selected pairs straight to the output buffer. One
+    /// writing the selected element ids straight to the output buffer. One
     /// launch and one D2H copy cover a whole group of trials
     /// ([`crate::batch::trial_group`]), so a batch pays the fixed costs
     /// `⌈c / g⌉` times. The general path and the default.

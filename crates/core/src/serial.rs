@@ -103,7 +103,7 @@ impl SerialShingling {
     pub fn cluster(&self, g: &Csr) -> Partition {
         let mut agg1 = StreamAggregator::new(self.params.s1);
         shingle_pass_foreach(g, self.params.s1, &self.params.family_pass1(), |t, n, p| {
-            agg1.push(t, n, p);
+            agg1.push(t, n, p.iter().map(|&p| unpack_element(p)));
         });
         let first = agg1.finish();
         let mut uf = UnionFind::new(g.n());

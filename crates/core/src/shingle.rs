@@ -12,9 +12,11 @@
 //! holding the top-s *(hash, element)* pairs. Records keep the hash halves
 //! (not just elements) so that fragments of adjacency lists split across
 //! device batches can be merged by re-selecting the globally smallest s —
-//! the CPU-side fix-up the paper describes for split lists.
+//! the CPU-side fix-up the paper describes for split lists. A complete
+//! record needs no merge, so its hash halves may stand in as ranks
+//! ([`RawShingles::push_complete`]).
 
-use crate::minwise::PackedHash;
+use crate::minwise::{pack, PackedHash};
 use gpclust_graph::{Csr, ShingleGraph};
 
 /// 64-bit shingle key space.
@@ -130,6 +132,29 @@ impl RawShingles {
         self.trials.push(trial);
         self.nodes.push(node);
         self.pairs.extend_from_slice(pairs);
+        self.offsets.push(self.pairs.len() as u64);
+    }
+
+    /// Append one complete record from its `s` element ids in hash order
+    /// — what the device downloads. A complete record is the only one of
+    /// its `(trial, node)`, so its hash halves only order it: each element
+    /// is packed under its rank in the record (`pack(i, v)`) instead,
+    /// which sorts, merges and keys ([`crate::aggregate`]) the same way
+    /// without re-hashing it.
+    ///
+    /// # Panics
+    /// Panics if the record does not hold exactly `s` elements.
+    pub fn push_complete(&mut self, trial: u32, node: u32, elements: &[u32]) {
+        assert_eq!(elements.len(), self.s, "a complete record holds s elements");
+        self.grouped = false;
+        self.trials.push(trial);
+        self.nodes.push(node);
+        self.pairs.extend(
+            elements
+                .iter()
+                .enumerate()
+                .map(|(rank, &v)| pack(rank as u32, v)),
+        );
         self.offsets.push(self.pairs.len() as u64);
     }
 

@@ -128,16 +128,17 @@ pub fn segmented_sort_on<T: Pod + Ord>(
     stream.launch(n, &KernelCost::segmented_sort(), tasks);
 }
 
-/// Write the `w.len()` smallest mapped values of `seg`, ascending, into
+/// Write the `w.len()` smallest mapped keys of `seg`, ascending, into
 /// `w`. An insertion-sorted k-buffer — the paper's own top-s approach
 /// ("the small values of s expected to be used in practice, typically
 /// under 10, justify a simple insertion sort-based approach"), here run
-/// per segment inside the kernel instead of after a full sort. For values
-/// that tie, the result is the same multiset the sort-then-truncate oracle
-/// keeps, so outputs are bit-identical to sorting and taking the prefix.
-fn select_smallest_into<T: Pod, U: Pod + Ord, F>(seg: &[T], w: &mut [U], f: &F)
+/// per segment inside the kernel instead of after a full sort. For keys
+/// that tie, the result is the same multiset the sort-then-truncate
+/// oracle keeps, so outputs are bit-identical to sorting and taking the
+/// prefix.
+fn select_smallest_into<T: Pod, K: Ord + Copy, F>(seg: &[T], w: &mut [K], f: &F)
 where
-    F: Fn(T) -> U,
+    F: Fn(T) -> K,
 {
     let k = w.len();
     if k == 0 {
@@ -173,16 +174,17 @@ where
 /// [`segmented_sort_on`], so skewed segment sizes stay balanced, and each
 /// task borrows a disjoint window of its trial's slice of the
 /// trial-major output.
-fn transform_select_tasks<'a, T: Pod, U: Pod + Ord, F>(
+fn transform_select_tasks<'a, T: Pod, K: Ord + Copy + Default, U: Pod, F, P>(
     input: &'a DeviceBuffer<T>,
     seg_offsets: &'a [u64],
     out_offsets: &'a [usize],
     trials: usize,
     out: &'a mut DeviceBuffer<U>,
-    f: &'a F,
+    (key, project): (&'a F, &'a P),
 ) -> Vec<Box<dyn FnOnce() + Send + 'a>>
 where
-    F: Fn(usize, T) -> U + Sync,
+    F: Fn(usize, T) -> K + Sync,
+    P: Fn(K) -> U + Sync,
 {
     assert!(!seg_offsets.is_empty(), "offsets must contain at least [0]");
     assert_eq!(
@@ -239,11 +241,20 @@ where
             let seg_window = &seg_offsets[seg_lo..=seg_hi];
             let out_window = &out_offsets[seg_lo..=seg_hi];
             tasks.push(Box::new(move || {
-                let map = |x: T| f(trial, x);
+                let map = |x: T| key(trial, x);
+                // The segment's selected keys, in registers on a device.
+                let mut keys: Vec<K> = Vec::new();
                 for i in 0..seg_window.len() - 1 {
                     let seg = &src[seg_window[i] as usize..seg_window[i + 1] as usize];
                     let w = &mut head[out_window[i] - out_start..out_window[i + 1] - out_start];
-                    select_smallest_into(seg, w, &map);
+                    if keys.len() < w.len() {
+                        keys.resize(w.len(), K::default());
+                    }
+                    let selected = &mut keys[..w.len()];
+                    select_smallest_into(seg, selected, &map);
+                    for (slot, &k) in w.iter_mut().zip(selected.iter()) {
+                        *slot = project(k);
+                    }
                 }
             }));
             seg_lo = seg_hi;
@@ -254,13 +265,16 @@ where
 
 /// Fused elementwise map + segmented top-k selection for a **group of
 /// trials in one kernel launch**: for each trial `t < trials` and each
-/// segment `i` of `input` (delimited by `seg_offsets`), write the
-/// `out_offsets[i+1] - out_offsets[i]` smallest values of `f(t, element)`,
-/// ascending, into trial `t`'s slice of the dense, trial-major `out`
-/// (`trials × out_offsets.last()` slots). Replaces the transform →
+/// segment `i` of `input` (delimited by `seg_offsets`), select the
+/// `out_offsets[i+1] - out_offsets[i]` smallest keys `key(t, element)`
+/// and write their projections `project(key)`, in ascending key order,
+/// into trial `t`'s slice of the dense, trial-major `out`
+/// (`trials × out_offsets.last()` slots). The projection lets a wide
+/// selection key (a packed `(hash, element)`) leave the device as a
+/// narrow value (the element alone). Replaces the transform →
 /// segmented-sort → compaction trio of the shingling hot path with a
 /// single `O(d)`-per-segment launch per trial group, and never
-/// materializes the mapped values of non-selected elements — there is no
+/// materializes the keys of non-selected elements — there is no
 /// full-width packed workspace. The launch charges `trials × input.len()`
 /// elements at [`KernelCost::segmented_select`], so a group pays the
 /// fixed launch overhead once.
@@ -271,19 +285,29 @@ where
 /// # Panics
 /// Panics if the offsets don't cover the buffers or a selection count
 /// exceeds its segment length.
-pub fn transform_select_on<T: Pod, U: Pod + Ord, F>(
+#[allow(clippy::too_many_arguments)] // input, two offset arrays, group, output, key, projection
+pub fn transform_select_on<T: Pod, K: Ord + Copy + Default, U: Pod, F, P>(
     stream: &Stream,
     input: &DeviceBuffer<T>,
     seg_offsets: &[u64],
     out_offsets: &[usize],
     trials: usize,
     out: &mut DeviceBuffer<U>,
-    f: F,
+    key: F,
+    project: P,
 ) where
-    F: Fn(usize, T) -> U + Sync,
+    F: Fn(usize, T) -> K + Sync,
+    P: Fn(K) -> U + Sync,
 {
     let n = input.len() * trials;
-    let tasks = transform_select_tasks(input, seg_offsets, out_offsets, trials, out, &f);
+    let tasks = transform_select_tasks(
+        input,
+        seg_offsets,
+        out_offsets,
+        trials,
+        out,
+        (&key, &project),
+    );
     stream.launch(n, &KernelCost::segmented_select(), tasks);
 }
 
@@ -327,7 +351,16 @@ mod tests {
         let s = g.stream("compute");
         let input = s.htod_async(data).unwrap();
         let mut out = g.alloc::<u64>(*out_offsets.last().unwrap()).unwrap();
-        transform_select_on(&s, &input, offsets, out_offsets, 1, &mut out, |_, x| f(x));
+        transform_select_on(
+            &s,
+            &input,
+            offsets,
+            out_offsets,
+            1,
+            &mut out,
+            |_, x| f(x),
+            |k| k,
+        );
         s.dtoh_async(&out)
     }
 
@@ -505,6 +538,39 @@ mod tests {
         assert_eq!(select(&g, &data, &offsets, &out_offsets, f), expected);
     }
 
+    /// Selecting by a packed `(hash, element)` key and projecting to the
+    /// element writes the element half of the packed selection, in key
+    /// order, at 4 bytes a slot.
+    #[test]
+    fn transform_select_writes_the_projection_in_key_order() {
+        let g = gpu();
+        let mut rng = StdRng::seed_from_u64(26);
+        let data: Vec<u32> = (0..30_000).map(|_| rng.gen()).collect();
+        let offsets: Vec<u64> = (0..=60).map(|i| i * 500).collect();
+        let out_offsets = select_out_offsets(&offsets, 3);
+        let f = |v: u32| ((v.wrapping_mul(2_654_435_761) as u64) << 32) | v as u64;
+        let packed = select(&g, &data, &offsets, &out_offsets, f);
+        let s = g.stream("compute");
+        let input = s.htod_async(&data).unwrap();
+        let slots = *out_offsets.last().unwrap();
+        let mut out = g.alloc::<u32>(slots).unwrap();
+        let (key, project) = (|_, v: u32| f(v), |k: u64| k as u32);
+        transform_select_on(
+            &s,
+            &input,
+            &offsets,
+            &out_offsets,
+            1,
+            &mut out,
+            key,
+            project,
+        );
+        g.reset_counters();
+        let elements: Vec<u32> = packed.iter().map(|&p| p as u32).collect();
+        assert_eq!(s.dtoh_async(&out), elements);
+        assert_eq!(g.counters().d2h_bytes, 4 * slots as u64);
+    }
+
     #[test]
     fn transform_select_honors_per_segment_zero_counts() {
         let g = gpu();
@@ -541,7 +607,16 @@ mod tests {
             .alloc::<u64>(trials * out_offsets.last().unwrap())
             .unwrap();
         g.reset_counters();
-        transform_select_on(&s, &input, &offsets, &out_offsets, trials, &mut out, map);
+        transform_select_on(
+            &s,
+            &input,
+            &offsets,
+            &out_offsets,
+            trials,
+            &mut out,
+            map,
+            |k| k,
+        );
         let snap = g.counters();
         assert_eq!(s.dtoh_async(&out), expected);
         assert_eq!(snap.kernel_launches, 1);
@@ -570,7 +645,7 @@ mod tests {
         let s = g.stream("compute");
         let input = s.htod_async(&[1u64, 2, 3]).unwrap();
         let mut out = g.alloc::<u64>(3).unwrap();
-        transform_select_on(&s, &input, &[0, 3], &[0, 2], 1, &mut out, |_, x| x);
+        transform_select_on(&s, &input, &[0, 3], &[0, 2], 1, &mut out, |_, x| x, |k| k);
     }
 
     #[test]

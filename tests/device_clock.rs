@@ -80,40 +80,47 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
         return;
     }
     // Both kernels upload the same adjacency lists and download the same
-    // bytes. The sort kernel runs transform + segmented sort + gather and
-    // one D2H per trial: 3 · (c1 + c2) = 180 launches and c1 + c2 = 60
-    // copies over Pass I's and Pass II's one batch each. The fused kernel
-    // runs one launch and one D2H per trial group of g = clamp(elements /
-    // outputs, 1, c) trials, Σ⌈c/g⌉ of each: Pass I's 2,664 elements
-    // against 258 outputs per trial give g = 10 and ⌈40/10⌉ = 4 groups,
-    // Pass II's 3,880 against 1,182 give g = 3 and ⌈20/3⌉ = 7 groups, so
-    // 4 + 7 = 11 launches and 11 copies.
+    // bytes: one 4-byte element id per output slot, 258 slots per Pass-I
+    // trial and 1,182 per Pass-II trial, so 4 · (40 · 258 + 20 · 1,182)
+    // = 135,840 bytes. The sort kernel runs transform + segmented sort +
+    // gather and one D2H per trial: 3 · (c1 + c2) = 180 launches and
+    // c1 + c2 = 60 copies over Pass I's and Pass II's one batch each. The
+    // fused kernel runs one launch and one D2H per trial group of
+    // g = clamp(2 · elements / outputs, 1, c) trials, Σ⌈c/g⌉ of each:
+    // Pass I's 2,664 elements against 258 outputs per trial give g = 20
+    // and ⌈40/20⌉ = 2 groups, Pass II's 3,880 against 1,182 give g = 6
+    // and ⌈20/6⌉ = 4 groups, so 2 + 4 = 6 launches and 6 copies. Its
+    // kernel seconds are 6 launch overheads of 200 µs plus the
+    // memory-bound selection over 40 · 2,664 + 20 · 3,880 = 184,160
+    // element-trials at 10 B each and 208 GB/s (8.854 µs); its D2H
+    // seconds are 6 copy latencies of 10 µs plus 135,840 B at 6 GB/s
+    // (22.64 µs).
     assert_eq!(
         run(ShingleKernel::SortCompact),
         Clock {
             kernel_seconds: 0.03614054,
             h2d_seconds: 2.4363e-5,
-            d2h_seconds: 0.00064528,
+            d2h_seconds: 0.00062264,
             kernel_launches: 180,
             h2d_transfers: 2,
             d2h_transfers: 60,
             h2d_bytes: 26176,
-            d2h_bytes: 271680,
-            device_pipelined: 0.03618683958974361,
+            d2h_bytes: 135840,
+            device_pipelined: 0.036185879589743605,
         }
     );
     assert_eq!(
         run(ShingleKernel::FusedSelect),
         Clock {
-            kernel_seconds: 0.002208857,
+            kernel_seconds: 0.001208854,
             h2d_seconds: 2.4363e-5,
-            d2h_seconds: 0.00015528,
-            kernel_launches: 11,
+            d2h_seconds: 8.264e-5,
+            kernel_launches: 6,
             h2d_transfers: 2,
-            d2h_transfers: 11,
+            d2h_transfers: 6,
             h2d_bytes: 26176,
-            d2h_bytes: 271680,
-            device_pipelined: 0.0022598085128205125,
+            d2h_bytes: 135840,
+            device_pipelined: 0.0012582325128205126,
         }
     );
 }
@@ -144,13 +151,13 @@ fn budgeted_pass_one_pays_one_batch_per_shard() {
         Clock {
             kernel_seconds: 0.10814054,
             h2d_seconds: 5.4362e-5,
-            d2h_seconds: 0.00184532,
+            d2h_seconds: 0.0018226,
             kernel_launches: 540,
             h2d_transfers: 5,
             d2h_transfers: 180,
             h2d_bytes: 26176,
-            d2h_bytes: 271680,
-            device_pipelined: 0.10824683958974352,
+            d2h_bytes: 135840,
+            device_pipelined: 0.10824587958974351,
         }
     );
 }

@@ -38,8 +38,9 @@ fn planted(sizes: Vec<usize>, noise: usize, seed: u64) -> Csr {
 
 /// Materialize one device pass's records under an explicit batch capacity
 /// (two runs sharing a capacity share a batch plan — the precondition for
-/// record-level comparison across kernels), streamed through the
-/// executor's callback sink exactly as pipeline pass II consumes it.
+/// record-level comparison across kernels): the plan's in-order pass
+/// merges boundary fragments on the host, and its gather sink returns
+/// every record, grouped, in emission order.
 fn records_at_capacity(
     gpu: &Gpu,
     g: &Csr,
@@ -51,19 +52,12 @@ fn records_at_capacity(
     let params = ShinglingParams::light(0).with_kernel(kernel);
     let plan = Plan::lower(&params, std::slice::from_ref(gpu)).unwrap();
     let pass = plan.pass(s, plan.aggregation, capacity, g.offsets());
-    let mut raw = RawShingles::new(s);
-    let mut push = |t: u32, n: u32, p: &[u64]| raw.push(t, n, p);
     let mut rec = RecoveryReport::default();
-    Executor::new(gpu)
-        .run(
-            &pass,
-            PassInput::of(g),
-            family,
-            &mut rec,
-            Sink::Stream(&mut push),
-        )
-        .unwrap();
-    raw.mark_grouped();
+    let raw = Executor::new(gpu)
+        .run(&pass, PassInput::of(g), family, &mut rec, Sink::Gather)
+        .unwrap()
+        .raw;
+    assert!(raw.is_grouped());
     raw
 }
 
@@ -102,7 +96,8 @@ fn fused_select_records_bit_identical_at_forced_capacity() {
         );
         assert_eq!(sort, select);
         // Same records from strictly less device work: no sort, no gather,
-        // no 8-byte packed workspace traffic.
+        // no 8-byte packed workspace traffic; the same 4-byte element ids
+        // cross the bus.
         let (sc, fc) = (sort_gpu.counters(), select_gpu.counters());
         assert!(fc.kernel_launches < sc.kernel_launches);
         assert!(fc.kernel_seconds < sc.kernel_seconds);
