@@ -30,6 +30,7 @@
 
 use crate::batch::Batch;
 use crate::minwise::{hash_with, pack, unpack_element};
+use gpclust_gpu::thrust::select_smallest_into;
 
 /// Trial-invariant shape of one batch, computed once up front: segment
 /// offsets, fragment flags, compaction output layout and task groups.
@@ -134,27 +135,24 @@ pub(crate) fn compaction_tasks<'a>(
 /// Host execution of one `(batch, trial)`: the degradation path a batch
 /// falls back to when its device retries are exhausted. Produces **exactly
 /// the bytes** the device pipeline's D2H would have delivered — per kept
-/// segment, the element ids of the ascending sorted prefix of the packed
-/// `(h_i(v) << 32) | v` permutation (what `SortCompact` compacts and
-/// `FusedSelect` selects) — so every record downstream is bit-identical
-/// to a fault-free run.
+/// segment, the element ids of the `k` smallest packed
+/// `(h_i(v) << 32) | v` keys in ascending order (the sorted prefix
+/// `SortCompact` compacts, selected by the primitive `FusedSelect` runs)
+/// — so every record downstream is bit-identical to a fault-free run.
 pub(crate) fn host_trial_out(plan: &BatchPlan, elems: &[u32], a: u64, b: u64) -> Vec<u32> {
     let mut out = vec![0u32; plan.out_total];
+    let mut keys = Vec::new();
     for i in 0..plan.nodes.len() {
         let k = plan.out_offsets[i + 1] - plan.out_offsets[i];
         if k == 0 {
             continue;
         }
-        let lo = plan.local_offsets[i] as usize;
-        let hi = plan.local_offsets[i + 1] as usize;
-        let mut seg: Vec<u64> = elems[lo..hi]
-            .iter()
-            .map(|&v| pack(hash_with(a, b, v), v))
-            .collect();
-        seg.sort_unstable();
+        let seg = &elems[plan.local_offsets[i] as usize..plan.local_offsets[i + 1] as usize];
+        keys.resize(k, 0);
+        select_smallest_into(seg, &mut keys, |v| pack(hash_with(a, b, v), v));
         for (slot, &p) in out[plan.out_offsets[i]..plan.out_offsets[i + 1]]
             .iter_mut()
-            .zip(&seg[..k])
+            .zip(&keys)
         {
             *slot = unpack_element(p);
         }

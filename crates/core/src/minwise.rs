@@ -1,4 +1,4 @@
-//! Min-wise independent permutations and top-s selection.
+//! Min-wise independent permutations.
 //!
 //! A random trial `j` permutes an adjacency list Γ(u) by mapping each
 //! member `v` to `h_j(v) = (A_j·v + B_j) mod P` for a fixed random pair
@@ -8,10 +8,9 @@
 //! subgraph — which share most of their neighbors — also share their
 //! minimum-hash members, hence their shingles.
 //!
-//! The top-s selection keeps the paper's implementation choice: an s-sized
-//! buffer maintained by insertion sort ("the small values of s expected to
-//! be used in practice, typically under 10, justify a simple insertion
-//! sort-based approach").
+//! The top-s selection over the packed `(hash, element)` keys is
+//! [`gpclust_gpu::thrust::select_smallest_into`], the one primitive the
+//! serial oracle, the fused device kernel and the host degrade path share.
 
 use crate::params::PRIME_P;
 use gpclust_support::rng::StdRng;
@@ -72,8 +71,7 @@ impl HashFamily {
         self.coeffs[j]
     }
 
-    /// Evaluate `h_j(v)`. The product is taken in 128-bit to avoid overflow
-    /// (A, v < 2³²; A·v can reach ~2⁶⁴).
+    /// Evaluate `h_j(v)` (see [`hash_with`]).
     #[inline(always)]
     pub fn hash(&self, j: usize, v: u32) -> u32 {
         let (a, b) = self.coeffs[j];
@@ -83,63 +81,15 @@ impl HashFamily {
 
 /// Evaluate `(a·v + b) mod P` for explicit coefficients (the form kernels
 /// capture, avoiding a family lookup per element).
+///
+/// Requires `a, b < P`, which holds for every pair [`HashFamily::new`]
+/// draws. Then `a·v + b ≤ (P − 1)·(2³² − 1) + (P − 1) = (P − 1)·2³² < 2⁶⁴`,
+/// so the product and the sum are exact in 64 bits and the reduction is a
+/// division by a constant.
 #[inline(always)]
 pub fn hash_with(a: u64, b: u64, v: u32) -> u32 {
-    (((a as u128 * v as u128) + b as u128) % PRIME_P as u128) as u32
-}
-
-/// Fixed-capacity buffer keeping the `s` smallest packed (hash, element)
-/// pairs seen so far, by insertion sort.
-#[derive(Debug, Clone)]
-pub struct TopS {
-    buf: Vec<PackedHash>,
-    s: usize,
-}
-
-impl TopS {
-    /// An empty buffer of capacity `s`.
-    pub fn new(s: usize) -> Self {
-        assert!(s > 0, "s must be positive");
-        TopS {
-            buf: Vec::with_capacity(s),
-            s,
-        }
-    }
-
-    /// Clear for reuse.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Offer one packed pair.
-    #[inline]
-    pub fn push(&mut self, p: PackedHash) {
-        if self.buf.len() == self.s {
-            if p >= self.buf[self.s - 1] {
-                return;
-            }
-            self.buf.pop();
-        }
-        // Insertion sort: find the slot from the back.
-        let mut i = self.buf.len();
-        self.buf.push(p);
-        while i > 0 && self.buf[i - 1] > p {
-            self.buf[i] = self.buf[i - 1];
-            i -= 1;
-        }
-        self.buf[i] = p;
-    }
-
-    /// The selected pairs, ascending by (hash, element). Fewer than `s`
-    /// entries if fewer were offered.
-    pub fn as_slice(&self) -> &[PackedHash] {
-        &self.buf
-    }
-
-    /// True if exactly `s` pairs were retained.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.s
-    }
+    debug_assert!(a < PRIME_P && b < PRIME_P, "coefficients must be < P");
+    ((a * v as u64 + b) % PRIME_P) as u32
 }
 
 #[cfg(test)]
@@ -211,51 +161,34 @@ mod tests {
     }
 
     #[test]
-    fn top_s_matches_full_sort() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for s in [1usize, 2, 3, 8] {
-            for n in [0usize, 1, 2, 5, 50, 500] {
-                let vals: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-                let mut top = TopS::new(s);
-                for &v in &vals {
-                    top.push(v);
-                }
-                let mut sorted = vals.clone();
-                sorted.sort_unstable();
-                sorted.truncate(s);
-                assert_eq!(top.as_slice(), sorted.as_slice(), "s={s}, n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn top_s_full_flag() {
-        let mut t = TopS::new(3);
-        t.push(5);
-        t.push(2);
-        assert!(!t.is_full());
-        t.push(9);
-        assert!(t.is_full());
-        t.push(1);
-        assert!(t.is_full());
-        assert_eq!(t.as_slice(), &[1, 2, 5]);
-    }
-
-    #[test]
-    fn top_s_clear_reuses() {
-        let mut t = TopS::new(2);
-        t.push(3);
-        t.push(1);
-        t.clear();
-        assert_eq!(t.as_slice(), &[] as &[u64]);
-        t.push(10);
-        assert_eq!(t.as_slice(), &[10]);
-    }
-
-    #[test]
     fn hash_with_matches_family() {
         let f = HashFamily::new(2, 11);
         let (a, b) = f.coeffs(1);
         assert_eq!(f.hash(1, 4242), hash_with(a, b, 4242));
+    }
+
+    /// The 128-bit form `hash_with` replaced: exact for any coefficients.
+    fn hash_u128(a: u64, b: u64, v: u32) -> u32 {
+        ((a as u128 * v as u128 + b as u128) % PRIME_P as u128) as u32
+    }
+
+    /// The 64-bit reduction is exact over the whole coefficient range
+    /// `HashFamily::new` draws from, for every element id.
+    #[test]
+    fn hash_with_equals_the_u128_form() {
+        let top = PRIME_P - 1;
+        for (a, b) in [(top, top), (1, 0), (top, 0), (1, top)] {
+            for v in [0, 1, u32::MAX - 1, u32::MAX] {
+                assert_eq!(hash_with(a, b, v), hash_u128(a, b, v), "a={a} b={b} v={v}");
+            }
+        }
+        gpclust_support::check::check(256, |case| {
+            let a = case.range(1..PRIME_P);
+            let b = case.range(0..PRIME_P);
+            for _ in 0..64 {
+                let v: u32 = case.range(0..=u32::MAX);
+                assert_eq!(hash_with(a, b, v), hash_u128(a, b, v), "a={a} b={b} v={v}");
+            }
+        });
     }
 }

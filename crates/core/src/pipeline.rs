@@ -455,6 +455,7 @@ impl GpClust {
         let spill_seconds = d.spill.write_seconds + d.spill.read_seconds;
         let mut times = StageTimes {
             cpu: (wall - counters.kernel_wall_seconds - spill_seconds).max(0.0),
+            emulation: counters.kernel_wall_seconds,
             gpu: max(|s| s.kernel_seconds),
             h2d: max(|s| s.h2d_seconds),
             d2h: max(|s| s.d2h_seconds),
@@ -925,6 +926,35 @@ mod tests {
         let in_memory = pipeline.cluster(&g).unwrap();
         assert_eq!(from_file.partition, in_memory.partition);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The three host clocks of a one-device run — CPU, kernel emulation
+    /// and disk — add up to the wall time the caller measures around
+    /// `cluster_from_file`, to within 10 ms + 5 % (the few statements
+    /// outside the run's own stopwatch).
+    #[test]
+    fn host_clocks_add_up_to_the_wall_time() {
+        let g = graph(25);
+        let dir = std::env::temp_dir().join("gpclust_pipeline_clocks_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.bin");
+        gpclust_graph::io::write_file(&path, &g).unwrap();
+        let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
+        let pipeline = GpClust::new(ShinglingParams::light(81), gpu).unwrap();
+        let start = Instant::now();
+        let t = pipeline.cluster_from_file(&path).unwrap().times;
+        let wall = start.elapsed().as_secs_f64();
+        std::fs::remove_file(&path).ok();
+        assert!(t.emulation > 0.0, "{t}");
+        let host = t.cpu + t.emulation + t.disk_io;
+        assert!(
+            host <= wall + 1e-9,
+            "host clocks {host} exceed wall {wall}: {t}"
+        );
+        assert!(
+            wall - host <= 0.010 + 0.05 * wall,
+            "host clocks {host} vs wall {wall}: {t}"
+        );
     }
 
     /// The out-of-core sharded path must be bit-identical to the resident

@@ -78,7 +78,8 @@ pub fn jaccard(x: usize, u: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minwise::{pack, HashFamily, TopS};
+    use crate::minwise::{pack, HashFamily};
+    use gpclust_gpu::thrust::select_smallest_into;
 
     #[test]
     fn closed_form_basics() {
@@ -126,11 +127,9 @@ mod tests {
         let mut matches = 0usize;
         for trial in 0..c {
             let shingle = |set: &[u32]| {
-                let mut top = TopS::new(s);
-                for &v in set {
-                    top.push(pack(family.hash(trial, v), v));
-                }
-                top.as_slice().to_vec()
+                let mut top = vec![0; s];
+                select_smallest_into(set, &mut top, |v| pack(family.hash(trial, v), v));
+                top
             };
             if shingle(a) == shingle(b) {
                 matches += 1;
@@ -139,7 +138,7 @@ mod tests {
         matches as f64 / c as f64
     }
 
-    /// The load-bearing test: the *implemented* hash family + top-s buffer
+    /// The load-bearing test: the *implemented* hash family + top-s selection
     /// realize the closed-form collision probability on realistic
     /// (hash-scattered) vertex ids — i.e., the paper's linear hash is
     /// min-wise independent enough for the algorithm's math in practice.

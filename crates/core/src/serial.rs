@@ -9,10 +9,11 @@
 //! hashing and top-s selection in the two passes: O(m · c · s) overall.
 
 use crate::aggregate::{aggregate, StreamAggregator};
-use crate::minwise::{hash_with, pack, unpack_element, HashFamily, TopS};
+use crate::minwise::{hash_with, pack, unpack_element, HashFamily};
 use crate::params::ShinglingParams;
 use crate::report;
 use crate::shingle::{AdjacencyInput, RawShingles};
+use gpclust_gpu::thrust::select_smallest_into;
 use gpclust_graph::UnionFind;
 use gpclust_graph::{Csr, Partition, ShingleGraph, VertexId};
 
@@ -26,7 +27,7 @@ pub fn shingle_pass_foreach(
     family: &HashFamily,
     mut f: impl FnMut(u32, u32, &[crate::minwise::PackedHash]),
 ) {
-    let mut top = TopS::new(s);
+    let mut top = vec![0; s];
     let n = input.n_nodes();
     for trial in 0..family.len() {
         let (a, b) = family.coeffs(trial);
@@ -35,11 +36,8 @@ pub fn shingle_pass_foreach(
             if list.len() < s {
                 continue;
             }
-            top.clear();
-            for &v in list {
-                top.push(pack(hash_with(a, b, v), v));
-            }
-            f(trial as u32, node as u32, top.as_slice());
+            select_smallest_into(list, &mut top, |v| pack(hash_with(a, b, v), v));
+            f(trial as u32, node as u32, &top);
         }
     }
 }

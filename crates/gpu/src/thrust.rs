@@ -23,6 +23,7 @@
 use crate::memory::{DeviceBuffer, Pod};
 use crate::simt::KernelCost;
 use crate::stream::Stream;
+use std::ops::Range;
 
 /// Elements per thread-block task; one task ≈ one block batch.
 const BLOCK_ELEMS: usize = 64 * 1024;
@@ -68,7 +69,27 @@ pub fn transform_on<T: Pod, U: Pod, F>(
     stream.launch(n, &KernelCost::transform(), tasks);
 }
 
-/// Build the per-block tasks of a segmented sort.
+/// Split the segments delimited by `seg_offsets` into contiguous groups
+/// of at most `budget` elements; a segment longer than `budget` forms a
+/// group of its own. Grouping keeps tasks balanced even when segment
+/// sizes are heavily skewed.
+fn segment_groups(seg_offsets: &[u64], budget: usize) -> Vec<Range<usize>> {
+    let n_segs = seg_offsets.len().saturating_sub(1);
+    let mut groups = Vec::new();
+    let mut lo = 0usize;
+    while lo < n_segs {
+        let mut hi = lo + 1;
+        while hi < n_segs && (seg_offsets[hi + 1] - seg_offsets[lo]) as usize <= budget {
+            hi += 1;
+        }
+        groups.push(lo..hi);
+        lo = hi;
+    }
+    groups
+}
+
+/// Build the per-block tasks of a segmented sort: one task per
+/// ~[`BLOCK_ELEMS`]-element segment group.
 fn segmented_sort_tasks<'a, T: Pod + Ord>(
     buf: &'a mut DeviceBuffer<T>,
     seg_offsets: &'a [u64],
@@ -79,34 +100,21 @@ fn segmented_sort_tasks<'a, T: Pod + Ord>(
         buf.len(),
         "offsets must cover the buffer"
     );
-    // Partition segments into contiguous groups of ~BLOCK_ELEMS elements so
-    // tasks are balanced even when segment sizes are heavily skewed. Tasks
-    // borrow their offset windows — no per-task allocation (this runs once
-    // per random trial, over millions of segments at scale).
+    // Tasks borrow their offset windows — no per-task allocation (this
+    // runs once per random trial, over millions of segments at scale).
     let mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>> = Vec::new();
     let mut rest = buf.device_slice_mut();
-    let mut consumed = 0usize;
-    let mut seg_lo = 0usize;
-    while seg_lo + 1 < seg_offsets.len() {
-        let mut seg_hi = seg_lo + 1;
-        while seg_hi + 1 < seg_offsets.len()
-            && (seg_offsets[seg_hi] - seg_offsets[seg_lo]) < BLOCK_ELEMS as u64
-        {
-            seg_hi += 1;
-        }
-        let start = seg_offsets[seg_lo] as usize;
-        let end = seg_offsets[seg_hi] as usize;
-        let (head, tail) = rest.split_at_mut(end - consumed);
+    for segs in segment_groups(seg_offsets, BLOCK_ELEMS) {
+        let start = seg_offsets[segs.start] as usize;
+        let end = seg_offsets[segs.end] as usize;
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
         rest = tail;
-        let window = &seg_offsets[seg_lo..=seg_hi];
-        debug_assert_eq!(consumed, start);
-        consumed = end;
+        let window = &seg_offsets[segs.start..=segs.end];
         tasks.push(Box::new(move || {
             for w in window.windows(2) {
                 head[w[0] as usize - start..w[1] as usize - start].sort_unstable();
             }
         }));
-        seg_lo = seg_hi;
     }
     tasks
 }
@@ -128,53 +136,119 @@ pub fn segmented_sort_on<T: Pod + Ord>(
     stream.launch(n, &KernelCost::segmented_sort(), tasks);
 }
 
-/// Write the `w.len()` smallest mapped keys of `seg`, ascending, into
-/// `w`. An insertion-sorted k-buffer — the paper's own top-s approach
-/// ("the small values of s expected to be used in practice, typically
-/// under 10, justify a simple insertion sort-based approach"), here run
-/// per segment inside the kernel instead of after a full sort. For keys
-/// that tie, the result is the same multiset the sort-then-truncate
-/// oracle keeps, so outputs are bit-identical to sorting and taking the
+/// Write the `w.len()` smallest 64-bit keys `f(x)` over `seg`, ascending,
+/// into `w` — the top-s selection of a min-wise trial, shared by the
+/// fused kernel, the serial oracle and the host degrade path. The keys
+/// are concrete `u64`s (the packed `(hash, element)` layout): over a
+/// generic `Ord` key the compiler kept the two registers below in memory
+/// and the loop ran about three times slower. For `k = 2` (the
+/// paper default `s1 = s2 = 2`) the two smallest keys live in two
+/// registers and each further element costs one `v < m1` test. Any
+/// other `k` keeps an insertion-sorted k-buffer, the paper's own top-s
+/// approach ("the small values of s expected to be used in practice,
+/// typically under 10, justify a simple insertion sort-based approach").
+/// Keys that tie keep the same multiset the sort-then-truncate oracle
+/// keeps, so `w` is bit-identical to sorting `seg`'s keys and taking the
 /// prefix.
-fn select_smallest_into<T: Pod, K: Ord + Copy, F>(seg: &[T], w: &mut [K], f: &F)
+///
+/// # Panics
+/// Panics if `w` is longer than `seg`.
+#[inline]
+pub fn select_smallest_into<T: Copy, F>(seg: &[T], w: &mut [u64], f: F)
 where
-    F: Fn(T) -> K,
+    F: Fn(T) -> u64,
 {
+    let k = w.len();
+    assert!(
+        k <= seg.len(),
+        "selection count {k} exceeds segment length {}",
+        seg.len()
+    );
+    if let [w0, w1] = w {
+        let (a, b) = (f(seg[0]), f(seg[1]));
+        let (mut m0, mut m1) = if b < a { (b, a) } else { (a, b) };
+        for &x in &seg[2..] {
+            let v = f(x);
+            if v < m1 {
+                if v < m0 {
+                    m1 = m0;
+                    m0 = v;
+                } else {
+                    m1 = v;
+                }
+            }
+        }
+        (*w0, *w1) = (m0, m1);
+    } else {
+        insertion_select(seg, w, f);
+    }
+}
+
+/// The insertion-sorted k-buffer behind [`select_smallest_into`] for
+/// every `k ≠ 2`; `w.len() ≤ seg.len()`.
+fn insertion_select<T: Copy>(seg: &[T], w: &mut [u64], f: impl Fn(T) -> u64) {
     let k = w.len();
     if k == 0 {
         return;
     }
-    let mut filled = 0usize;
-    for &x in seg {
+    for (filled, &x) in seg.iter().enumerate() {
         let v = f(x);
-        if filled < k {
-            let mut i = filled;
-            while i > 0 && w[i - 1] > v {
-                w[i] = w[i - 1];
-                i -= 1;
-            }
-            w[i] = v;
-            filled += 1;
+        let mut i = if filled < k {
+            filled
         } else if v < w[k - 1] {
-            let mut i = k - 1;
-            while i > 0 && w[i - 1] > v {
-                w[i] = w[i - 1];
-                i -= 1;
-            }
-            w[i] = v;
+            k - 1
+        } else {
+            continue;
+        };
+        while i > 0 && w[i - 1] > v {
+            w[i] = w[i - 1];
+            i -= 1;
+        }
+        w[i] = v;
+    }
+}
+
+/// One task of the fused select kernel's grid: a contiguous group of
+/// segments, run for a contiguous range of the launch's trials.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SelectTask {
+    segs: Range<usize>,
+    trials: Range<usize>,
+}
+
+/// The task grid of a fused select launch over `trials` trials. Each
+/// task covers about [`BLOCK_ELEMS`] element-trials: segments group into
+/// runs of at most `BLOCK_ELEMS / trials` elements, so a group usually
+/// takes every trial, and a group larger than that (one long segment)
+/// splits its trial range across tasks. No task exceeds
+/// `max(its longest segment, BLOCK_ELEMS)` element-trials.
+fn select_grid(seg_offsets: &[u64], trials: usize) -> Vec<SelectTask> {
+    let mut grid = Vec::new();
+    if trials == 0 {
+        return grid;
+    }
+    for segs in segment_groups(seg_offsets, (BLOCK_ELEMS / trials).max(1)) {
+        let elems = (seg_offsets[segs.end] - seg_offsets[segs.start]) as usize;
+        let per_task = (BLOCK_ELEMS / elems.max(1)).clamp(1, trials);
+        let mut t = 0;
+        while t < trials {
+            let end = (t + per_task).min(trials);
+            grid.push(SelectTask {
+                segs: segs.clone(),
+                trials: t..end,
+            });
+            t = end;
         }
     }
-    debug_assert_eq!(filled, k, "selection count exceeds segment length");
+    grid
 }
 
 /// Build the per-block tasks of a fused transform + segmented top-k
-/// selection over a group of `trials` maps. The grid covers trial ×
-/// segment group: segments are grouped into contiguous
-/// ~[`BLOCK_ELEMS`]-input-element tasks, exactly like
-/// [`segmented_sort_on`], so skewed segment sizes stay balanced, and each
-/// task borrows a disjoint window of its trial's slice of the
-/// trial-major output.
-fn transform_select_tasks<'a, T: Pod, K: Ord + Copy + Default, U: Pod, F, P>(
+/// selection over a group of `trials` maps, on the [`select_grid`]. A
+/// task walks its segments once and, for each segment, runs every trial
+/// of its range while the segment is hot in cache. The output stays
+/// trial-major: a task borrows one disjoint window per trial.
+fn transform_select_tasks<'a, T: Pod, U: Pod, F, P>(
     input: &'a DeviceBuffer<T>,
     seg_offsets: &'a [u64],
     out_offsets: &'a [usize],
@@ -183,8 +257,8 @@ fn transform_select_tasks<'a, T: Pod, K: Ord + Copy + Default, U: Pod, F, P>(
     (key, project): (&'a F, &'a P),
 ) -> Vec<Box<dyn FnOnce() + Send + 'a>>
 where
-    F: Fn(usize, T) -> K + Sync,
-    P: Fn(K) -> U + Sync,
+    F: Fn(usize, T) -> u64 + Sync,
+    P: Fn(u64) -> U + Sync,
 {
     assert!(!seg_offsets.is_empty(), "offsets must contain at least [0]");
     assert_eq!(
@@ -217,48 +291,53 @@ where
             "segment {i}: selection count {k} exceeds segment length {seg_len}"
         );
     }
-    let src = input.device_slice();
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>> = Vec::new();
+    let grid = select_grid(seg_offsets, trials);
+    // Cut each trial's slice of the output into one window per segment
+    // group: `windows[group]` holds that group's windows in trial order.
+    let mut groups: Vec<Range<usize>> = grid.iter().map(|task| task.segs.clone()).collect();
+    groups.dedup();
+    let mut windows: Vec<Vec<&'a mut [U]>> = groups.iter().map(|_| Vec::new()).collect();
     let mut rest = out.device_slice_mut();
-    for trial in 0..trials {
-        let (trial_out, tail) = rest.split_at_mut(out_total);
-        rest = tail;
-        let mut trial_rest = trial_out;
-        let mut consumed_out = 0usize;
-        let mut seg_lo = 0usize;
-        while seg_lo + 1 < seg_offsets.len() {
-            let mut seg_hi = seg_lo + 1;
-            while seg_hi + 1 < seg_offsets.len()
-                && (seg_offsets[seg_hi] - seg_offsets[seg_lo]) < BLOCK_ELEMS as u64
-            {
-                seg_hi += 1;
-            }
-            let out_start = out_offsets[seg_lo];
-            let (head, tail) = trial_rest.split_at_mut(out_offsets[seg_hi] - consumed_out);
-            trial_rest = tail;
-            debug_assert_eq!(consumed_out, out_start);
-            consumed_out = out_offsets[seg_hi];
-            let seg_window = &seg_offsets[seg_lo..=seg_hi];
-            let out_window = &out_offsets[seg_lo..=seg_hi];
-            tasks.push(Box::new(move || {
-                let map = |x: T| key(trial, x);
-                // The segment's selected keys, in registers on a device.
-                let mut keys: Vec<K> = Vec::new();
-                for i in 0..seg_window.len() - 1 {
-                    let seg = &src[seg_window[i] as usize..seg_window[i + 1] as usize];
-                    let w = &mut head[out_window[i] - out_start..out_window[i + 1] - out_start];
-                    if keys.len() < w.len() {
-                        keys.resize(w.len(), K::default());
-                    }
-                    let selected = &mut keys[..w.len()];
-                    select_smallest_into(seg, selected, &map);
-                    for (slot, &k) in w.iter_mut().zip(selected.iter()) {
+    for _ in 0..trials {
+        for (segs, group_windows) in groups.iter().zip(windows.iter_mut()) {
+            let len = out_offsets[segs.end] - out_offsets[segs.start];
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            group_windows.push(head);
+        }
+    }
+    let mut windows: Vec<_> = windows.into_iter().map(Vec::into_iter).collect();
+    let src = input.device_slice();
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>> = Vec::with_capacity(grid.len());
+    let mut group = 0usize;
+    for task in grid {
+        if task.segs != groups[group] {
+            group += 1;
+        }
+        let mut trial_windows: Vec<&'a mut [U]> =
+            windows[group].by_ref().take(task.trials.len()).collect();
+        let seg_window = &seg_offsets[task.segs.start..=task.segs.end];
+        let out_window = &out_offsets[task.segs.start..=task.segs.end];
+        let t0 = task.trials.start;
+        tasks.push(Box::new(move || {
+            let out_start = out_window[0];
+            // The segment's selected keys, in registers on a device.
+            let mut keys: Vec<u64> = Vec::new();
+            for i in 0..seg_window.len() - 1 {
+                let (lo, hi) = (out_window[i] - out_start, out_window[i + 1] - out_start);
+                if lo == hi {
+                    continue;
+                }
+                let seg = &src[seg_window[i] as usize..seg_window[i + 1] as usize];
+                keys.resize(hi - lo, 0);
+                for (t, w) in (t0..).zip(trial_windows.iter_mut()) {
+                    select_smallest_into(seg, &mut keys, |x| key(t, x));
+                    for (slot, &k) in w[lo..hi].iter_mut().zip(&keys) {
                         *slot = project(k);
                     }
                 }
-            }));
-            seg_lo = seg_hi;
-        }
+            }
+        }));
     }
     tasks
 }
@@ -266,8 +345,9 @@ where
 /// Fused elementwise map + segmented top-k selection for a **group of
 /// trials in one kernel launch**: for each trial `t < trials` and each
 /// segment `i` of `input` (delimited by `seg_offsets`), select the
-/// `out_offsets[i+1] - out_offsets[i]` smallest keys `key(t, element)`
-/// and write their projections `project(key)`, in ascending key order,
+/// `out_offsets[i+1] - out_offsets[i]` smallest 64-bit keys
+/// `key(t, element)` with [`select_smallest_into`] and write their
+/// projections `project(key)`, in ascending key order,
 /// into trial `t`'s slice of the dense, trial-major `out`
 /// (`trials × out_offsets.last()` slots). The projection lets a wide
 /// selection key (a packed `(hash, element)`) leave the device as a
@@ -286,7 +366,7 @@ where
 /// Panics if the offsets don't cover the buffers or a selection count
 /// exceeds its segment length.
 #[allow(clippy::too_many_arguments)] // input, two offset arrays, group, output, key, projection
-pub fn transform_select_on<T: Pod, K: Ord + Copy + Default, U: Pod, F, P>(
+pub fn transform_select_on<T: Pod, U: Pod, F, P>(
     stream: &Stream,
     input: &DeviceBuffer<T>,
     seg_offsets: &[u64],
@@ -296,8 +376,8 @@ pub fn transform_select_on<T: Pod, K: Ord + Copy + Default, U: Pod, F, P>(
     key: F,
     project: P,
 ) where
-    F: Fn(usize, T) -> K + Sync,
-    P: Fn(K) -> U + Sync,
+    F: Fn(usize, T) -> u64 + Sync,
+    P: Fn(u64) -> U + Sync,
 {
     let n = input.len() * trials;
     let tasks = transform_select_tasks(
@@ -646,6 +726,140 @@ mod tests {
         let input = s.htod_async(&[1u64, 2, 3]).unwrap();
         let mut out = g.alloc::<u64>(3).unwrap();
         transform_select_on(&s, &input, &[0, 3], &[0, 2], 1, &mut out, |_, x| x, |k| k);
+    }
+
+    /// Sort-then-truncate oracle for one segment.
+    fn sorted_prefix(seg: &[u64], k: usize) -> Vec<u64> {
+        select_oracle(seg, &[0, seg.len() as u64], k)
+    }
+
+    #[test]
+    fn select_smallest_matches_full_sort() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for s in [1usize, 2, 3, 8] {
+            for n in [0usize, 1, 2, 5, 50, 500] {
+                let vals: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+                let mut top = vec![0u64; s.min(n)];
+                select_smallest_into(&vals, &mut top, |x| x);
+                assert_eq!(top, sorted_prefix(&vals, s), "s={s}, n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_smallest_fills_exactly_the_window() {
+        // A window as long as the segment returns it whole and sorted; a
+        // shorter one keeps the smallest.
+        let mut w = [0u64; 3];
+        select_smallest_into(&[5u64, 2, 9], &mut w, |x| x);
+        assert_eq!(w, [2, 5, 9]);
+        select_smallest_into(&[5u64, 2, 9, 1], &mut w, |x| x);
+        assert_eq!(w, [1, 2, 5]);
+    }
+
+    #[test]
+    fn select_smallest_reuses_its_window() {
+        // Nothing of an earlier selection leaks into the next one.
+        let mut w = [0u64; 2];
+        select_smallest_into(&[3u64, 1], &mut w, |x| x);
+        assert_eq!(w, [1, 3]);
+        select_smallest_into(&[10u64, 20, 30], &mut w, |x| x);
+        assert_eq!(w, [10, 20]);
+        select_smallest_into(&[10u64], &mut w[..1], |x| x);
+        assert_eq!(w[..1], [10]);
+        select_smallest_into(&[] as &[u64], &mut w[..0], |x| x);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds segment length")]
+    fn select_smallest_rejects_a_window_longer_than_the_segment() {
+        select_smallest_into(&[1u64], &mut [0u64; 2], |x| x);
+    }
+
+    /// The two-register `k = 2` path keeps what the generic buffer and
+    /// the sort-then-truncate oracle keep: on two-element segments,
+    /// all-equal keys, and duplicate-heavy segments.
+    #[test]
+    fn select_two_registers_match_generic_and_oracle() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut segs: Vec<Vec<u64>> = vec![
+            vec![4, 4],
+            vec![9, 1],
+            vec![1, 9],
+            vec![7; 2],
+            vec![7; 50],
+            vec![3, 3, 1, 1, 2, 2],
+            vec![u64::MAX, 0, u64::MAX, 0],
+        ];
+        for _ in 0..500 {
+            let len = rng.gen_range(2..40);
+            let range = rng.gen_range(1..6u64);
+            segs.push((0..len).map(|_| rng.gen_range(0..range)).collect());
+        }
+        for seg in &segs {
+            let mut two = [0u64; 2];
+            select_smallest_into(seg, &mut two, |x| x);
+            assert_eq!(two.to_vec(), sorted_prefix(seg, 2), "{seg:?}");
+            let mut generic = [0u64; 2];
+            insertion_select(seg, &mut generic, |x| x);
+            assert_eq!(two, generic, "{seg:?}");
+        }
+    }
+
+    /// The fused kernel's task grid: a hub segment splits its trials
+    /// across tasks, small segments group under one task per trial
+    /// range, and no task is larger than `max(segment, BLOCK_ELEMS)`
+    /// element-trials.
+    #[test]
+    fn select_grid_bounds_every_task() {
+        let check = |offsets: &[u64], trials: usize| -> Vec<SelectTask> {
+            let grid = select_grid(offsets, trials);
+            // The grid covers every (segment, trial) cell exactly once.
+            let n_segs = offsets.len() - 1;
+            let mut cells = vec![0u32; n_segs * trials];
+            for task in &grid {
+                let elems = (offsets[task.segs.end] - offsets[task.segs.start]) as usize;
+                let longest = task
+                    .segs
+                    .clone()
+                    .map(|i| (offsets[i + 1] - offsets[i]) as usize)
+                    .max()
+                    .unwrap();
+                assert!(
+                    elems * task.trials.len() <= longest.max(BLOCK_ELEMS),
+                    "{task:?}: {elems} elems × {} trials",
+                    task.trials.len()
+                );
+                for seg in task.segs.clone() {
+                    for t in task.trials.clone() {
+                        cells[seg * trials + t] += 1;
+                    }
+                }
+            }
+            assert!(cells.iter().all(|&c| c == 1), "grid must tile the cells");
+            grid
+        };
+        // One 200K-element hub segment, 5 trials: at least one task each.
+        let grid = check(&[0, 200_000], 5);
+        assert!(grid.len() >= 5, "{grid:?}");
+        // A hub beside small segments.
+        check(&[0, 3, 100_000, 120_000, 120_001, 150_000], 5);
+        // Many small segments, 20 trials: every task ≤ BLOCK_ELEMS.
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut offsets = vec![0u64];
+        for _ in 0..50_000 {
+            offsets.push(offsets.last().unwrap() + rng.gen_range(0..19u64));
+        }
+        let grid = check(&offsets, 20);
+        assert!(grid.len() > 1);
+        for task in &grid {
+            let elems = (offsets[task.segs.end] - offsets[task.segs.start]) as usize;
+            assert!(elems * task.trials.len() <= BLOCK_ELEMS, "{task:?}");
+        }
+        // Degenerate shapes.
+        assert!(select_grid(&[0], 4).is_empty());
+        assert!(select_grid(&[0, 5], 0).is_empty());
+        check(&[0, 0, 0], 3);
     }
 
     #[test]
