@@ -1,11 +1,12 @@
-//! End-to-end pipeline benchmark: serial pClust vs gpClust on a
-//! homology-shaped graph, plus the metagenome → graph construction stage.
+//! End-to-end pipeline benchmark: serial pClust vs gpClust under both
+//! kernels on a homology-shaped graph, one incremental refresh cycle, and
+//! the metagenome → graph construction stage.
 
-use gpclust_bench::time;
-use gpclust_core::{GpClust, SerialShingling, ShinglingParams};
+use gpclust_bench::{time, time_with_setup};
+use gpclust_core::{GpClust, IncrementalEngine, SerialShingling, ShingleKernel, ShinglingParams};
 use gpclust_gpu::{DeviceConfig, Gpu};
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
-use gpclust_graph::Csr;
+use gpclust_graph::{Csr, EdgeList};
 use gpclust_homology::{graph_from_metagenome, HomologyConfig};
 use gpclust_seqsim::metagenome::{Metagenome, MetagenomeConfig};
 
@@ -32,6 +33,38 @@ fn bench_clustering() {
     time("end_to_end_clustering/gpclust_k20", 10, || {
         pipeline.cluster(&g).unwrap()
     });
+    let sort = params.with_kernel(ShingleKernel::SortCompact);
+    let pipeline = GpClust::new(sort, Gpu::new(DeviceConfig::tesla_k20())).unwrap();
+    time("end_to_end_clustering/gpclust_k20_sort", 10, || {
+        pipeline.cluster(&g).unwrap()
+    });
+}
+
+/// One `serve` refresh cycle: bootstrap on all but the last 1 % of the
+/// graph's edges, stream that 1 % in, and flush (a delta pass).
+fn bench_incremental() {
+    let g = graph();
+    let params = ShinglingParams::paper_default(7);
+    let mut edges: Vec<(u32, u32)> = g
+        .iter()
+        .flat_map(|(v, ns)| ns.iter().filter(move |&&u| v < u).map(move |&u| (v, u)))
+        .collect();
+    let delta = edges.split_off(edges.len() - edges.len() / 100);
+    let mut base_edges: EdgeList = edges.into_iter().collect();
+    let base = Csr::from_edges(g.n(), &mut base_edges);
+    time_with_setup(
+        "incremental/bootstrap_flush_1pct",
+        10,
+        || base.clone(),
+        |base| {
+            let gpus = vec![Gpu::new(DeviceConfig::tesla_k20())];
+            let mut engine = IncrementalEngine::bootstrap(&params, gpus, base).unwrap();
+            for &(a, b) in &delta {
+                engine.add_edge(a, b);
+            }
+            engine.flush().unwrap()
+        },
+    );
 }
 
 fn bench_graph_construction() {
@@ -43,5 +76,6 @@ fn bench_graph_construction() {
 
 fn main() {
     bench_clustering();
+    bench_incremental();
     bench_graph_construction();
 }

@@ -94,26 +94,6 @@ pub fn report_dir() -> PathBuf {
     dir
 }
 
-/// Write a headline `BENCH_*.json` report: the canonical copy goes to
-/// [`report_dir`], and — unless `GPCLUST_REPORT_DIR` redirects output —
-/// a byte-identical mirror goes to the workspace root, where the
-/// checked-in copies live. Returns the canonical path.
-///
-/// Every modeled-report writer goes through here so the two locations can
-/// never drift (previously each bench picked one ad hoc: some reports
-/// existed only at the root, others only under `reports/`).
-pub fn write_report(name: &str, json: &str) -> PathBuf {
-    let path = report_dir().join(name);
-    std::fs::write(&path, json).expect("write report");
-    if std::env::var_os("GPCLUST_REPORT_DIR").is_none() {
-        let mirror = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(name);
-        std::fs::write(&mirror, json).expect("mirror report to workspace root");
-    }
-    path
-}
-
 /// Minimal CLI flag parsing: `--key value` pairs and bare `--flag`s.
 #[derive(Debug, Default, Clone)]
 pub struct Args {

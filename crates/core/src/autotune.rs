@@ -8,16 +8,15 @@
 //! it in closed form: batch count from the
 //! [`crate::batch::BYTES_PER_ELEM`] footprint, each batch's upload, its
 //! `⌈c / g⌉` trial groups ([`crate::batch::trial_group`]) of one kernel
-//! chain and one D2H copy each, and the double-buffered overlap, plus
-//! modeled host seconds for the aggregation sort, the Phase-III
-//! union–find and any spill traffic.
+//! chain and one D2H copy each, and the double-buffered overlap. It
+//! prices no host work: on the benchmark's workloads the host stages
+//! take most of the wall time, and a host rate the code never measured
+//! would only hide that.
 //!
-//! Three consumers:
+//! Two consumers:
 //!
 //! * [`predict`] — the prediction the benchmark's layer-by-layer replay
 //!   sets against the measured device seconds.
-//! * [`predict_delta`] / [`delta_crossover_fraction`] — the incremental
-//!   engine's delta-versus-full refresh pricing.
 //! * [`device_weights`] / [`capability_shares`] / [`apportion`] — the
 //!   capability-proportional share weighting the driver deals batches by,
 //!   so a heterogeneous fleet (say a K20 next to a half-bandwidth card)
@@ -32,24 +31,6 @@
 use crate::batch::{batch_capacity, trial_group, OUT_ELEM_BYTES};
 use crate::params::{ShingleKernel, ShinglingParams};
 use gpclust_gpu::{Gpu, KernelCost};
-
-/// Host global-sort throughput, records/second — the `sort_unstable`
-/// over 128-bit records that dominates the CPU column (Table I's
-/// aggregation sort).
-pub const HOST_SORT_REC_PER_S: f64 = 5.0e7;
-
-/// Streaming k-way merge throughput, records/second — the incremental
-/// index upkeep (retraction scan, merge and rebuild).
-pub const HOST_MERGE_REC_PER_S: f64 = 2.5e8;
-
-/// Union–find fold throughput, edges/second — Phase III's CPU work (a
-/// pointer chase per edge).
-pub const HOST_UNION_EDGES_PER_S: f64 = 1.0e8;
-
-/// Spill-scratch streaming throughput, bytes/second — the sequential
-/// buffered write and chunked replay of packed runs under a bounded
-/// [`crate::params::MemoryBudget`] (page-cache-backed temp files).
-pub const SPILL_BYTES_PER_S: f64 = 2.0e9;
 
 /// Estimated distinct-shingle fraction of the pass-I record stream: the
 /// first-level shingle graph G′ gets roughly one vertex per two records
@@ -142,11 +123,6 @@ pub struct WorkloadShape {
     /// Pass II, estimated via [`DISTINCT_SHINGLE_RATIO`] (G′ is not known
     /// until pass I runs).
     pub pass2: PassShape,
-    /// Bytes the bounded-budget (out-of-core) path spills to scratch —
-    /// pass I's packed record runs, written once and replayed once by the
-    /// external merge. Zero under an unbounded
-    /// [`crate::params::MemoryBudget`].
-    pub spilled_run_bytes: u64,
 }
 
 impl WorkloadShape {
@@ -163,35 +139,17 @@ impl WorkloadShape {
             trials: params.c2,
             s: params.s2,
         };
-        let spilled_run_bytes = if params.mem_budget.or_env().is_unbounded() {
-            0
-        } else {
-            // Pass I's complete records reach the external merge as packed
-            // runs: 16 B of packed key/node/index plus 4 B per element.
-            records1 as u64 * (16 + 4 * params.s1 as u64)
-        };
         WorkloadShape {
             n_vertices,
             pass1,
             pass2,
-            spilled_run_bytes,
         }
-    }
-
-    /// Phase-III union edges: each pass-II record chains its `s` elements
-    /// and its generator's `s` elements through one anchor — `2s − 1`
-    /// packed edges per record.
-    pub fn n_union_edges(&self) -> usize {
-        self.pass2.n_records() * (2 * self.pass2.s).saturating_sub(1)
     }
 }
 
 /// How a fleet's batches are dealt when pricing a multi-device plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sharing {
-    /// Uniform round-robin (the historical dealing; gated by the slowest
-    /// card).
-    RoundRobin,
     /// Capability-proportional shares from [`capability_shares`].
     Weighted,
 }
@@ -199,14 +157,12 @@ pub enum Sharing {
 /// A priced plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
-    /// Device stream makespan plus the modeled host seconds on the
-    /// critical path.
+    /// Predicted makespan. The model prices device work only, so this
+    /// equals [`Prediction::device_seconds`].
     pub seconds: f64,
     /// Predicted [`crate::timing::StageTimes::device_pipelined`] — the
     /// figure the relative-error report compares.
     pub device_seconds: f64,
-    /// Modeled host seconds (sort, union–find, spill).
-    pub host_seconds: f64,
     /// Total batches across both passes.
     pub n_batches: u64,
 }
@@ -300,13 +256,6 @@ fn model_pass_share(
     b_d as f64 * batch.pipelined()
 }
 
-/// Modeled host seconds on the critical path for a run that emitted
-/// `records1` pass-I records and `union_edges` Phase-III edges: the
-/// global aggregation sort plus the union–find fold.
-pub fn host_model_seconds(records1: usize, union_edges: usize) -> f64 {
-    records1 as f64 / HOST_SORT_REC_PER_S + union_edges as f64 / HOST_UNION_EDGES_PER_S
-}
-
 /// Relative throughput of each device on a nominal probe batch
 /// ([`NOMINAL_BATCH_ELEMS`] elements, half of them surviving to the top-s
 /// output) under `kernel` with `trials` hash rounds: `1 / serialized
@@ -384,8 +333,7 @@ pub fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
 /// unbenched device under the kernel — the same rule
 /// [`crate::plan::Plan::lower`] applies), batches are apportioned by
 /// `sharing`, each device's share is priced in closed form, and the pass
-/// makespan is the maximum over devices. Host work is
-/// [`host_model_seconds`] plus any spill traffic.
+/// makespan is the maximum over devices.
 pub fn predict(
     axes: PlanAxes,
     w: &WorkloadShape,
@@ -395,19 +343,6 @@ pub fn predict(
     let weights = device_weights(gpus, axes.kernel, w.pass1.trials);
     let shares = match sharing {
         Sharing::Weighted => capability_shares(&weights),
-        Sharing::RoundRobin => {
-            let n_alive = weights.iter().filter(|&&w| w > 0.0).count();
-            weights
-                .iter()
-                .map(|&w| {
-                    if w > 0.0 {
-                        1.0 / n_alive.max(1) as f64
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        }
     };
     let min_mem = gpus
         .iter()
@@ -429,88 +364,11 @@ pub fn predict(
             .map(|(gpu, &b_d)| model_pass_share(gpu, axes.kernel, shape, b, b_d))
             .fold(0.0, f64::max);
     }
-    // Bounded-budget spill traffic: runs are written once and replayed
-    // once by the external merge.
-    let spill_seconds = 2.0 * w.spilled_run_bytes as f64 / SPILL_BYTES_PER_S;
-    let host_seconds = host_model_seconds(w.pass1.n_records(), w.n_union_edges()) + spill_seconds;
     Some(Prediction {
-        seconds: device_seconds + host_seconds,
+        seconds: device_seconds,
         device_seconds,
-        host_seconds,
         n_batches,
     })
-}
-
-/// Price an incremental refresh under `params`' kernel:
-/// Pass I runs over only the touched lists (`delta_pass1`), then the
-/// host retracts those vertices' records from the stored index (one scan
-/// of `index_records`), k-way-merges the fresh run back in, and rebuilds
-/// G′ from the merged index before Passes II/III run at full union size
-/// exactly as a from-scratch recluster would. The extra index-upkeep
-/// terms are what a full recluster never pays; the savings are the
-/// untouched share of Pass I. Compare against [`predict`] on the union
-/// shape to decide a refresh.
-pub fn predict_delta(
-    params: &ShinglingParams,
-    union: &WorkloadShape,
-    delta_pass1: PassShape,
-    index_records: usize,
-    gpus: &[Gpu],
-) -> Option<Prediction> {
-    let axes = PlanAxes::of(params);
-    let mut w = *union;
-    w.pass1 = delta_pass1;
-    w.spilled_run_bytes = if params.mem_budget.or_env().is_unbounded() {
-        0
-    } else {
-        delta_pass1.n_records() as u64 * (16 + 4 * params.s1 as u64)
-    };
-    let mut p = predict(axes, &w, gpus, Sharing::Weighted)?;
-    // Retraction scan + k-way merge + StreamInverter rebuild, all at
-    // host merge throughput. The full path's own inversion of its
-    // (delta-sized) pass-I records is already inside `predict`'s host
-    // term, so only the merged-index work is added here.
-    let merged = index_records + delta_pass1.n_records();
-    let upkeep = (index_records + 2 * merged) as f64 / HOST_MERGE_REC_PER_S;
-    p.seconds += upkeep;
-    p.host_seconds += upkeep;
-    Some(p)
-}
-
-/// The touched fraction at which an incremental refresh stops paying:
-/// the smallest share of the union's pass-I work (uniform scaling of
-/// its shape) where [`predict_delta`] prices at or above a full
-/// recluster ([`predict`] on the union shape, weighted sharing). `1.0`
-/// when the delta pass wins at every fraction. `None` once no device
-/// survives.
-pub fn delta_crossover_fraction(
-    params: &ShinglingParams,
-    union: &WorkloadShape,
-    index_records: usize,
-    gpus: &[Gpu],
-) -> Option<f64> {
-    let axes = PlanAxes::of(params);
-    let full = predict(axes, union, gpus, Sharing::Weighted)?.seconds;
-    let scaled = |f: f64| PassShape {
-        n_elements: (union.pass1.n_elements as f64 * f).round() as usize,
-        n_segments: ((union.pass1.n_segments as f64 * f).round() as usize).max(1),
-        out_elements: (union.pass1.out_elements as f64 * f).round() as usize,
-        ..union.pass1
-    };
-    if predict_delta(params, union, scaled(1.0), index_records, gpus)?.seconds < full {
-        return Some(1.0);
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..32 {
-        let mid = 0.5 * (lo + hi);
-        let d = predict_delta(params, union, scaled(mid), index_records, gpus)?.seconds;
-        if d < full {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(hi)
 }
 
 #[cfg(test)]
@@ -546,36 +404,6 @@ mod tests {
         let expect_segments = (w.pass1.n_records() as f64 * DISTINCT_SHINGLE_RATIO) as usize;
         assert_eq!(w.pass2.n_segments, expect_segments);
         assert_eq!(w.pass2.n_elements, w.pass1.n_records());
-        assert_eq!(w.n_union_edges(), w.pass2.n_records() * 3);
-    }
-
-    #[test]
-    fn bounded_budget_adds_exactly_the_spill_cost() {
-        if std::env::var_os("GPCLUST_MEM_BUDGET").is_some() {
-            // The CI out-of-core job's env bound would make the "free"
-            // workload spill too; the contrast below needs both sides.
-            return;
-        }
-        let gpus = vec![k20()];
-        let params = ShinglingParams::paper_default(7);
-        let offsets: Vec<u64> = (0..=20_000u64).map(|i| i * 200).collect();
-        let free = WorkloadShape::from_input(20_000, &offsets, &params);
-        let bounded_params = params.with_mem_budget(64 << 20);
-        let bounded = WorkloadShape::from_input(20_000, &offsets, &bounded_params);
-        assert_eq!(free.spilled_run_bytes, 0);
-        assert_eq!(
-            bounded.spilled_run_bytes,
-            free.pass1.n_records() as u64 * (16 + 4 * params.s1 as u64)
-        );
-        let axes = PlanAxes::of(&params);
-        let a = predict(axes, &free, &gpus, Sharing::Weighted).unwrap();
-        let b = predict(axes, &bounded, &gpus, Sharing::Weighted).unwrap();
-        let spill = 2.0 * bounded.spilled_run_bytes as f64 / SPILL_BYTES_PER_S;
-        assert!(
-            (b.seconds - a.seconds - spill).abs() < 1e-9,
-            "bounded prediction carries exactly the spill term"
-        );
-        assert_eq!(a.device_seconds, b.device_seconds);
     }
 
     #[test]
@@ -591,7 +419,6 @@ mod tests {
         let sort = predict(sort, &w, &gpus, Sharing::Weighted).unwrap();
         let sel = predict(select, &w, &gpus, Sharing::Weighted).unwrap();
         assert!(sel.seconds < sort.seconds, "{sel:?} !< {sort:?}");
-        assert_eq!(sel.host_seconds, sort.host_seconds);
     }
 
     #[test]
@@ -641,39 +468,6 @@ mod tests {
         let counts = apportion(7, &[1.0, 1.0, 1.0]);
         assert_eq!(counts, vec![3, 2, 2]);
         assert_eq!(apportion(5, &[0.0, 0.0]), vec![0, 0]);
-    }
-
-    #[test]
-    fn heterogeneous_weighted_beats_round_robin() {
-        // Cap device memory so the pass actually splits into enough
-        // batches for the dealing policy to matter (a 5 GB card swallows
-        // the whole pass in one batch, where every policy deals alike).
-        let small = |cfg: DeviceConfig| {
-            Gpu::with_workers(
-                DeviceConfig {
-                    global_mem_bytes: 256 << 20,
-                    ..cfg
-                },
-                1,
-            )
-        };
-        let gpus = vec![
-            small(DeviceConfig::tesla_k20()),
-            small(DeviceConfig::tesla_k20_half_bandwidth()),
-        ];
-        let params = ShinglingParams::paper_default(7);
-        // 2M-like: 400M elements over 2M lists.
-        let offsets: Vec<u64> = (0..=2_000_000u64).map(|i| i * 200).collect();
-        let w = WorkloadShape::from_input(2_000_000, &offsets, &params);
-        let axes = PlanAxes {
-            kernel: ShingleKernel::SortCompact,
-        };
-        let rr = predict(axes, &w, &gpus, Sharing::RoundRobin).unwrap();
-        let weighted = predict(axes, &w, &gpus, Sharing::Weighted).unwrap();
-        assert!(
-            weighted.seconds < rr.seconds,
-            "weighted {weighted:?} !< round-robin {rr:?}"
-        );
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! [`Partition`] is *identical* to re-clustering the union graph from
 //! scratch, across kernels × shards × fleets × faults.
 //!
-//! Refresh policy: [`RefreshMode::Auto`] prices the delta pass
-//! ([`autotune::predict_delta`]) against a full recluster
-//! ([`autotune::predict`]) and re-clusters from scratch when that is
-//! cheaper — large deltas pay index upkeep (retraction scan, k-way merge,
-//! re-inversion) without saving much Pass-I work.
+//! Refresh policy: a flush whose touched lists hold at least
+//! [`FULL_REFRESH_SHARE`] of the union graph's adjacency elements
+//! re-clusters from scratch (the body [`IncrementalEngine::bootstrap`]
+//! runs); a smaller one runs the delta pass. Large deltas pay index
+//! upkeep (retraction scan, k-way merge, re-inversion) without saving
+//! much Pass-I work.
 //!
 //! Durability: with an attached [`IndexStore`], every flush seals a new
 //! snapshot generation (index run + union graph + partition) through the
@@ -30,7 +31,7 @@
 use gpclust_gpu::{DeviceError, Gpu};
 use gpclust_graph::{Csr, GraphDelta, Partition, VertexId};
 
-use crate::autotune::{self, PassShape, PlanAxes, Prediction, Sharing, WorkloadShape};
+use crate::autotune::Prediction;
 use crate::checkpoint::CheckpointError;
 use crate::index::{IndexStore, ShingleIndex};
 use crate::multi_gpu::MultiGpuClust;
@@ -77,32 +78,46 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// How [`IncrementalEngine::flush`] refreshes the partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefreshMode {
-    /// Price both paths with the cost model; take the cheaper.
-    #[default]
-    Auto,
-    /// Always run the delta pass, however large the delta.
-    Delta,
-    /// Always re-cluster the union graph from scratch.
-    Full,
-}
+/// The share of the union graph's adjacency elements the touched lists
+/// must hold for [`IncrementalEngine::flush`] to re-cluster from scratch
+/// instead of running the delta pass.
+///
+/// Measured with `gpclust serve` (release build, one simulated K20,
+/// shared 2-vCPU VM) on the benchmark's 2K- and 10K-vertex graphs:
+/// `flush` → `flushed` latency, median of 7 fresh sessions per cell,
+/// each touched vertex given one new edge. Figures are delta / full in
+/// ms, each path forced:
+///
+/// | touched vertices | 2K-vertex graph | 10K-vertex graph |
+/// |---|---|---|
+/// | 1 % | 125 / 134 | 1005 / 1142 |
+/// | 5 % | 135 / 155 | 963 / 1204 |
+/// | 20 % | 180 / 206 | 1184 / 1337 |
+/// | 50 % | 213 / 247 | 1264 / 1195 |
+/// | 100 % | 262 / 258 | 1216 / 1133 |
+///
+/// Touched vertices are drawn uniformly, so their share of the elements
+/// tracks their share of the vertices. The delta path wins on both
+/// graphs up to a fifth of the vertices and the full path once all are
+/// touched; at a half the two split within the run-to-run spread, so the
+/// paths cross near one half.
+pub const FULL_REFRESH_SHARE: f64 = 0.5;
 
-/// What a flush decided and why. Both predictions are populated only
-/// under [`RefreshMode::Auto`] (forced modes price nothing).
+/// What a flush decided.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshDecision {
     /// Whether the engine re-clustered from scratch instead of running a
-    /// delta pass.
+    /// delta pass: the touched lists held at least
+    /// [`FULL_REFRESH_SHARE`] of the union's adjacency elements.
     pub full: bool,
     /// Vertices whose adjacency lists actually changed.
     pub touched: usize,
     /// Union-graph vertex count after the flush.
     pub n_vertices: usize,
-    /// Modeled delta-pass makespan.
+    /// Always `None`: the refresh rule is measured, not priced. Kept so
+    /// readers of the decision keep compiling.
     pub delta_predicted: Option<Prediction>,
-    /// Modeled full-recluster makespan.
+    /// Always `None`, like [`RefreshDecision::delta_predicted`].
     pub full_predicted: Option<Prediction>,
 }
 
@@ -161,7 +176,6 @@ pub struct IncrementalEngine {
     partition: Partition,
     pending: GraphDelta,
     store: Option<IndexStore>,
-    refresh: RefreshMode,
     generation: u64,
     spill: SpillStats,
     recovery: RecoveryReport,
@@ -188,7 +202,6 @@ impl IncrementalEngine {
             partition: Partition::singletons(0),
             pending: GraphDelta::new(),
             store: None,
-            refresh: RefreshMode::Auto,
             generation: 0,
             spill: SpillStats::default(),
             recovery: RecoveryReport::default(),
@@ -216,7 +229,6 @@ impl IncrementalEngine {
             partition: snapshot.partition,
             pending: GraphDelta::new(),
             store: Some(store),
-            refresh: RefreshMode::Auto,
             generation: snapshot.generation,
             spill: SpillStats::default(),
             recovery: RecoveryReport::default(),
@@ -239,12 +251,6 @@ impl IncrementalEngine {
         self.spill.merge(&stats);
         self.store = Some(store);
         Ok(self)
-    }
-
-    /// Set the refresh policy (default [`RefreshMode::Auto`]).
-    pub fn with_refresh(mut self, refresh: RefreshMode) -> IncrementalEngine {
-        self.refresh = refresh;
-        self
     }
 
     /// The parameters every pass runs under.
@@ -333,81 +339,32 @@ impl IncrementalEngine {
     }
 
     /// Apply the pending delta: compact the union graph, refresh the
-    /// index (delta pass or full recluster per the policy), re-run
-    /// Passes II/III from the merged index, and seal a new generation in
-    /// the attached store. A no-op (with `touched == 0`) when nothing is
-    /// pending. The resulting partition is bit-identical to clustering
-    /// the union graph from scratch.
+    /// index (a delta pass, or a full recluster once the touched lists
+    /// hold [`FULL_REFRESH_SHARE`] of the union's adjacency elements),
+    /// re-run Passes II/III from the merged index, and seal a new
+    /// generation in the attached store. A no-op (with `touched == 0`)
+    /// when nothing is pending. The resulting partition is bit-identical
+    /// to clustering the union graph from scratch.
     pub fn flush(&mut self) -> Result<RefreshDecision, EngineError> {
+        let mut decision = RefreshDecision {
+            full: false,
+            touched: 0,
+            n_vertices: self.base.n(),
+            delta_predicted: None,
+            full_predicted: None,
+        };
         if self.pending.is_empty() {
-            return Ok(RefreshDecision {
-                full: false,
-                touched: 0,
-                n_vertices: self.base.n(),
-                delta_predicted: None,
-                full_predicted: None,
-            });
+            return Ok(decision);
         }
         let pending = std::mem::take(&mut self.pending);
         let union = pending.apply(&self.base);
         let touched = pending.touched(&self.base);
-        let decision = self.decide(&union, &touched);
+        let touched_elems: usize = touched.iter().map(|&v| union.degree(v)).sum();
+        decision.full = touched_elems as f64 >= FULL_REFRESH_SHARE * union.targets().len() as f64;
+        decision.touched = touched.len();
+        decision.n_vertices = union.n();
         self.refresh(union, &touched, decision.full)?;
         Ok(decision)
-    }
-
-    /// Price both refresh paths and pick one per the policy.
-    fn decide(&self, union: &Csr, touched: &[VertexId]) -> RefreshDecision {
-        let base = RefreshDecision {
-            full: false,
-            touched: touched.len(),
-            n_vertices: union.n(),
-            delta_predicted: None,
-            full_predicted: None,
-        };
-        match self.refresh {
-            RefreshMode::Delta => base,
-            RefreshMode::Full => RefreshDecision { full: true, ..base },
-            RefreshMode::Auto => {
-                let w = WorkloadShape::from_input(union.n(), union.offsets(), &self.params);
-                // Compact offsets over just the touched lists — same
-                // PassShape as the masked input (empty lists are skipped
-                // either way).
-                let mut offsets = Vec::with_capacity(touched.len() + 1);
-                offsets.push(0u64);
-                let mut acc = 0u64;
-                for &v in touched {
-                    acc += union.degree(v) as u64;
-                    offsets.push(acc);
-                }
-                let shape = PassShape::from_offsets(&offsets, self.params.c1, self.params.s1);
-                let full_predicted = autotune::predict(
-                    PlanAxes::of(&self.params),
-                    &w,
-                    self.fleet.gpus(),
-                    Sharing::Weighted,
-                );
-                let delta_predicted = autotune::predict_delta(
-                    &self.params,
-                    &w,
-                    shape,
-                    self.index.len(),
-                    self.fleet.gpus(),
-                );
-                let full = match (&delta_predicted, &full_predicted) {
-                    (Some(d), Some(f)) => d.seconds >= f.seconds,
-                    // No surviving device to price on — the pass itself
-                    // will surface the real error; prefer the delta.
-                    _ => false,
-                };
-                RefreshDecision {
-                    full,
-                    delta_predicted,
-                    full_predicted,
-                    ..base
-                }
-            }
-        }
     }
 
     /// One refresh: delta pass (retract + merge) or full recompute of the
@@ -540,7 +497,7 @@ mod tests {
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();
-        assert!(decision.touched > 0);
+        assert!(decision.touched > 0 && !decision.full, "{decision:?}");
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
         assert_eq!(engine.graph().offsets(), g.offsets());
@@ -550,11 +507,12 @@ mod tests {
     #[test]
     fn incremental_index_is_bit_identical_to_from_scratch() {
         let g = planted(12);
-        let (base, delta) = split(&g, 1, 2);
+        let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(12);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
-        engine.flush().unwrap();
+        let decision = engine.flush().unwrap();
+        assert!(!decision.full, "{decision:?}");
         let scratch = IncrementalEngine::bootstrap(&params, fleet(1), g).unwrap();
         assert_eq!(engine.index(), scratch.index(), "index must be canonical");
     }
@@ -621,7 +579,8 @@ mod tests {
             let params = light(16).with_kernel(kernel);
             let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base.clone()).unwrap();
             engine.apply(&delta);
-            engine.flush().unwrap();
+            let decision = engine.flush().unwrap();
+            assert!(!decision.full, "{decision:?}");
             let oracle = SerialShingling::new(params).unwrap().cluster(&g);
             assert_eq!(*engine.partition(), oracle, "{kernel:?}");
         }
@@ -630,11 +589,18 @@ mod tests {
     #[test]
     fn bounded_budget_delta_matches_oracle() {
         let g = planted(17);
-        let (base, delta) = split(&g, 1, 2);
-        let params = light(17).with_mem_budget(1 << 20);
+        let (base, delta) = split(&g, g.m() - 4, g.m());
+        // Two shards: the 24-vertex graph fits any byte budget unsharded.
+        let params = light(17).with_shards(2);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base).unwrap();
+        let before = engine.spill_stats().bytes;
         engine.apply(&delta);
-        engine.flush().unwrap();
+        let decision = engine.flush().unwrap();
+        assert!(!decision.full, "{decision:?}");
+        assert!(
+            engine.spill_stats().bytes > before,
+            "the delta pass must spill"
+        );
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
     }
@@ -642,47 +608,49 @@ mod tests {
     #[test]
     fn faulty_device_delta_matches_oracle() {
         let g = planted(18);
-        let (base, delta) = split(&g, 1, 2);
+        let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(18);
         let gpus = fleet(2);
-        gpus[0].set_fault_plan(
+        let device0 = gpus[0].clone();
+        let mut engine = IncrementalEngine::bootstrap(&params, gpus, base).unwrap();
+        assert!(!engine.recovery().any());
+        // Armed after bootstrap, so the fault fires inside the flush.
+        device0.set_fault_plan(
             FaultPlan::scheduled()
                 .with_fault(FaultSite::Kernel, 1, FaultKind::DeviceLost)
                 .with_device(0),
         );
-        let mut engine = IncrementalEngine::bootstrap(&params, gpus, base).unwrap();
         engine.apply(&delta);
-        engine.flush().unwrap();
+        let decision = engine.flush().unwrap();
+        assert!(!decision.full, "{decision:?}");
         assert!(engine.recovery().any(), "the fault plan must have fired");
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
     }
 
     #[test]
-    fn forced_full_reclusters_and_matches() {
+    fn large_delta_reclusters_from_scratch() {
         let g = planted(19);
-        let (base, delta) = split(&g, 1, 2);
+        let (base, delta) = split(&g, 1, 10);
         let params = light(19);
-        let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base)
-            .unwrap()
-            .with_refresh(RefreshMode::Full);
+        let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();
-        assert!(decision.full);
+        assert!(decision.full, "{decision:?}");
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
     }
 
     #[test]
-    fn auto_decision_prices_both_paths() {
+    fn small_delta_runs_the_delta_pass() {
         let g = planted(20);
-        let (base, delta) = split(&g, 9, 10);
+        let (base, delta) = split(&g, g.m() - 1, g.m());
         let params = light(20);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();
-        assert!(decision.delta_predicted.is_some());
-        assert!(decision.full_predicted.is_some());
+        assert!(!decision.full, "{decision:?}");
+        assert_eq!(decision.touched, 2);
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
     }
@@ -691,7 +659,7 @@ mod tests {
     fn store_roundtrip_resumes_mid_stream() {
         let dir = ScratchDir::new("roundtrip");
         let g = planted(21);
-        let (base, delta) = split(&g, 1, 2);
+        let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(21);
         let engine = IncrementalEngine::bootstrap(&params, fleet(2), base)
             .unwrap()
@@ -703,7 +671,8 @@ mod tests {
             IncrementalEngine::resume(&params, fleet(2), IndexStore::new(dir.path())).unwrap();
         assert_eq!(resumed.generation(), gen);
         resumed.apply(&delta);
-        resumed.flush().unwrap();
+        let decision = resumed.flush().unwrap();
+        assert!(!decision.full, "{decision:?}");
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*resumed.partition(), oracle);
         // And the flushed generation resumes too.
@@ -795,7 +764,8 @@ mod tests {
                 engine.add_edge(a, b);
                 grown.push((a, b));
             }
-            engine.flush().unwrap();
+            let decision = engine.flush().unwrap();
+            assert!(!decision.full, "{decision:?}");
             let mut edges = EdgeList::new();
             for &(a, b) in &grown {
                 edges.push(a, b);
@@ -811,14 +781,15 @@ mod tests {
     #[test]
     fn fault_policy_degrade_composes_with_delta() {
         let g = planted(26);
-        let (base, delta) = split(&g, 1, 2);
+        let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(26).with_fault_policy(FaultPolicy {
             degrade_to_host: true,
             ..FaultPolicy::default()
         });
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
-        engine.flush().unwrap();
+        let decision = engine.flush().unwrap();
+        assert!(!decision.full, "{decision:?}");
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
     }

@@ -18,9 +18,8 @@
 //! * [`plan`] — the execution-plan IR: [`plan::Plan`] lowers
 //!   [`params::ShinglingParams`] + device statistics into an explicit
 //!   per-pass plan (batch list, kernel, sink, fault policy).
-//! * [`autotune`] — the makespan predictor, the incremental engine's
-//!   delta-versus-full pricing, and the capability-proportional share
-//!   weighting for heterogeneous fleets.
+//! * [`autotune`] — the device makespan predictor and the
+//!   capability-proportional share weighting for heterogeneous fleets.
 //! * [`exec`] — the single [`exec::Executor`] that interprets a pass plan
 //!   against the simulated device (Algorithm 1: hash transform,
 //!   segmented sort / fused selection and top-s compaction over a group
@@ -83,7 +82,7 @@ pub use checkpoint::{
     CheckpointConfig, CheckpointError, Checkpointer, CrashPlan, CrashSite, KILL_MARKER,
 };
 pub use exec::{ClusterLabels, Executor, PassInput, PassReport, Sink};
-pub use incremental::{EngineError, IncrementalEngine, RefreshDecision, RefreshMode};
+pub use incremental::{EngineError, IncrementalEngine, RefreshDecision};
 pub use index::{IndexSnapshot, IndexStore, ShingleIndex};
 pub use params::{
     parse_bytes, AggregationMode, BudgetError, FaultPolicy, MemoryBudget, ShingleKernel,

@@ -805,10 +805,10 @@ mod tests {
         clean
             .gather_pass1_records(&params, &g, &mut SpillStats::default())
             .unwrap();
-        let pass1 = clean.gpus()[0].counters().kernel_launches;
+        let pass1 = clean.gpu().counters().kernel_launches;
         let clean = MultiGpuClust::new(params, fleet(FaultPlan::scheduled())).unwrap();
         assert_eq!(clean.cluster(&g).unwrap().partition, oracle.partition);
-        let total = clean.gpus()[0].counters().kernel_launches;
+        let total = clean.gpu().counters().kernel_launches;
         assert!(total > pass1 + 8, "Pass II must batch");
         let stride = ((total - pass1) / 32).max(1) as usize;
         for at in (pass1 + 1..=total).step_by(stride) {
@@ -816,7 +816,7 @@ mod tests {
                 FaultPlan::scheduled().with_fault(FaultSite::Kernel, at, FaultKind::DeviceLost);
             let fleet = MultiGpuClust::new(params, fleet(plan)).unwrap();
             let report = fleet.cluster(&g).unwrap();
-            assert!(fleet.gpus()[0].is_lost(), "at {at}");
+            assert!(fleet.gpu().is_lost(), "at {at}");
             assert_eq!(report.partition, oracle.partition, "at {at}");
         }
     }

@@ -56,6 +56,8 @@ pub enum AggregationMode {
 /// The environment variable `GPCLUST_MEM_BUDGET` (bytes, with optional
 /// `K`/`M`/`G` suffix) supplies a budget when the params leave it unset —
 /// the hook CI uses to drive the whole test suite through the spill path.
+/// A value that does not parse is refused at plan lowering
+/// ([`BudgetError::MalformedEnv`]), not ignored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Resident-byte cap for the sharded pass (`None` = uncapped).
@@ -72,17 +74,23 @@ impl MemoryBudget {
     }
 
     /// This budget, falling back to `GPCLUST_MEM_BUDGET` when unset.
-    /// Explicit params always win over the environment.
-    pub fn or_env(self) -> Self {
+    /// Explicit params always win over the environment. An empty
+    /// variable counts as unset; any other value must parse as bytes.
+    pub fn or_env(self) -> Result<Self, BudgetError> {
         if !self.is_unbounded() {
-            return self;
+            return Ok(self);
         }
-        match std::env::var("GPCLUST_MEM_BUDGET") {
-            Ok(v) => MemoryBudget {
-                bytes: parse_bytes(&v),
-                shards: None,
+        match std::env::var_os("GPCLUST_MEM_BUDGET") {
+            Some(v) if !v.is_empty() => match v.to_str().and_then(parse_bytes) {
+                Some(bytes) => Ok(MemoryBudget {
+                    bytes: Some(bytes),
+                    shards: None,
+                }),
+                None => Err(BudgetError::MalformedEnv {
+                    value: v.to_string_lossy().into_owned(),
+                }),
             },
-            Err(_) => self,
+            _ => Ok(self),
         }
     }
 
@@ -111,7 +119,7 @@ impl MemoryBudget {
     /// an unbounded budget.
     pub fn validate_feasible(&self, min_feasible: u64) -> Result<(), BudgetError> {
         match (self.bytes, self.shards) {
-            (Some(b), None) if b < min_feasible => Err(BudgetError {
+            (Some(b), None) if b < min_feasible => Err(BudgetError::Infeasible {
                 budget: b,
                 min_feasible,
             }),
@@ -120,32 +128,50 @@ impl MemoryBudget {
     }
 }
 
-/// A memory budget no shard count can satisfy: the largest single vertex
-/// needs more resident bytes than the whole cap allows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetError {
-    /// The configured resident-byte cap.
-    pub budget: u64,
-    /// The smallest cap this input is feasible under.
-    pub min_feasible: u64,
+/// A memory budget the passes cannot run under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BudgetError {
+    /// No shard count can satisfy the budget: the largest single vertex
+    /// needs more resident bytes than the whole cap allows.
+    Infeasible {
+        /// The configured resident-byte cap.
+        budget: u64,
+        /// The smallest cap this input is feasible under.
+        min_feasible: u64,
+    },
+    /// `GPCLUST_MEM_BUDGET` holds a value that does not parse as bytes.
+    MalformedEnv {
+        /// The variable's value.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for BudgetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "memory budget of {} bytes is infeasible: the largest single \
-             vertex needs {} resident bytes (set GPCLUST_MEM_BUDGET or \
-             --mem-budget to at least {})",
-            self.budget, self.min_feasible, self.min_feasible
-        )
+        match self {
+            BudgetError::Infeasible {
+                budget,
+                min_feasible,
+            } => write!(
+                f,
+                "memory budget of {budget} bytes is infeasible: the largest \
+                 single vertex needs {min_feasible} resident bytes (set \
+                 GPCLUST_MEM_BUDGET or --mem-budget to at least {min_feasible})"
+            ),
+            BudgetError::MalformedEnv { value } => write!(
+                f,
+                "GPCLUST_MEM_BUDGET expects bytes with an optional K/M/G \
+                 suffix, got `{value}`"
+            ),
+        }
     }
 }
 
 impl std::error::Error for BudgetError {}
 
 /// Parse a byte count with an optional `K`/`M`/`G` (binary) suffix, e.g.
-/// `"64M"` → 67108864. Returns `None` for malformed input.
+/// `"64M"` → 67108864. Returns `None` for malformed input and for a
+/// count that overflows `u64`.
 pub fn parse_bytes(v: &str) -> Option<u64> {
     let v = v.trim();
     let (digits, mult) = match v.chars().last()? {
@@ -154,7 +180,7 @@ pub fn parse_bytes(v: &str) -> Option<u64> {
         'g' | 'G' => (&v[..v.len() - 1], 1u64 << 30),
         _ => (v, 1),
     };
-    digits.trim().parse::<u64>().ok().map(|n| n * mult)
+    digits.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
 /// [`ShinglingParams::par_sort_min`]'s value. Ignored like the field;
@@ -420,6 +446,8 @@ mod tests {
         assert_eq!(parse_bytes(" 8 M "), Some(8 << 20));
         assert_eq!(parse_bytes("x"), None);
         assert_eq!(parse_bytes(""), None);
+        assert_eq!(parse_bytes("16777215G"), Some(16_777_215 << 30));
+        assert_eq!(parse_bytes("17179869184G"), None, "2^64 overflows");
     }
 
     #[test]

@@ -373,11 +373,6 @@ impl GpClust {
         &self.gpus[0]
     }
 
-    /// The fleet.
-    pub(crate) fn gpus(&self) -> &[Gpu] {
-        &self.gpus
-    }
-
     /// Number of devices.
     pub fn n_devices(&self) -> usize {
         self.gpus.len()
@@ -400,7 +395,12 @@ impl GpClust {
         path: P,
     ) -> Result<GpClustReport, std::io::Error> {
         let start = Instant::now();
-        let res = if self.params.mem_budget.or_env().is_unbounded() {
+        let budget = self
+            .params
+            .mem_budget
+            .or_env()
+            .map_err(std::io::Error::other)?;
+        let res = if budget.is_unbounded() {
             let g = graph_io::read_file(path)?;
             let disk = start.elapsed().as_secs_f64();
             self.run(g.offsets(), ShardSource::Resident(g.flat()), disk)

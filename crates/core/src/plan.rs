@@ -76,7 +76,10 @@ impl Plan {
     /// rule; a device so slow it gets benched
     /// ([`crate::autotune::MIN_SHARE`])
     /// also stops bounding the batch size. Typed
-    /// [`DeviceError::DeviceLost`] once no device remains.
+    /// [`DeviceError::DeviceLost`] once no device remains, and a
+    /// [`DeviceError::HostIo`] carrying
+    /// [`crate::params::BudgetError::MalformedEnv`] when
+    /// `GPCLUST_MEM_BUDGET` does not parse.
     pub fn lower(params: &ShinglingParams, gpus: &[Gpu]) -> Result<Plan, DeviceError> {
         let weights = device_weights(gpus, params.kernel, params.c1);
         let shares = capability_shares(&weights);
@@ -97,7 +100,12 @@ impl Plan {
             shares,
             min_device_mem,
             capacity: batch_capacity(min_device_mem),
-            mem_budget: params.mem_budget.or_env(),
+            mem_budget: params
+                .mem_budget
+                .or_env()
+                .map_err(|e| DeviceError::HostIo {
+                    detail: e.to_string(),
+                })?,
         })
     }
 

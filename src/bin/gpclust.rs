@@ -21,8 +21,8 @@
 use gpclust::core::multi_gpu::MultiGpuClust;
 use gpclust::core::quality::ConfusionCounts;
 use gpclust::core::{
-    CheckpointConfig, CrashPlan, FaultPolicy, IncrementalEngine, IndexStore, Plan, RefreshMode,
-    SerialShingling, ShingleKernel, ShinglingParams,
+    CheckpointConfig, CrashPlan, FaultPolicy, IncrementalEngine, IndexStore, Plan, SerialShingling,
+    ShingleKernel, ShinglingParams,
 };
 use gpclust::gpu::{DeviceConfig, FaultPlan, Gpu};
 use gpclust::graph::{io as graph_io, Partition};
@@ -90,7 +90,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "serve",
         run: cmd_serve,
-        values: &["index-dir", "graph", "delta-batch", "refresh"],
+        values: &["index-dir", "graph", "delta-batch"],
         switches: &["resume", "no-degrade"],
         params: true,
     },
@@ -186,10 +186,6 @@ subcommands:
                                                [--delta-batch N] auto-flush
                                                once N edges are pending
                                                (default: explicit `flush`),
-                                               [--refresh auto|delta|full]
-                                               refresh policy (auto prices the
-                                               delta pass against a full
-                                               recluster per flush),
                                                plus the `cluster` parameter
                                                flags: --devices, --seed,
                                                --kernel, --mem-budget, --shards,
@@ -467,23 +463,12 @@ fn devices(args: &Flags) -> Result<Vec<Gpu>, String> {
         .collect())
 }
 
-/// `--refresh auto|delta|full`: how `serve` refreshes on each flush.
-fn parse_refresh(args: &Flags) -> Result<RefreshMode, String> {
-    match args.get("refresh").map(String::as_str) {
-        None | Some("auto") => Ok(RefreshMode::Auto),
-        Some("delta") => Ok(RefreshMode::Delta),
-        Some("full") => Ok(RefreshMode::Full),
-        Some(other) => Err(format!(
-            "--refresh must be `auto` (cost-model decision per flush), \
-             `delta` (always the incremental pass) or `full` (always \
-             re-cluster from scratch), got `{other}`"
-        )),
-    }
-}
-
 fn cmd_serve(args: &Flags) -> Result<(), String> {
     let dir = need(args, "index-dir")?;
     let params = params_from_flags(args)?;
+    // Refuse a malformed GPCLUST_MEM_BUDGET up front, as `cluster` does,
+    // rather than as a device failure inside the first pass.
+    params.mem_budget.or_env().map_err(|e| e.to_string())?;
     let gpus = devices(args)?;
     let store = IndexStore::new(&dir);
     let mut engine = if args.contains_key("resume") {
@@ -510,8 +495,7 @@ fn cmd_serve(args: &Flags) -> Result<(), String> {
             engine.n_vertices()
         );
         engine
-    }
-    .with_refresh(parse_refresh(args)?);
+    };
     let delta_batch = get(args, "delta-batch", 0usize)?;
 
     let stdin = std::io::stdin();

@@ -320,6 +320,10 @@ fn unknown_flags_and_malformed_values_exit_1_naming_the_flag() {
         (&["--devices", "two"], "--devices: cannot parse `two`"),
         (&["--seed", "abc"], "--seed: cannot parse `abc`"),
         (&["--kernel", "fast"], "--kernel must be"),
+        (
+            &["--mem-budget", "17179869184G"],
+            "--mem-budget expects bytes with an optional K/M/G suffix, got `17179869184G`",
+        ),
         (&["--seed"], "--seed needs a value"),
         (&["stray"], "unexpected argument `stray` for cluster"),
     ] {
@@ -339,6 +343,7 @@ fn unknown_flags_and_malformed_values_exit_1_naming_the_flag() {
     for (extra, named) in [
         (&["--overlap"][..], "unknown flag --overlap for serve"),
         (&["--plan", "auto"], "unknown flag --plan for serve"),
+        (&["--refresh", "auto"], "unknown flag --refresh for serve"),
         (
             &["--par-sort-min", "0"],
             "unknown flag --par-sort-min for serve",
@@ -352,6 +357,23 @@ fn unknown_flags_and_malformed_values_exit_1_naming_the_flag() {
         let (code, err) = exit(&args);
         assert_eq!(code, Some(1), "{extra:?} must exit 1: {err}");
         assert!(err.contains(&format!("error: {named}")), "{extra:?}: {err}");
+    }
+    // A malformed GPCLUST_MEM_BUDGET is refused like the flag, not
+    // ignored into an unbounded run.
+    for args in [&cluster[..], &serve[..]] {
+        let o = Command::new(bin())
+            .args(args)
+            .env("GPCLUST_MEM_BUDGET", "16MB")
+            .output()
+            .expect("spawn CLI");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{args:?} must exit 1: {err}");
+        assert!(
+            err.contains(
+                "error: GPCLUST_MEM_BUDGET expects bytes with an optional K/M/G suffix, got `16MB`"
+            ),
+            "{args:?}: {err}"
+        );
     }
 
     let valid: Vec<&str> = cluster
