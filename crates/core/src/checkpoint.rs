@@ -6,26 +6,29 @@
 //! ## Manifest journal
 //!
 //! A checkpointed run keeps a `manifest.json` in its checkpoint directory:
-//! the input fingerprint (FNV-1a over the offset array — the structure a
-//! spilled run is only valid against), the plan axes the run was lowered
-//! with, and one *entry group* per sharded pass invocation (keyed by a
-//! plan signature over the device capacity and the shard ranges), each
-//! entry recording a completed shard's sealed run files, their checksums,
-//! and its fragment-pool segment. Every rewrite is atomic and durable:
-//! temp file → `fsync` → `rename` → directory `fsync`, so the manifest on
-//! disk is always a complete, parseable journal of *committed* shards.
+//! the input fingerprint (FNV-1a over the offset array plus a bounded
+//! sample of the targets), the plan axes the run was lowered with, and a
+//! flat list of entries, one per committed Pass-I shard: its key, its
+//! element range `[lo, hi)` and its sealed run files with their
+//! checksums. A shard is cut on list boundaries, so every fragment of its
+//! lists comes back in its own pass and finalizes into one more sorted
+//! run before the seal: a shard's sealed runs depend only on the input,
+//! the axes and its range, never on the device capacity or the fleet.
+//! Every rewrite goes through `write_atomic` (temp file → `fsync` →
+//! `rename` → directory `fsync`), so the manifest on disk is always a
+//! complete, parseable journal of *committed* shards.
 //!
 //! ## Commit points and resume
 //!
-//! The drivers seal a shard (write + `fsync` its runs and pool segment),
-//! then commit its manifest entry — in that order, so a crash between the
-//! two leaves orphan files that the re-run simply overwrites. `--resume`
-//! re-lowers the same plan, refuses on fingerprint or axes mismatch with
-//! a typed [`CheckpointError`], re-verifies every surviving run's framing
-//! checksums, and re-executes only shards whose entries are absent or
-//! fail verification — bit-identical to an uninterrupted run because the
-//! reused runs and pool segments are byte-faithful replicas of what the
-//! uninterrupted run would have produced at the same point.
+//! The drivers seal a shard (write + `fsync` its runs), then commit its
+//! manifest entry — in that order, so a crash between the two leaves
+//! orphan files that the re-run simply overwrites. `--resume` re-lowers
+//! the same plan, refuses on fingerprint or axes mismatch with a typed
+//! [`CheckpointError`], re-verifies every surviving run's framing
+//! checksums, and re-executes only shards whose entries are absent,
+//! record another element range, or fail verification — bit-identical to
+//! an uninterrupted run because the reused runs hold exactly the records
+//! the uninterrupted run seals for the same range.
 //!
 //! ## Crash injection
 //!
@@ -36,24 +39,23 @@
 //! restart deterministically where a real `kill -9` cannot be replayed.
 
 use crate::params::{MemoryBudget, ShinglingParams};
-use crate::shingle::RawShingles;
-use crate::spill::{SpillStats, SpilledRun};
+use crate::spill::SpilledRun;
 use gpclust_gpu::DeviceError;
 use gpclust_support::json::{self, esc, Json};
 use gpclust_support::rng::StdRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// File name of the manifest journal inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
 /// Manifest format version (bumped on incompatible schema changes).
-const MANIFEST_VERSION: u64 = 1;
+const MANIFEST_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Checksums and fingerprints (hand-rolled: the workspace takes no new deps).
@@ -81,8 +83,7 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// Incremental IEEE CRC-32 — the per-frame checksum of spilled runs and
-/// pool segments. Table-driven, byte-at-a-time; plenty for detecting the
+/// Incremental IEEE CRC-32 — the per-frame checksum of spilled runs. Table-driven, byte-at-a-time; plenty for detecting the
 /// truncation and bit-flip corruption this layer guards against.
 #[derive(Debug, Clone)]
 pub struct Crc32(u32);
@@ -131,29 +132,24 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
     h
 }
 
-/// 64-bit FNV-1a over a word sequence (length-prefixed so `[a]` and
-/// `[a, 0]` differ) — the manifest's signature primitive.
-pub fn signature(parts: &[u64]) -> u64 {
-    let mut h = fnv_u64(FNV_OFFSET, parts.len() as u64);
-    for &p in parts {
-        h = fnv_u64(h, p);
-    }
-    h
-}
-
 /// How many targets from each end of the edge array the whole-input
 /// fingerprint samples. Bounded so the print stays cheap to recompute
 /// even when the target array lives on disk.
 pub const FINGERPRINT_SAMPLE: u64 = 1024;
 
 /// Fingerprint of a whole CSR input: FNV-1a over the offset array (vertex
-/// count, every list boundary, the element total) plus a bounded head/tail
-/// sample of the target array. Offsets alone pin only the degree
+/// count, every list boundary, the element total — length-prefixed so
+/// `[a]` and `[a, 0]` differ) plus a bounded head/tail sample of the
+/// target array. Offsets alone pin only the degree
 /// structure — two different graphs with the same degree sequence collide
 /// — so the print also folds in edge identity without ever reading more
 /// than `2 × FINGERPRINT_SAMPLE` targets.
 pub fn fingerprint_csr(offsets: &[u64], head: &[u32], tail: &[u32]) -> u64 {
-    let mut h = fnv_u64(signature(offsets), head.len() as u64);
+    let mut h = fnv_u64(FNV_OFFSET, offsets.len() as u64);
+    for &o in offsets {
+        h = fnv_u64(h, o);
+    }
+    h = fnv_u64(h, head.len() as u64);
     for &t in head.iter().chain(tail) {
         h = fnv_u64(h, t as u64);
     }
@@ -175,8 +171,8 @@ pub const KILL_MARKER: &str = "crash-injected kill";
 /// The named boundaries a checkpointed run can be killed at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
-    /// After a shard's runs and pool segment are sealed (written + synced)
-    /// but before its manifest entry commits — resume re-runs the shard,
+    /// After a shard's runs are sealed (written + synced) but before its
+    /// manifest entry commits — resume re-runs the shard,
     /// overwriting the orphan files.
     ShardSeal,
     /// After the shard's manifest entry commits — resume skips the shard.
@@ -449,7 +445,7 @@ pub(crate) fn to_device(e: impl fmt::Display) -> DeviceError {
 /// (tests; [`CrashPlan::none`] in production).
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Directory holding `manifest.json` and the sealed run/pool files.
+    /// Directory holding `manifest.json` and the sealed run files.
     pub dir: PathBuf,
     /// Resume from the existing manifest (refusing on fingerprint/axes
     /// mismatch) instead of starting a fresh journal.
@@ -506,49 +502,25 @@ impl RunMeta {
     }
 }
 
-/// Manifest record of one shard's fragment-pool segment.
-#[derive(Debug, Clone)]
-pub struct PoolMeta {
-    /// File name inside the checkpoint directory.
-    pub file: String,
-    /// Record count.
-    pub records: u64,
-    /// CRC-32 over the segment's payload bytes.
-    pub crc: u32,
-}
-
+/// One committed shard: its element range and its sealed runs.
 #[derive(Debug, Clone)]
 struct ManifestEntry {
-    key: u64,
-    input_fp: u64,
+    lo: u64,
+    hi: u64,
     runs: Vec<RunMeta>,
-    pool: Option<PoolMeta>,
-}
-
-#[derive(Debug, Clone)]
-struct ManifestGroup {
-    sig: u64,
-    entries: Vec<ManifestEntry>,
-}
-
-/// A verified, reusable shard reloaded from the checkpoint directory.
-#[derive(Debug)]
-pub struct ReusedEntry {
-    /// The shard's sealed runs, reopened and checksum-verified.
-    pub runs: Vec<SpilledRun>,
-    /// The shard's fragment-pool contribution, in original record order.
-    pub pool: RawShingles,
 }
 
 /// Outcome of asking the journal for a completed shard.
 #[derive(Debug)]
 pub enum Reuse {
-    /// The entry exists and every file verified clean.
-    Hit(ReusedEntry),
+    /// The entry exists and every file verified clean: the shard's
+    /// sealed runs, reopened and checksum-verified.
+    Hit(Vec<SpilledRun>),
     /// The entry exists but a file is corrupt, truncated, or mismatched —
-    /// detected, dropped, and the shard re-executes.
+    /// detected, and the shard re-executes.
     Invalid,
-    /// No entry: the shard never committed.
+    /// No entry for this shard's key and element range: the shard never
+    /// committed, or committed under another carving.
     Miss,
 }
 
@@ -556,11 +528,8 @@ pub enum Reuse {
 /// walking only this record's keys, so a manifest that also records axes
 /// this build no longer has still resumes. The kernel is not an axis:
 /// both kernels seal bit-identical records, so a journal written under
-/// one resumes under the other. Capacity-derived quantities are
-/// deliberately *not* here either: they live in
-/// the per-invocation group signature, where a mismatch means "no
-/// reusable entries", not "refuse the resume" (an OOM backoff mid-run
-/// must not strand an otherwise valid checkpoint).
+/// one resumes under the other. The device capacity is not one either: a
+/// shard's sealed runs do not depend on where its batches were cut.
 pub fn axes_record(
     p: &ShinglingParams,
     budget: MemoryBudget,
@@ -596,15 +565,9 @@ pub struct Checkpointer {
     dir: PathBuf,
     fingerprint: u64,
     axes: BTreeMap<String, String>,
-    /// Groups begun this process — what [`Checkpointer::persist`] writes.
-    groups: Vec<ManifestGroup>,
-    /// Groups loaded from a resumed manifest, awaiting [`begin_group`].
-    ///
-    /// [`begin_group`]: Checkpointer::begin_group
-    loaded: Vec<ManifestGroup>,
-    /// Reusable entries of the active group, keyed by shard key.
-    reusable: HashMap<u64, ManifestEntry>,
-    active: Option<usize>,
+    /// One entry per committed shard key (a re-run shard's commit
+    /// replaces its entry) — what [`Checkpointer::persist`] writes.
+    entries: BTreeMap<u64, ManifestEntry>,
 }
 
 impl Checkpointer {
@@ -619,60 +582,49 @@ impl Checkpointer {
         axes: &BTreeMap<String, String>,
     ) -> Result<Checkpointer, CheckpointError> {
         fs::create_dir_all(&cfg.dir)?;
-        let path = cfg.dir.join(MANIFEST_FILE);
-        if cfg.resume {
-            let text = fs::read_to_string(&path).map_err(|e| {
-                if e.kind() == io::ErrorKind::NotFound {
-                    CheckpointError::Missing { path: path.clone() }
-                } else {
-                    CheckpointError::Io(e)
-                }
-            })?;
-            let loaded = parse_manifest(&text).map_err(|detail| CheckpointError::Corrupt {
-                path: path.clone(),
-                detail,
-            })?;
-            if loaded.fingerprint != fingerprint {
-                return Err(CheckpointError::FingerprintMismatch {
-                    manifest: loaded.fingerprint,
-                    current: fingerprint,
-                });
-            }
-            for (axis, current) in axes {
-                match loaded.axes.get(axis) {
-                    Some(recorded) if recorded == current => {}
-                    recorded => {
-                        return Err(CheckpointError::AxesMismatch {
-                            axis: axis.clone(),
-                            manifest: recorded.cloned().unwrap_or_else(|| "<absent>".into()),
-                            current: current.clone(),
-                        })
-                    }
-                }
-            }
-            Ok(Checkpointer {
-                dir: cfg.dir.clone(),
-                fingerprint,
-                axes: axes.clone(),
-                groups: Vec::new(),
-                loaded: loaded.groups,
-                reusable: HashMap::new(),
-                active: None,
-            })
-        } else {
+        let mut ck = Checkpointer {
+            dir: cfg.dir.clone(),
+            fingerprint,
+            axes: axes.clone(),
+            entries: BTreeMap::new(),
+        };
+        if !cfg.resume {
             sweep_sealed_files(&cfg.dir)?;
-            let ck = Checkpointer {
-                dir: cfg.dir.clone(),
-                fingerprint,
-                axes: axes.clone(),
-                groups: Vec::new(),
-                loaded: Vec::new(),
-                reusable: HashMap::new(),
-                active: None,
-            };
             ck.persist()?;
-            Ok(ck)
+            return Ok(ck);
         }
+        let path = cfg.dir.join(MANIFEST_FILE);
+        let text = fs::read_to_string(&path).map_err(|e| {
+            if e.kind() == io::ErrorKind::NotFound {
+                CheckpointError::Missing { path: path.clone() }
+            } else {
+                CheckpointError::Io(e)
+            }
+        })?;
+        let loaded = parse_manifest(&text).map_err(|detail| CheckpointError::Corrupt {
+            path: path.clone(),
+            detail,
+        })?;
+        if loaded.fingerprint != fingerprint {
+            return Err(CheckpointError::FingerprintMismatch {
+                manifest: loaded.fingerprint,
+                current: fingerprint,
+            });
+        }
+        for (axis, current) in axes {
+            match loaded.axes.get(axis) {
+                Some(recorded) if recorded == current => {}
+                recorded => {
+                    return Err(CheckpointError::AxesMismatch {
+                        axis: axis.clone(),
+                        manifest: recorded.cloned().unwrap_or_else(|| "<absent>".into()),
+                        current: current.clone(),
+                    })
+                }
+            }
+        }
+        ck.entries = loaded.entries;
+        Ok(ck)
     }
 
     /// The input fingerprint the journal was opened with.
@@ -680,69 +632,27 @@ impl Checkpointer {
         self.fingerprint
     }
 
-    /// Start (or re-enter) the entry group for one sharded pass
-    /// invocation. A loaded group with the same `sig` donates its entries
-    /// for reuse; a sig never seen before starts empty — entries from
-    /// other signatures are simply not reusable (their shard carving
-    /// differs), never grounds for refusing the run.
-    pub fn begin_group(&mut self, sig: u64) {
-        self.reusable.clear();
-        if let Some(i) = self.groups.iter().position(|g| g.sig == sig) {
-            // Re-entered within this process (an OOM backoff replaying the
-            // pass at an unchanged shard capacity): this attempt's own
-            // commits become reusable, pending re-verification.
-            for e in std::mem::take(&mut self.groups[i].entries) {
-                self.reusable.insert(e.key, e);
-            }
-            self.active = Some(i);
-            return;
-        }
-        if let Some(i) = self.loaded.iter().position(|g| g.sig == sig) {
-            for e in self.loaded.swap_remove(i).entries {
-                self.reusable.insert(e.key, e);
-            }
-        }
-        self.groups.push(ManifestGroup {
-            sig,
-            entries: Vec::new(),
-        });
-        self.active = Some(self.groups.len() - 1);
-    }
-
-    fn active_sig(&self) -> u64 {
-        self.groups[self.active.expect("begin_group before naming files")].sig
-    }
-
-    /// File name of sealed run `k` of shard `key` in the active group.
+    /// File name of sealed run `k` of shard `key`.
     pub fn run_file(&self, key: u64, k: usize) -> String {
-        format!("g{:016x}-e{key}-r{k}.run", self.active_sig())
+        format!("e{key}-r{k}.run")
     }
 
-    /// Path of sealed run `k` of shard `key` in the active group.
+    /// Path of sealed run `k` of shard `key`.
     pub fn run_path(&self, key: u64, k: usize) -> PathBuf {
         self.dir.join(self.run_file(key, k))
     }
 
-    /// File name of shard `key`'s pool segment in the active group.
-    pub fn pool_file(&self, key: u64) -> String {
-        format!("g{:016x}-e{key}.pool", self.active_sig())
-    }
-
-    /// Path of shard `key`'s pool segment in the active group.
-    pub fn pool_path(&self, key: u64) -> PathBuf {
-        self.dir.join(self.pool_file(key))
-    }
-
-    /// Ask the journal for shard `key` of an input with `input_fp`,
+    /// Ask the journal for shard `key` covering the elements `range`,
     /// re-verifying every surviving file's checksums (`s` is the shingle
-    /// size the records must carry). A [`Reuse::Hit`] moves the entry
-    /// into the active group so later commits keep it in the journal.
-    pub fn take_entry(&mut self, key: u64, input_fp: u64, s: usize) -> Reuse {
-        let Some(entry) = self.reusable.remove(&key) else {
+    /// size the records must carry). An entry recorded for another range
+    /// is a [`Reuse::Miss`]: the shard carving changed, nothing is
+    /// damaged.
+    pub fn take_entry(&self, key: u64, range: &Range<u64>, s: usize) -> Reuse {
+        let Some(entry) = self.entries.get(&key) else {
             return Reuse::Miss;
         };
-        if entry.input_fp != input_fp {
-            return Reuse::Invalid;
+        if entry.lo != range.start || entry.hi != range.end {
+            return Reuse::Miss;
         }
         let mut runs = Vec::with_capacity(entry.runs.len());
         for rm in &entry.runs {
@@ -754,51 +664,31 @@ impl Checkpointer {
                 _ => return Reuse::Invalid,
             }
         }
-        let mut pool = RawShingles::new(s);
-        if let Some(pm) = &entry.pool {
-            if read_pool(&self.dir.join(&pm.file), pm.records, pm.crc, &mut pool).is_err() {
-                return Reuse::Invalid;
-            }
-        }
-        let gi = self.active.expect("begin_group before take_entry");
-        self.groups[gi].entries.push(entry);
-        Reuse::Hit(ReusedEntry { runs, pool })
+        Reuse::Hit(runs)
     }
 
-    /// Commit shard `key`: append its entry and atomically persist the
-    /// journal. The caller must have sealed (written + synced) every file
-    /// the entry names *before* committing — the crash contract is that a
-    /// committed entry's files are always durable.
+    /// Commit shard `key` over the elements `range`: record (or replace)
+    /// its entry and atomically persist the journal. The caller must have
+    /// sealed (written + synced) every file the entry names *before*
+    /// committing — the crash contract is that a committed entry's files
+    /// are always durable.
     pub fn commit_entry(
         &mut self,
         key: u64,
-        input_fp: u64,
+        range: &Range<u64>,
         runs: Vec<RunMeta>,
-        pool: Option<PoolMeta>,
     ) -> io::Result<()> {
-        let gi = self.active.expect("begin_group before commit_entry");
-        self.groups[gi].entries.push(ManifestEntry {
-            key,
-            input_fp,
+        let entry = ManifestEntry {
+            lo: range.start,
+            hi: range.end,
             runs,
-            pool,
-        });
+        };
+        self.entries.insert(key, entry);
         self.persist()
     }
 
-    /// Atomically rewrite the manifest: temp file, `fsync`, rename over
-    /// [`MANIFEST_FILE`], `fsync` the directory.
     fn persist(&self) -> io::Result<()> {
-        let tmp = self.dir.join("manifest.json.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(self.to_json().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
-        #[cfg(unix)]
-        File::open(&self.dir)?.sync_all()?;
-        Ok(())
+        write_atomic(&self.dir, MANIFEST_FILE, self.to_json().as_bytes())
     }
 
     /// The run completed: remove the manifest and every sealed file (the
@@ -821,42 +711,26 @@ impl Checkpointer {
             }
             out.push_str(&format!("\"{}\": \"{}\"", esc(k), esc(v)));
         }
-        out.push_str("},\n  \"groups\": [");
-        for (gi, g) in self.groups.iter().enumerate() {
-            if gi > 0 {
+        out.push_str("},\n  \"entries\": [");
+        for (ei, (key, e)) in self.entries.iter().enumerate() {
+            if ei > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {{\"sig\": {}, \"entries\": [", g.sig));
-            for (ei, e) in g.entries.iter().enumerate() {
-                if ei > 0 {
+            out.push_str(&format!(
+                "\n    {{\"key\": {key}, \"lo\": {}, \"hi\": {}, \"runs\": [",
+                e.lo, e.hi
+            ));
+            for (ri, r) in e.runs.iter().enumerate() {
+                if ri > 0 {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n      {{\"key\": {}, \"input_fp\": {}, \"runs\": [",
-                    e.key, e.input_fp
+                    "{{\"file\": \"{}\", \"records\": {}, \"s\": {}, \"crc\": {}}}",
+                    esc(&r.file),
+                    r.records,
+                    r.s,
+                    r.crc
                 ));
-                for (ri, r) in e.runs.iter().enumerate() {
-                    if ri > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"file\": \"{}\", \"records\": {}, \"s\": {}, \"crc\": {}}}",
-                        esc(&r.file),
-                        r.records,
-                        r.s,
-                        r.crc
-                    ));
-                }
-                out.push(']');
-                if let Some(p) = &e.pool {
-                    out.push_str(&format!(
-                        ", \"pool\": {{\"file\": \"{}\", \"records\": {}, \"crc\": {}}}",
-                        esc(&p.file),
-                        p.records,
-                        p.crc
-                    ));
-                }
-                out.push('}');
             }
             out.push_str("]}");
         }
@@ -865,7 +739,25 @@ impl Checkpointer {
     }
 }
 
-/// Remove every sealed run/pool file in `dir` (not the manifest).
+/// Atomically and durably replace `dir/file` with `bytes`: write a temp
+/// file, `fsync` it, rename it over `file`, then `fsync` the directory so
+/// the rename itself survives a power cut. The one commit step of both
+/// the run journal and the index store.
+pub(crate) fn write_atomic(dir: &Path, file: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{file}.tmp"));
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, dir.join(file))?;
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// Remove every sealed file in `dir` (not the manifest) — runs, and the
+/// `.pool` fragment segments journals of the previous format sealed.
 fn sweep_sealed_files(dir: &Path) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -878,142 +770,10 @@ fn sweep_sealed_files(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Pool segments: a shard's fragment-pool contribution, made durable.
-// ---------------------------------------------------------------------------
-
-const POOL_MAGIC: &[u8; 8] = b"GPCLPOL1";
-const POOL_HEADER: usize = 32;
-
-/// Seal `raw`'s records from index `start` on into `path` — the shard's
-/// fragment-pool delta, in emission order (resume must append it to the
-/// global pool exactly where the uninterrupted run would have). Returns
-/// `(records, payload crc)`; traffic tallies into `stats`. The file is
-/// synced before returning, per the seal-before-commit contract.
-pub fn write_pool(
-    path: &Path,
-    raw: &RawShingles,
-    start: usize,
-    stats: &mut SpillStats,
-) -> io::Result<(u64, u32)> {
-    let t0 = Instant::now();
-    let records = (raw.len() - start) as u64;
-    let mut payload = Vec::new();
-    for i in start..raw.len() {
-        let (trial, node, pairs) = raw.record(i);
-        payload.extend_from_slice(&trial.to_le_bytes());
-        payload.extend_from_slice(&node.to_le_bytes());
-        payload.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for &p in pairs {
-            payload.extend_from_slice(&p.to_le_bytes());
-        }
-    }
-    let crc = crc32(&payload);
-    let mut header = [0u8; POOL_HEADER];
-    header[..8].copy_from_slice(POOL_MAGIC);
-    header[8..16].copy_from_slice(&records.to_le_bytes());
-    header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[24..28].copy_from_slice(&crc.to_le_bytes());
-    let mut f = File::create(path)?;
-    f.write_all(&header)?;
-    f.write_all(&payload)?;
-    f.sync_all()?;
-    stats.bytes += (POOL_HEADER + payload.len()) as u64;
-    stats.write_seconds += t0.elapsed().as_secs_f64();
-    Ok((records, crc))
-}
-
-fn pool_corrupt(path: &Path, offset: u64, detail: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "pool segment {} corrupt at byte {offset}: {detail}",
-            path.display()
-        ),
-    )
-}
-
-/// Reload a pool segment into `into`, verifying the length framing, the
-/// payload CRC, and the record count against the manifest's expectation —
-/// truncation and bit flips are detected, never silently appended.
-pub fn read_pool(
-    path: &Path,
-    expected_records: u64,
-    expected_crc: u32,
-    into: &mut RawShingles,
-) -> io::Result<()> {
-    let mut f = File::open(path)?;
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)?;
-    if bytes.len() < POOL_HEADER {
-        return Err(pool_corrupt(path, bytes.len() as u64, "truncated header"));
-    }
-    if &bytes[..8] != POOL_MAGIC {
-        return Err(pool_corrupt(path, 0, "bad magic"));
-    }
-    let records = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-    if records != expected_records || crc != expected_crc {
-        return Err(pool_corrupt(path, 8, "header disagrees with manifest"));
-    }
-    if bytes.len() != POOL_HEADER + payload_len {
-        return Err(pool_corrupt(
-            path,
-            bytes.len() as u64,
-            "payload length mismatch",
-        ));
-    }
-    let payload = &bytes[POOL_HEADER..];
-    if crc32(payload) != crc {
-        return Err(pool_corrupt(
-            path,
-            POOL_HEADER as u64,
-            "payload CRC mismatch",
-        ));
-    }
-    let mut pos = 0usize;
-    let mut pairs: Vec<u64> = Vec::new();
-    for _ in 0..records {
-        if payload.len() - pos < 12 {
-            return Err(pool_corrupt(
-                path,
-                (POOL_HEADER + pos) as u64,
-                "truncated record",
-            ));
-        }
-        let trial = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap());
-        let node = u32::from_le_bytes(payload[pos + 4..pos + 8].try_into().unwrap());
-        let n_pairs = u32::from_le_bytes(payload[pos + 8..pos + 12].try_into().unwrap()) as usize;
-        pos += 12;
-        if n_pairs > into.s() || payload.len() - pos < n_pairs * 8 {
-            return Err(pool_corrupt(
-                path,
-                (POOL_HEADER + pos) as u64,
-                "bad pair count",
-            ));
-        }
-        pairs.clear();
-        for p in payload[pos..pos + n_pairs * 8].chunks_exact(8) {
-            pairs.push(u64::from_le_bytes(p.try_into().unwrap()));
-        }
-        pos += n_pairs * 8;
-        into.push(trial, node, &pairs);
-    }
-    if pos != payload.len() {
-        return Err(pool_corrupt(
-            path,
-            (POOL_HEADER + pos) as u64,
-            "trailing bytes after last record",
-        ));
-    }
-    Ok(())
-}
-
 struct LoadedManifest {
     fingerprint: u64,
     axes: BTreeMap<String, String>,
-    groups: Vec<ManifestGroup>,
+    entries: BTreeMap<u64, ManifestEntry>,
 }
 
 fn parse_manifest(text: &str) -> Result<LoadedManifest, String> {
@@ -1031,41 +791,28 @@ fn parse_manifest(text: &str) -> Result<LoadedManifest, String> {
     } else {
         return Err("axes must be an object".into());
     }
-    let mut groups = Vec::new();
-    for g in root.get("groups")?.as_arr()? {
-        let sig = g.get("sig")?.as_u64()?;
-        let mut entries = Vec::new();
-        for e in g.get("entries")?.as_arr()? {
-            let mut runs = Vec::new();
-            for r in e.get("runs")?.as_arr()? {
-                runs.push(RunMeta {
-                    file: r.get("file")?.as_str()?.to_string(),
-                    records: r.get("records")?.as_u64()?,
-                    s: r.get("s")?.as_u64()?,
-                    crc: r.get("crc")?.as_u64()? as u32,
-                });
-            }
-            let pool = match e.get_opt("pool") {
-                Some(pm) => Some(PoolMeta {
-                    file: pm.get("file")?.as_str()?.to_string(),
-                    records: pm.get("records")?.as_u64()?,
-                    crc: pm.get("crc")?.as_u64()? as u32,
-                }),
-                None => None,
-            };
-            entries.push(ManifestEntry {
-                key: e.get("key")?.as_u64()?,
-                input_fp: e.get("input_fp")?.as_u64()?,
-                runs,
-                pool,
+    let mut entries = BTreeMap::new();
+    for e in root.get("entries")?.as_arr()? {
+        let mut runs = Vec::new();
+        for r in e.get("runs")?.as_arr()? {
+            runs.push(RunMeta {
+                file: r.get("file")?.as_str()?.to_string(),
+                records: r.get("records")?.as_u64()?,
+                s: r.get("s")?.as_u64()?,
+                crc: r.get("crc")?.as_u64()? as u32,
             });
         }
-        groups.push(ManifestGroup { sig, entries });
+        let entry = ManifestEntry {
+            lo: e.get("lo")?.as_u64()?,
+            hi: e.get("hi")?.as_u64()?,
+            runs,
+        };
+        entries.insert(e.get("key")?.as_u64()?, entry);
     }
     Ok(LoadedManifest {
         fingerprint,
         axes,
-        groups,
+        entries,
     })
 }
 
@@ -1073,7 +820,7 @@ fn parse_manifest(text: &str) -> Result<LoadedManifest, String> {
 mod tests {
     use super::*;
     use crate::aggregate::SortedRun;
-    use crate::minwise::pack;
+    use crate::spill::SpillStats;
 
     #[test]
     fn crc32_matches_the_reference_check_value() {
@@ -1098,7 +845,6 @@ mod tests {
         assert_eq!(x, fingerprint_csr(&off, &[1, 0], &[1, 0]));
         assert_ne!(x, fingerprint_csr(&off, &[2, 0], &[2, 0]));
         assert_ne!(x, fingerprint_csr(&off, &[1, 0], &[1, 2]));
-        assert_ne!(signature(&[1, 2]), signature(&[1, 2, 0]));
     }
 
     #[test]
@@ -1185,42 +931,51 @@ mod tests {
         let fp = fingerprint_csr(&[0, 3, 6], &[], &[]);
 
         let mut ck = Checkpointer::open(&cfg, fp, &axes()).unwrap();
-        ck.begin_group(42);
         let run = sample_run(100);
         let sealed = SpilledRun::write_at(ck.run_path(0, 0), 2, &run, &mut stats, true).unwrap();
-        let mut pool = RawShingles::new(2);
-        pool.push(1, 5, &[pack(9, 9), pack(3, 3)]);
-        pool.push(2, 5, &[pack(1, 1)]);
-        let (recs, crc) = write_pool(&ck.pool_path(0), &pool, 0, &mut stats).unwrap();
-        ck.commit_entry(
-            0,
-            fp,
-            vec![RunMeta::of(ck.run_file(0, 0), &sealed)],
-            Some(PoolMeta {
-                file: ck.pool_file(0),
-                records: recs,
-                crc,
-            }),
-        )
-        .unwrap();
+        ck.commit_entry(0, &(0..6), vec![RunMeta::of(ck.run_file(0, 0), &sealed)])
+            .unwrap();
         drop(sealed); // keep = true: the sealed file must survive the drop
-        assert!(dir.join("g000000000000002a-e0-r0.run").exists());
+        assert!(dir.join("e0-r0.run").exists());
 
-        let mut ck = Checkpointer::open(&cfg.clone().resuming(), fp, &axes()).unwrap();
-        ck.begin_group(42);
-        match ck.take_entry(0, fp, 2) {
-            Reuse::Hit(e) => {
-                assert_eq!(e.runs.len(), 1);
-                assert_eq!(e.runs[0].len(), 100);
-                assert_eq!(e.pool.len(), 2);
-                assert_eq!(e.pool.record(0), (1, 5, &[pack(9, 9), pack(3, 3)][..]));
+        let ck = Checkpointer::open(&cfg.clone().resuming(), fp, &axes()).unwrap();
+        match ck.take_entry(0, &(0..6), 2) {
+            Reuse::Hit(runs) => {
+                assert_eq!(runs.len(), 1);
+                assert_eq!(runs[0].len(), 100);
             }
             other => panic!("expected reuse, got {other:?}"),
         }
-        assert!(matches!(ck.take_entry(1, fp, 2), Reuse::Miss));
+        assert!(matches!(ck.take_entry(1, &(6..9), 2), Reuse::Miss));
+        // Another element range under the same key: the carving changed.
+        assert!(matches!(ck.take_entry(0, &(0..3), 2), Reuse::Miss));
         ck.finalize().unwrap();
         assert!(!dir.join(MANIFEST_FILE).exists());
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_recommit_replaces_the_shard_entry() {
+        let dir = test_dir("recommit");
+        let cfg = CheckpointConfig::new(&dir);
+        let mut stats = SpillStats::default();
+        let mut ck = Checkpointer::open(&cfg, 5, &axes()).unwrap();
+        for (range, n) in [(0..4, 30), (0..8, 60)] {
+            let sealed =
+                SpilledRun::write_at(ck.run_path(0, 0), 2, &sample_run(n), &mut stats, true)
+                    .unwrap();
+            ck.commit_entry(0, &range, vec![RunMeta::of(ck.run_file(0, 0), &sealed)])
+                .unwrap();
+        }
+        let text = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        assert_eq!(text.matches("\"key\"").count(), 1, "{text}");
+        let ck = Checkpointer::open(&cfg.resuming(), 5, &axes()).unwrap();
+        assert!(matches!(ck.take_entry(0, &(0..4), 2), Reuse::Miss));
+        match ck.take_entry(0, &(0..8), 2) {
+            Reuse::Hit(runs) => assert_eq!(runs[0].len(), 60),
+            other => panic!("expected reuse, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1250,8 +1005,20 @@ mod tests {
         assert!(matches!(err, CheckpointError::Missing { .. }), "{err}");
 
         fs::write(dir.join(MANIFEST_FILE), "{not json").unwrap();
-        let err = Checkpointer::open(&cfg.resuming(), fp, &axes()).unwrap_err();
+        let err = Checkpointer::open(&cfg.clone().resuming(), fp, &axes()).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+
+        // A journal of the previous format (version 1: entry groups keyed
+        // by plan signature) is refused, not read.
+        let v1 =
+            format!("{{\"version\": 1, \"fingerprint\": {fp}, \"axes\": {{}}, \"groups\": []}}");
+        fs::write(dir.join(MANIFEST_FILE), v1).unwrap();
+        match Checkpointer::open(&cfg.resuming(), fp, &axes()).unwrap_err() {
+            CheckpointError::Corrupt { detail, .. } => {
+                assert_eq!(detail, "unsupported manifest version 1")
+            }
+            other => panic!("expected a corrupt-manifest refusal, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1262,11 +1029,10 @@ mod tests {
         let mut stats = SpillStats::default();
         let fp = 77;
         let mut ck = Checkpointer::open(&cfg, fp, &axes()).unwrap();
-        ck.begin_group(1);
         let run = sample_run(50);
         let sealed = SpilledRun::write_at(ck.run_path(0, 0), 2, &run, &mut stats, true).unwrap();
         let path = ck.run_path(0, 0);
-        ck.commit_entry(0, fp, vec![RunMeta::of(ck.run_file(0, 0), &sealed)], None)
+        ck.commit_entry(0, &(0..10), vec![RunMeta::of(ck.run_file(0, 0), &sealed)])
             .unwrap();
         drop(sealed);
 
@@ -1275,44 +1041,14 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let mut ck = Checkpointer::open(&cfg.clone().resuming(), fp, &axes()).unwrap();
-        ck.begin_group(1);
-        assert!(matches!(ck.take_entry(0, fp, 2), Reuse::Invalid));
+        let ck = Checkpointer::open(&cfg.clone().resuming(), fp, &axes()).unwrap();
+        assert!(matches!(ck.take_entry(0, &(0..10), 2), Reuse::Invalid));
 
         // Truncation is detected too.
         bytes.truncate(bytes.len() / 2);
         fs::write(&path, &bytes).unwrap();
-        let mut ck = Checkpointer::open(&cfg.resuming(), fp, &axes()).unwrap();
-        ck.begin_group(1);
-        assert!(matches!(ck.take_entry(0, fp, 2), Reuse::Invalid));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pool_segment_detects_corruption_and_truncation() {
-        let dir = test_dir("pool");
-        let mut stats = SpillStats::default();
-        let mut pool = RawShingles::new(2);
-        for i in 0..10u32 {
-            pool.push(i, i * 2, &[pack(i, i), pack(i + 1, i + 1)]);
-        }
-        let path = dir.join("x.pool");
-        let (recs, crc) = write_pool(&path, &pool, 3, &mut stats).unwrap();
-        assert_eq!(recs, 7);
-        let mut back = RawShingles::new(2);
-        read_pool(&path, recs, crc, &mut back).unwrap();
-        assert_eq!(back.len(), 7);
-        assert_eq!(back.record(0), pool.record(3));
-
-        let bytes = fs::read(&path).unwrap();
-        let mut flipped = bytes.clone();
-        let mid = POOL_HEADER + 5;
-        flipped[mid] ^= 0x01;
-        fs::write(&path, &flipped).unwrap();
-        assert!(read_pool(&path, recs, crc, &mut RawShingles::new(2)).is_err());
-
-        fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        assert!(read_pool(&path, recs, crc, &mut RawShingles::new(2)).is_err());
+        let ck = Checkpointer::open(&cfg.resuming(), fp, &axes()).unwrap();
+        assert!(matches!(ck.take_entry(0, &(0..10), 2), Reuse::Invalid));
         let _ = fs::remove_dir_all(&dir);
     }
 

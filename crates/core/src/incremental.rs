@@ -14,12 +14,10 @@
 //! [`Partition`] is *identical* to re-clustering the union graph from
 //! scratch, across kernels × shards × fleets × faults.
 //!
-//! Refresh policy: a flush whose touched lists hold at least
-//! [`FULL_REFRESH_SHARE`] of the union graph's adjacency elements
-//! re-clusters from scratch (the body [`IncrementalEngine::bootstrap`]
-//! runs); a smaller one runs the delta pass. Large deltas pay index
-//! upkeep (retraction scan, k-way merge, re-inversion) without saving
-//! much Pass-I work.
+//! Every flush runs the delta pass, whatever share of the graph it
+//! touches; only [`IncrementalEngine::bootstrap`] shingles the whole
+//! graph. Past about half the elements a from-scratch Pass I would be
+//! marginally faster, but no workload flushes deltas that large.
 //!
 //! Durability: with an attached [`IndexStore`], every flush seals a new
 //! snapshot generation (index run + union graph + partition) through the
@@ -58,6 +56,9 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Config(msg) => write!(f, "engine configuration: {msg}"),
+            // A host-side failure (an infeasible budget, spill I/O) is
+            // no device failure: it reads as itself, as `cluster` prints it.
+            EngineError::Device(DeviceError::HostIo { detail }) => f.write_str(detail),
             EngineError::Device(e) => write!(f, "device pass failed: {e}"),
             EngineError::Checkpoint(e) => write!(f, "index store: {e}"),
         }
@@ -78,37 +79,11 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// The share of the union graph's adjacency elements the touched lists
-/// must hold for [`IncrementalEngine::flush`] to re-cluster from scratch
-/// instead of running the delta pass.
-///
-/// Measured with `gpclust serve` (release build, one simulated K20,
-/// shared 2-vCPU VM) on the benchmark's 2K- and 10K-vertex graphs:
-/// `flush` → `flushed` latency, median of 7 fresh sessions per cell,
-/// each touched vertex given one new edge. Figures are delta / full in
-/// ms, each path forced:
-///
-/// | touched vertices | 2K-vertex graph | 10K-vertex graph |
-/// |---|---|---|
-/// | 1 % | 125 / 134 | 1005 / 1142 |
-/// | 5 % | 135 / 155 | 963 / 1204 |
-/// | 20 % | 180 / 206 | 1184 / 1337 |
-/// | 50 % | 213 / 247 | 1264 / 1195 |
-/// | 100 % | 262 / 258 | 1216 / 1133 |
-///
-/// Touched vertices are drawn uniformly, so their share of the elements
-/// tracks their share of the vertices. The delta path wins on both
-/// graphs up to a fifth of the vertices and the full path once all are
-/// touched; at a half the two split within the run-to-run spread, so the
-/// paths cross near one half.
-pub const FULL_REFRESH_SHARE: f64 = 0.5;
-
 /// What a flush decided.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshDecision {
-    /// Whether the engine re-clustered from scratch instead of running a
-    /// delta pass: the touched lists held at least
-    /// [`FULL_REFRESH_SHARE`] of the union's adjacency elements.
+    /// Always `false`: every flush runs the delta pass. Kept so readers
+    /// of the decision keep compiling.
     pub full: bool,
     /// Vertices whose adjacency lists actually changed.
     pub touched: usize,
@@ -182,9 +157,9 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// Cluster `base` from scratch and seed the engine with its canonical
-    /// index and partition. A memory budget too small for `base` is
-    /// refused here, before any pass runs.
+    /// Cluster `base` from scratch — Pass I over the whole graph — and
+    /// seed the engine with its canonical index and partition. A memory
+    /// budget too small for `base` is refused here, before any pass runs.
     pub fn bootstrap(
         params: &ShinglingParams,
         gpus: Vec<Gpu>,
@@ -195,8 +170,8 @@ impl IncrementalEngine {
         let mut engine = IncrementalEngine {
             params,
             fleet,
-            // Placeholder; the bootstrap refresh installs `base` as the
-            // first sealed state.
+            // Placeholder; the commit below installs `base` as the first
+            // sealed state.
             base: Csr::from_raw(vec![0], Vec::new()),
             index: ShingleIndex::new(params.s1),
             partition: Partition::singletons(0),
@@ -206,7 +181,13 @@ impl IncrementalEngine {
             spill: SpillStats::default(),
             recovery: RecoveryReport::default(),
         };
-        engine.refresh(base, &[], true)?;
+        let (fresh, _, rec) =
+            engine
+                .fleet
+                .gather_pass1_records(&params, &base, &mut engine.spill)?;
+        engine.recovery.merge(&rec);
+        engine.index.merge(fresh);
+        engine.commit(base)?;
         Ok(engine)
     }
 
@@ -339,12 +320,12 @@ impl IncrementalEngine {
     }
 
     /// Apply the pending delta: compact the union graph, refresh the
-    /// index (a delta pass, or a full recluster once the touched lists
-    /// hold [`FULL_REFRESH_SHARE`] of the union's adjacency elements),
-    /// re-run Passes II/III from the merged index, and seal a new
-    /// generation in the attached store. A no-op (with `touched == 0`)
-    /// when nothing is pending. The resulting partition is bit-identical
-    /// to clustering the union graph from scratch.
+    /// index with a delta pass (re-shingle the touched lists, retract
+    /// their old records, merge in the fresh ones), re-run Passes II/III
+    /// from the merged index, and seal a new generation in the attached
+    /// store. A no-op (with `touched == 0`) when nothing is pending. The
+    /// resulting partition is bit-identical to clustering the union graph
+    /// from scratch.
     pub fn flush(&mut self) -> Result<RefreshDecision, EngineError> {
         let mut decision = RefreshDecision {
             full: false,
@@ -359,33 +340,22 @@ impl IncrementalEngine {
         let pending = std::mem::take(&mut self.pending);
         let union = pending.apply(&self.base);
         let touched = pending.touched(&self.base);
-        let touched_elems: usize = touched.iter().map(|&v| union.degree(v)).sum();
-        decision.full = touched_elems as f64 >= FULL_REFRESH_SHARE * union.targets().len() as f64;
         decision.touched = touched.len();
         decision.n_vertices = union.n();
-        self.refresh(union, &touched, decision.full)?;
+        let masked = MaskedAdjacency::of(&union, &touched);
+        let (fresh, _, rec) =
+            self.fleet
+                .gather_pass1_records(&self.params, &masked, &mut self.spill)?;
+        self.recovery.merge(&rec);
+        self.index.retract(&touched);
+        self.index.merge(fresh);
+        self.commit(union)?;
         Ok(decision)
     }
 
-    /// One refresh: delta pass (retract + merge) or full recompute of the
-    /// index, then Passes II/III from the merged index, then seal.
-    fn refresh(&mut self, union: Csr, touched: &[VertexId], full: bool) -> Result<(), EngineError> {
-        if full {
-            self.index = ShingleIndex::new(self.params.s1);
-            let (fresh, _, rec) =
-                self.fleet
-                    .gather_pass1_records(&self.params, &union, &mut self.spill)?;
-            self.recovery.merge(&rec);
-            self.index.merge(fresh);
-        } else {
-            let masked = MaskedAdjacency::of(&union, touched);
-            let (fresh, _, rec) =
-                self.fleet
-                    .gather_pass1_records(&self.params, &masked, &mut self.spill)?;
-            self.recovery.merge(&rec);
-            self.index.retract(touched);
-            self.index.merge(fresh);
-        }
+    /// Passes II/III from the merged index over `union`, then install
+    /// `union` as the base and seal the next generation.
+    fn commit(&mut self, union: Csr) -> Result<(), EngineError> {
         let first = self.index.to_graph();
         let (partition, _, rec) =
             self.fleet
@@ -624,19 +594,6 @@ mod tests {
         let decision = engine.flush().unwrap();
         assert!(!decision.full, "{decision:?}");
         assert!(engine.recovery().any(), "the fault plan must have fired");
-        let oracle = SerialShingling::new(params).unwrap().cluster(&g);
-        assert_eq!(*engine.partition(), oracle);
-    }
-
-    #[test]
-    fn large_delta_reclusters_from_scratch() {
-        let g = planted(19);
-        let (base, delta) = split(&g, 1, 10);
-        let params = light(19);
-        let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
-        engine.apply(&delta);
-        let decision = engine.flush().unwrap();
-        assert!(decision.full, "{decision:?}");
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
         assert_eq!(*engine.partition(), oracle);
     }

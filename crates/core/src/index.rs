@@ -13,8 +13,10 @@
 //!
 //! [`IndexStore`] persists an index snapshot (records + union graph +
 //! cached partition) through the same atomic-manifest discipline as
-//! [`crate::checkpoint`]: sealed generation-numbered files first, one
-//! `index-manifest.json` rename last, so a crash mid-save always leaves
+//! [`crate::checkpoint`]: sealed generation-numbered files first, then
+//! one `index-manifest.json` commit through the run journal's own atomic
+//! write (temp file, `fsync`, rename, directory `fsync`), so a crash
+//! mid-save always leaves
 //! the previous generation loadable. Reloads refuse with the *same* typed
 //! [`CheckpointError`]s the batch checkpoint uses when the stored axes
 //! record or input fingerprint disagrees with the live parameters —
@@ -298,7 +300,7 @@ impl IndexStore {
             f.sync_all()?;
         }
 
-        // Commit: atomic manifest rename, then fsync the directory.
+        // Commit: the manifest replaces the old one atomically and durably.
         let axes = axes_record(params, budget, n_devices);
         let mut out = String::with_capacity(512);
         out.push_str("{\n");
@@ -334,15 +336,7 @@ impl IndexStore {
             part_crc
         ));
         out.push_str("}\n");
-        let tmp = self.dir.join("index-manifest.json.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.manifest_path())?;
-        #[cfg(unix)]
-        File::open(&self.dir)?.sync_all()?;
+        checkpoint::write_atomic(&self.dir, INDEX_MANIFEST_FILE, out.as_bytes())?;
 
         self.sweep_stale(gen)?;
         Ok(stats)

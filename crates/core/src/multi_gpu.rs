@@ -11,13 +11,16 @@
 //! list can be split across *devices* (not just batches), the sub-plans
 //! run with deferred fragment handling
 //! ([`crate::plan::FragmentMode::Defer`]): boundary fragments come back
-//! flagged and pool on the host, where [`crate::aggregate::fragment_run`]
-//! merges them. That merge is insensitive to record order and to
-//! duplicates (fragments are re-sorted and deduped), which is what makes
-//! the device-order merge sound.
+//! flagged in the deal's raw records, and the caller merges them once
+//! every device has finished — per shard in Pass I, once at the end in
+//! Pass II. That merge is insensitive to record order and to duplicates
+//! (fragments are re-sorted and deduped), which is what makes the
+//! device-order merge sound.
 //!
 //! * Pass I gathers ([`Sink::Gather`]): every device packs its complete
-//!   records into sorted runs as they stream.
+//!   records into sorted runs as they stream. A shard ends on a list
+//!   boundary, so its deal returns every fragment of its lists, and the
+//!   driver finalizes them into one more run of that shard.
 //! * Pass II streams into Phase III on every device ([`Sink::Clusters`]):
 //!   each device unions its own complete records in a host union–find,
 //!   and `deal` absorbs each device's vertex-id labels
@@ -513,8 +516,9 @@ mod tests {
         );
     }
 
-    /// A bounded memory budget across the fleet — per-report runs spilled
-    /// to disk, fragments pooled, one external merge — must reproduce the
+    /// A bounded memory budget across the fleet — per-report runs and
+    /// each shard's finalized fragments spilled to disk, one external
+    /// merge — must reproduce the
     /// unbounded single-device partition and report the spill traffic.
     #[test]
     fn bounded_budget_spills_and_matches_across_devices() {

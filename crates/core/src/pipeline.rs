@@ -15,11 +15,12 @@
 //!    capacity — one batch per shard whenever the shard fits the device —
 //!    and its batches are dealt across the surviving devices
 //!    (`multi_gpu::deal`). Every device packs its complete records into
-//!    sorted runs; the fragments of lists a capacity cut splits pool on
-//!    the host. A bounded shard spills its runs and, when checkpointed,
-//!    seals and commits one manifest entry — whatever the fleet size;
-//! 3. CPU merges the runs plus the finalized fragments into the shingle
-//!    graph;
+//!    sorted runs; the fragments of lists a capacity cut splits all come
+//!    back in the same shard and finalize on the host into one more
+//!    sorted run of that shard. A bounded shard spills its runs and, when
+//!    checkpointed, seals and commits one manifest entry — whatever the
+//!    fleet size;
+//! 3. CPU merges every shard's runs into the shingle graph;
 //! 4. CPU groups the shingle graph's member lists into
 //!    [`crate::report::DistinctLists`] and drops the graph; second-level
 //!    shingling runs on the GPUs over each distinct list once, dealt the
@@ -37,17 +38,16 @@
 use crate::aggregate::{merge_fragments, merge_runs_to_run, merge_sorted_runs, SortedRun};
 use crate::batch::{plan_batches_range, Batch, BatchStats};
 use crate::checkpoint::{
-    self, write_pool, CheckpointConfig, Checkpointer, CrashInjector, CrashSite, PoolMeta, Reuse,
-    RunMeta,
+    self, CheckpointConfig, Checkpointer, CrashInjector, CrashSite, Reuse, RunMeta,
 };
 use crate::exec::{PassInput, Sink};
 use crate::minwise::HashFamily;
-use crate::multi_gpu::{accumulate, deal, slowest, MultiGpuClust};
+use crate::multi_gpu::{accumulate, deal, slowest, Dealt, MultiGpuClust};
 use crate::params::ShinglingParams;
 use crate::plan::{PassPlan, Plan};
 use crate::report::DistinctLists;
 use crate::resilience::with_oom_backoff;
-use crate::shingle::{AdjacencyInput, RawShingles};
+use crate::shingle::AdjacencyInput;
 use crate::spill::{
     self, io_to_device, merge_external_runs, merge_external_to_run, ExternalRun, SpillStats,
     SpilledRun,
@@ -130,21 +130,6 @@ fn budget_shards(offsets: &[u64], s: usize, trials: usize, budget: u64) -> Vec<R
     shard_ranges(&cuts)
 }
 
-/// Estimated bytes the fragment pool holds by the end of a pass cut into
-/// `batches`. Unlike per-shard buffers the pool persists across the whole
-/// pass (fragments reconcile only in the final run), so the carving
-/// reserves this amount off the budget. Shards end on list boundaries, so
-/// only a device-capacity cut inside a shard splits a list; each split
-/// end is priced as two raw fragment records per trial plus the packed
-/// share of the final in-memory run.
-fn pool_byte_cost(batches: &[Batch], offsets: &[u64], s: usize, trials: usize) -> u64 {
-    let split_ends: u64 = batches
-        .iter()
-        .map(|b| b.first_is_fragment(offsets) as u64 + b.last_is_fragment(offsets) as u64)
-        .sum();
-    split_ends * trials as u64 * (2 * (16 + 8 * s as u64) + (16 + 4 * s as u64))
-}
-
 /// Each shard's element range cut at the device capacity `cap` — one
 /// batch per shard whenever the shard fits the device — and the batch-id
 /// range every shard owns in the concatenated list.
@@ -198,38 +183,24 @@ pub struct GpClustReport {
     pub batch_stats: [BatchStats; 2],
 }
 
-/// Pass I's records before the merge: complete-record runs, resident (one
-/// unspilled shard) or spilled shard by shard, plus the pooled boundary
-/// fragments of every shard — and, per device, the pipelined makespan
-/// summed over the shards.
+/// Pass I's records before the merge, every shard's runs in shard order
+/// (its complete records, then its finalized fragments): resident when
+/// the pass is one unspilled shard, spilled otherwise — and, per device,
+/// the pipelined makespan summed over the shards.
 struct Pass1 {
     resident: Vec<SortedRun>,
     spilled: Vec<SpilledRun>,
-    pool: RawShingles,
     stats: BatchStats,
     shards: u64,
     makespan: Vec<f64>,
 }
 
 impl Pass1 {
-    /// The pooled fragments, finalized and host-sorted, join as the last
-    /// run — the "fragments last" position every merge of the pass uses.
-    /// Spilled runs come back as the external merge's inputs (empty when
-    /// the pass never spilled).
-    fn into_runs(self) -> (Vec<SortedRun>, Vec<ExternalRun>) {
-        let mut resident = self.resident;
-        if !self.pool.is_empty() {
-            resident.push(merge_fragments(&self.pool));
-        }
-        if self.spilled.is_empty() {
-            return (resident, Vec::new());
-        }
-        let runs = self.spilled.into_iter().map(ExternalRun::Disk);
-        (
-            Vec::new(),
-            runs.chain(resident.into_iter().map(ExternalRun::Mem))
-                .collect(),
-        )
+    /// The spilled runs as the external merge's inputs (empty when the
+    /// pass never spilled).
+    fn external(&mut self) -> Vec<ExternalRun> {
+        let spilled = std::mem::take(&mut self.spilled);
+        spilled.into_iter().map(ExternalRun::Disk).collect()
     }
 }
 
@@ -249,7 +220,6 @@ struct Durability {
     gauge: ResidentGauge,
     ckpt: Option<Checkpointer>,
     crash: Option<CrashInjector>,
-    input_fp: u64,
 }
 
 impl Durability {
@@ -272,9 +242,8 @@ impl Durability {
             let k = checkpoint::FINGERPRINT_SAMPLE.min(m2);
             let head = source.window(0, k)?;
             let tail = source.window(m2 - k, m2)?;
-            d.input_fp = checkpoint::fingerprint_csr(offsets, &head, &tail);
-            d.ckpt =
-                Some(Checkpointer::open(cfg, d.input_fp, &axes).map_err(checkpoint::to_device)?);
+            let fp = checkpoint::fingerprint_csr(offsets, &head, &tail);
+            d.ckpt = Some(Checkpointer::open(cfg, fp, &axes).map_err(checkpoint::to_device)?);
             d.crash = Some(CrashInjector::new(cfg.crash.clone()));
         }
         Ok(d)
@@ -287,20 +256,19 @@ impl Durability {
         }
     }
 
-    /// Spill shard `key`'s runs and seal the shard. Checkpointed runs
-    /// seal into the journal directory (durable, manifest-owned) along
-    /// with the shard's pool segment (`pool` from `pool_start`); the seal
-    /// crash site fires with everything synced but nothing committed
-    /// (resume re-runs the shard), then the entry commits and the commit
-    /// crash site fires (resume replays it). Without a journal the runs
-    /// spill to the drop-cleaned scratch directory.
+    /// Spill the runs of shard `key` (over the elements `range`) and seal
+    /// the shard. Checkpointed runs seal into the journal directory
+    /// (durable, manifest-owned); the seal crash site fires with
+    /// everything synced but nothing committed (resume re-runs the shard),
+    /// then the entry commits and the commit crash site fires (resume
+    /// replays it). Without a journal the runs spill to the drop-cleaned
+    /// scratch directory.
     fn seal(
         &mut self,
         key: u64,
+        range: &Range<u64>,
         s: usize,
         runs: &[SortedRun],
-        pool: &RawShingles,
-        pool_start: usize,
     ) -> Result<Vec<SpilledRun>, DeviceError> {
         let Some(ck) = self.ckpt.as_mut() else {
             let spill = &mut self.spill;
@@ -317,21 +285,9 @@ impl Durability {
             metas.push(RunMeta::of(ck.run_file(key, k), &sp));
             spilled.push(sp);
         }
-        let pool_meta = if pool.len() > pool_start {
-            let (records, crc) = write_pool(&ck.pool_path(key), pool, pool_start, &mut self.spill)
-                .map_err(io_to_device)?;
-            Some(PoolMeta {
-                file: ck.pool_file(key),
-                records,
-                crc,
-            })
-        } else {
-            None
-        };
         self.strike(CrashSite::ShardSeal)?;
         let ck = self.ckpt.as_mut().expect("checked above");
-        ck.commit_entry(key, self.input_fp, metas, pool_meta)
-            .map_err(io_to_device)?;
+        ck.commit_entry(key, range, metas).map_err(io_to_device)?;
         self.strike(CrashSite::ManifestCommit)?;
         Ok(spilled)
     }
@@ -428,12 +384,11 @@ impl GpClust {
         let mut d = Durability::open(self.checkpoint.as_ref(), axes, offsets, &source)?;
         let mut recovery = RecoveryReport::default();
 
-        let pass1 = self.pass1(&plan, &params, offsets, &source, &mut d, &mut recovery)?;
+        let mut pass1 = self.pass1(&plan, &params, offsets, &source, &mut d, &mut recovery)?;
         let (stats1, shards, pipe1) = (pass1.stats, pass1.shards, slowest(&pass1.makespan));
-        let s1 = params.s1;
-        let first = match pass1.into_runs() {
-            (runs, ext) if ext.is_empty() => merge_sorted_runs(s1, runs),
-            (_, ext) => merge_external_runs(s1, ext, &mut d.spill).map_err(io_to_device)?,
+        let first = match pass1.external() {
+            ext if ext.is_empty() => merge_sorted_runs(params.s1, pass1.resident),
+            ext => merge_external_runs(params.s1, ext, &mut d.spill).map_err(io_to_device)?,
         };
         let first_level_shingles = first.len();
         let second = self.second_pass(&params, first, n, &mut recovery)?;
@@ -480,12 +435,14 @@ impl GpClust {
     }
 
     /// Pass I under the fault policy: an `OutOfMemory` halves the planned
-    /// batch capacity and re-plans the whole pass. The pass is carved into
-    /// vertex-range shards on list boundaries — by estimated bytes under a
-    /// byte budget, into near-equal element counts under `--shards`, one
-    /// shard when memory is unbounded — and each shard's element range is
-    /// cut at the device capacity, so a shard that fits the device runs as
-    /// one batch. More than one shard spills its runs to disk.
+    /// batch capacity and re-plans the whole pass. The pass is carved once
+    /// into vertex-range shards on list boundaries — by estimated bytes
+    /// under a byte budget, into near-equal element counts under
+    /// `--shards`, one shard when memory is unbounded — and each attempt
+    /// cuts each shard's element range at its device capacity, so a shard
+    /// that fits the device runs as one batch. More than one shard spills
+    /// its runs to disk; a checkpointed re-plan reuses the shards an
+    /// earlier attempt committed.
     fn pass1(
         &self,
         plan: &Plan,
@@ -499,39 +456,15 @@ impl GpClust {
         let family = params.family_pass1();
         let mut pass_rec = RecoveryReport::default();
         let mut backoff_rec = RecoveryReport::default();
+        let shards = match (plan.mem_budget.shards, plan.mem_budget.bytes) {
+            (Some(k), _) => even_shards(offsets, k.max(1) as usize),
+            (None, Some(b)) if b > 0 => budget_shards(offsets, s, trials, b),
+            _ => even_shards(offsets, 1),
+        };
+        let spill = shards.len() > 1;
         let out = with_oom_backoff(&plan.policy, &mut backoff_rec, plan.capacity, |cap| {
-            let shards = match (plan.mem_budget.shards, plan.mem_budget.bytes) {
-                (Some(k), _) => even_shards(offsets, k.max(1) as usize),
-                (None, Some(b)) if b > 0 => {
-                    // The fragment pool outlives every shard, so a carving
-                    // whose device cuts split lists re-carves with the
-                    // pool's share reserved (best-effort floor of a
-                    // quarter budget when the pool alone would eat it).
-                    let shards = budget_shards(offsets, s, trials, b);
-                    let (batches, _) = shard_batches(offsets, &shards, cap);
-                    match pool_byte_cost(&batches, offsets, s, trials) {
-                        0 => shards,
-                        reserve => {
-                            let target = b.saturating_sub(reserve).max(b / 4);
-                            budget_shards(offsets, s, trials, target)
-                        }
-                    }
-                }
-                _ => even_shards(offsets, 1),
-            };
-            let spill = shards.len() > 1;
             let (batches, chunks) = shard_batches(offsets, &shards, cap);
             let pass = plan.pass_of(s, cap, batches);
-            // Entry group for this exact shard carving: the signature pins
-            // the shard ranges and the capacity that cut them, so entries
-            // only ever rejoin a resume (or an OOM-backoff replay) whose
-            // shards carve identically — a changed carving silently starts
-            // fresh rather than refusing the run.
-            if let Some(ck) = d.ckpt.as_mut().filter(|_| spill) {
-                let mut parts = vec![s as u64, cap as u64];
-                parts.extend(shards.iter().flat_map(|r| [r.start, r.end]));
-                ck.begin_group(checkpoint::signature(&parts));
-            }
             self.shards(
                 plan,
                 params,
@@ -551,22 +484,24 @@ impl GpClust {
     }
 
     /// The Pass-I shard loop: each shard's target window is read and its
-    /// batches dealt across the fleet; when the pass `spill`s, its runs
-    /// spill and the shard commits one manifest entry. At no point is
-    /// more than one shard's element window, its runs, and the fragment
-    /// pool resident; the [`ResidentGauge`] records the observed peak. A
-    /// resuming journal answers for completed shards: their sealed runs
-    /// re-verify and rejoin in shard order, and their pool segments replay
-    /// the fragments exactly where the uninterrupted run put them (a
-    /// verification failure counts as detected corruption and the shard
-    /// simply re-executes).
+    /// batches dealt across the fleet, and the fragments of the lists its
+    /// capacity cuts split — all of which come back in this one deal —
+    /// finalize into the shard's last run. When the pass `spill`s, the
+    /// shard's runs spill and it commits one manifest entry. At no point
+    /// is more than one shard's element window and its runs resident; the
+    /// [`ResidentGauge`] records the observed peak. A resuming journal
+    /// answers for completed shards: their sealed runs re-verify and
+    /// rejoin in shard order (a verification failure counts as detected
+    /// corruption and the shard simply re-executes).
     ///
     /// Bit-identity with one resident pass: a complete `(node, trial)`
-    /// record lives wholly in one batch and so in exactly one run, the
+    /// record lives wholly in one batch and so in exactly one run, and the
     /// fragments of lists split across batches (or the devices those
-    /// batches went to) pool and finalize once, last, and the external
-    /// merge pops in the same `((key, node), run)` order the in-memory
-    /// merge does. Shards end on list boundaries, so no list spans two.
+    /// batches went to) finalize once, in their shard's last run. Shards
+    /// end on list boundaries, so no list spans two and two shards never
+    /// share a `(key, node)`; within a shard the fragments still merge
+    /// after its complete records, and the external merge pops in the
+    /// same `((key, node), run)` order the in-memory merge does.
     #[allow(clippy::too_many_arguments)] // the unit with_oom_backoff re-plans
     fn shards(
         &self,
@@ -585,63 +520,50 @@ impl GpClust {
         let mut out = Pass1 {
             resident: Vec::new(),
             spilled: Vec::new(),
-            pool: RawShingles::new(s),
             stats: pass.stats,
             shards: chunks.len() as u64,
             makespan: vec![0.0; self.gpus.len()],
         };
-        let mut pool_bytes = 0u64;
         for (key, chunk) in chunks.into_iter().enumerate() {
             let key = key as u64;
-            let reused = match d.ckpt.as_mut().filter(|_| spill) {
-                Some(ck) => match ck.take_entry(key, d.input_fp, s) {
-                    Reuse::Hit(e) => Some(e),
-                    Reuse::Invalid => {
-                        recovery.checksum_failures += 1;
-                        None
-                    }
-                    Reuse::Miss => None,
-                },
-                None => None,
+            let range = pass.batches[chunk.start].elem_lo..pass.batches[chunk.end - 1].elem_hi;
+            let reuse = match d.ckpt.as_ref().filter(|_| spill) {
+                Some(ck) => ck.take_entry(key, &range, s),
+                None => Reuse::Miss,
             };
-            if let Some(e) = reused {
-                recovery.resumed_shards += 1;
-                out.spilled.extend(e.runs);
-                out.pool.append(&e.pool);
-            } else {
-                let (lo, hi) = (
-                    pass.batches[chunk.start].elem_lo,
-                    pass.batches[chunk.end - 1].elem_hi,
-                );
-                let window = source.window(lo, hi)?;
-                let input = PassInput::window(offsets, &window, lo);
-                let gather = || Sink::Gather;
-                let dealt = deal(
-                    &self.gpus, params, plan, pass, chunk, input, family, &gather, recovery,
-                )?;
-                accumulate(&mut out.makespan, &dealt.makespan);
-                let pool_start = out.pool.len();
-                if out.pool.is_empty() {
-                    out.pool = dealt.raw;
-                } else {
-                    out.pool.append(&dealt.raw);
+            match reuse {
+                Reuse::Hit(runs) => {
+                    recovery.resumed_shards += 1;
+                    out.spilled.extend(runs);
+                    continue;
                 }
-                if spill {
-                    let held = 4 * (hi - lo) + dealt.runs.iter().map(spill::run_bytes).sum::<u64>();
-                    d.gauge.charge(held);
-                    out.spilled
-                        .extend(d.seal(key, s, &dealt.runs, &out.pool, pool_start)?);
-                    d.gauge.discharge(held);
-                } else {
-                    out.resident.extend(dealt.runs);
-                }
+                Reuse::Invalid => recovery.checksum_failures += 1,
+                Reuse::Miss => {}
             }
-            // The shard's window dropped; the pool persists, so keep its
-            // growth charged.
+            let window = source.window(range.start, range.end)?;
+            let input = PassInput::window(offsets, &window, range.start);
+            let gather = || Sink::Gather;
+            let Dealt {
+                mut runs,
+                raw,
+                makespan,
+                ..
+            } = deal(
+                &self.gpus, params, plan, pass, chunk, input, family, &gather, recovery,
+            )?;
+            accumulate(&mut out.makespan, &makespan);
+            if !raw.is_empty() {
+                runs.push(merge_fragments(&raw));
+            }
+            drop(raw);
             if spill {
-                let new_pool_bytes = out.pool.approx_bytes() as u64;
-                d.gauge.charge(new_pool_bytes - pool_bytes);
-                pool_bytes = new_pool_bytes;
+                let held =
+                    4 * (range.end - range.start) + runs.iter().map(spill::run_bytes).sum::<u64>();
+                d.gauge.charge(held);
+                out.spilled.extend(d.seal(key, &range, s, &runs)?);
+                d.gauge.discharge(held);
+            } else {
+                out.resident.extend(runs);
             }
         }
         if spill {
@@ -722,7 +644,7 @@ impl GpClust {
         let mut d = Durability::default();
         let mut recovery = RecoveryReport::default();
         let source = ShardSource::Resident(input.flat());
-        let pass1 = self.pass1(
+        let mut pass1 = self.pass1(
             &plan,
             params,
             input.offsets(),
@@ -731,11 +653,9 @@ impl GpClust {
             &mut recovery,
         )?;
         let makespan = slowest(&pass1.makespan);
-        let run = match pass1.into_runs() {
-            (runs, ext) if ext.is_empty() => merge_runs_to_run(params.s1, runs),
-            (_, ext) => {
-                merge_external_to_run(params.s1, ext, &mut d.spill).map_err(io_to_device)?
-            }
+        let run = match pass1.external() {
+            ext if ext.is_empty() => merge_runs_to_run(params.s1, pass1.resident),
+            ext => merge_external_to_run(params.s1, ext, &mut d.spill).map_err(io_to_device)?,
         };
         spill.merge(&d.spill);
         Ok((run, makespan, recovery))
@@ -790,12 +710,16 @@ mod tests {
         assert_eq!(budget_shards(&offsets, 2, 1, 50).len(), 4);
         assert!(even_shards(&[0, 0, 0], 2).is_empty());
         // Capacity cuts inside a shard are the only split lists: the cuts
-        // at 4 and 12 split two lists, four split ends in all.
+        // at 4 and 12 split two lists, one in each shard.
         let (batches, chunks) = shard_batches(&offsets, &[0..8, 8..16], 4);
         assert_eq!(chunks, vec![0..2, 2..4]);
-        assert_eq!(pool_byte_cost(&batches, &offsets, 2, 1), 4 * (64 + 24));
+        let split: Vec<bool> = batches
+            .iter()
+            .map(|b| b.last_is_fragment(&offsets))
+            .collect();
+        assert_eq!(split, [true, false, true, false]);
         let (whole, _) = shard_batches(&offsets, &[0..8, 8..16], 8);
-        assert_eq!(pool_byte_cost(&whole, &offsets, 2, 1), 0);
+        assert!(whole.iter().all(|b| !b.last_is_fragment(&offsets)));
     }
 
     #[test]
@@ -993,7 +917,8 @@ mod tests {
     /// and the recorded peak respects it, on one device and a fleet. On
     /// the K20 every list-aligned shard runs as one batch; the tiny
     /// device is smaller than a shard, so its capacity cuts split lists
-    /// inside shards and their fragments pool across the pass.
+    /// inside shards and their fragments finalize into each shard's last
+    /// run.
     #[test]
     fn byte_budget_derives_shards_and_bounds_residency() {
         let g = planted_partition(&PlantedConfig {
@@ -1093,6 +1018,45 @@ mod tests {
         assert_ne!(err.kind(), std::io::ErrorKind::OutOfMemory, "{err}");
         assert!(err.to_string().contains(KILL_MARKER), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An `OutOfMemory` in a later shard re-plans Pass I at half the
+    /// capacity; under a checkpoint the re-plan replays the shards that
+    /// committed before the fault instead of re-running them.
+    #[test]
+    fn oom_replan_reuses_committed_shards() {
+        use gpclust_gpu::{FaultKind, FaultPlan, FaultSite};
+        let g = graph(34);
+        let params = ShinglingParams::light(90).with_shards(3);
+        let oracle = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 1))
+            .unwrap()
+            .cluster(&g)
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("gpclust-oom-replan-{}", std::process::id()));
+        let mut replayed = 0;
+        for occurrence in 1..=12 {
+            let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 1);
+            gpu.set_fault_plan(FaultPlan::scheduled().with_fault(
+                FaultSite::Alloc,
+                occurrence,
+                FaultKind::OutOfMemory,
+            ));
+            let r = GpClust::new(params, gpu)
+                .unwrap()
+                .with_checkpoint(CheckpointConfig::new(&dir))
+                .cluster(&g)
+                .unwrap();
+            let rec = r.times.recovery;
+            assert_eq!(r.partition, oracle.partition, "alloc {occurrence}: {rec}");
+            assert_eq!(rec.oom_backoffs, 1, "alloc {occurrence}: {rec}");
+            assert_eq!(rec.checksum_failures, 0, "alloc {occurrence}: {rec}");
+            replayed = replayed.max(rec.resumed_shards);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            replayed, 2,
+            "a fault in the last shard replays the first two"
+        );
     }
 
     #[test]

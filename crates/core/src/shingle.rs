@@ -214,11 +214,6 @@ impl RawShingles {
             self.pairs.truncate(self.offsets[len] as usize);
         }
     }
-
-    /// Approximate heap footprint in bytes (for memory accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.trials.len() * 8 + self.offsets.len() * 8 + self.pairs.len() * 8
-    }
 }
 
 /// Uniform view over the inputs of the two shingling passes: the original

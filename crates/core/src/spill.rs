@@ -429,7 +429,9 @@ impl RunReplay {
 /// One run of the external merge: resident or spilled.
 #[derive(Debug)]
 pub enum ExternalRun {
-    /// A run kept in memory (e.g. the final pooled-fragment run).
+    /// A run kept in memory, merged beside spilled ones. The driver's
+    /// spilled Pass I seals every run, its shards' finalized fragments
+    /// included, so it passes only [`ExternalRun::Disk`].
     Mem(SortedRun),
     /// A run spilled to disk.
     Disk(SpilledRun),

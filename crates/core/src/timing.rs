@@ -111,11 +111,15 @@ pub struct RecoveryReport {
     pub redistributed_batches: u64,
     /// Faults the injector fired during the run (0 without injection).
     pub faults_injected: u64,
-    /// Shards skipped on a checkpoint resume because their sealed runs
-    /// re-verified clean (see [`crate::checkpoint`]).
+    /// Shards skipped because the checkpoint journal held their sealed
+    /// runs and they re-verified clean (see [`crate::checkpoint`]): on a
+    /// `--resume`, and also within one checkpointed run when an
+    /// `OutOfMemory` re-plans Pass I after some shards committed.
     pub resumed_shards: u64,
-    /// Sealed runs or pool segments whose checksum verification failed
-    /// on resume — detected corruption, answered by re-running the shard.
+    /// Shards whose committed sealed runs failed checksum verification —
+    /// detected corruption, answered by re-running the shard. An entry
+    /// recorded for another element range is no failure: the shard just
+    /// re-runs.
     pub checksum_failures: u64,
     /// Host wall seconds spent inside recovery (retry loops, degraded
     /// host execution, re-planning).

@@ -587,13 +587,7 @@ fn flushed_line(
     engine: &gpclust::core::IncrementalEngine,
     d: &gpclust::core::RefreshDecision,
 ) -> String {
-    let path = if d.touched == 0 {
-        "noop"
-    } else if d.full {
-        "full"
-    } else {
-        "delta"
-    };
+    let path = if d.touched == 0 { "noop" } else { "delta" };
     format!(
         "flushed gen={} n={} touched={} path={path}",
         engine.generation(),

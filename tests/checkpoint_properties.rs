@@ -7,12 +7,13 @@
 
 use gpclust::core::multi_gpu::MultiGpuClust;
 use gpclust::core::{
-    CheckpointConfig, CrashPlan, CrashSite, GpClust, Plan, SerialShingling, ShingleKernel,
-    ShinglingParams, StageTimes, KILL_MARKER,
+    CheckpointConfig, CrashPlan, CrashSite, GpClust, GpClustReport, Plan, SerialShingling,
+    ShingleKernel, ShinglingParams, StageTimes, KILL_MARKER,
 };
 use gpclust::gpu::{DeviceConfig, DeviceError, Gpu};
 use gpclust::graph::{Csr, EdgeList, Partition};
 use gpclust_support::check::{check, Case};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,30 +29,40 @@ fn checkpoint_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One single-device checkpointed run.
+/// One checkpointed run on a single K20.
 fn checkpointed_run(
     g: &Csr,
     params: ShinglingParams,
     cfg: CheckpointConfig,
 ) -> Result<(Partition, StageTimes), DeviceError> {
-    checkpointed_fleet_run(g, params, cfg, 1)
+    let r = checkpointed_fleet_run(g, params, cfg, &DeviceConfig::tesla_k20(), 1)?;
+    Ok((r.partition, r.times))
 }
 
-/// One checkpointed run on a fleet of `devices` cards.
+/// One checkpointed run on a fleet of `devices` copies of `device`.
 fn checkpointed_fleet_run(
     g: &Csr,
     params: ShinglingParams,
     cfg: CheckpointConfig,
+    device: &DeviceConfig,
     devices: usize,
-) -> Result<(Partition, StageTimes), DeviceError> {
+) -> Result<GpClustReport, DeviceError> {
     let gpus = (0..devices)
-        .map(|_| Gpu::with_workers(DeviceConfig::tesla_k20(), 1))
+        .map(|_| Gpu::with_workers(device.clone(), 1))
         .collect();
-    let r = MultiGpuClust::new(params, gpus)
+    MultiGpuClust::new(params, gpus)
         .unwrap()
         .with_checkpoint(cfg)
-        .cluster(g)?;
-    Ok((r.partition, r.times))
+        .cluster(g)
+}
+
+/// The distinct first-level shingles of an unsharded run: a resumed run
+/// that lost records (say, the fragments of a split list) can still land
+/// on the oracle's partition, but not on this count.
+fn resident_first_level_shingles(g: &Csr, params: ShinglingParams) -> usize {
+    let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 1);
+    let r = GpClust::new(params, gpu).unwrap().cluster(g).unwrap();
+    r.first_level_shingles
 }
 
 fn assert_killed(err: &DeviceError) {
@@ -62,8 +73,8 @@ fn assert_killed(err: &DeviceError) {
     );
 }
 
-/// The sealed files (runs + pool segments) currently in a journal dir,
-/// sorted by name for determinism.
+/// The sealed files currently in a journal dir (runs, and the `.pool`
+/// segments of the previous journal format), sorted by name.
 fn sealed_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map(|it| {
@@ -80,16 +91,37 @@ fn sealed_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// A random undirected graph of up to `max_n` vertices.
-fn arb_graph(case: &mut Case, max_n: usize, max_m: usize) -> Csr {
-    let n = case.size(8..max_n);
+/// A random undirected graph: vertex and edge counts drawn from `n` and
+/// `m` (shrinking toward their lower ends).
+fn arb_graph(case: &mut Case, n: Range<usize>, m: Range<usize>) -> Csr {
+    let n = case.size(n);
     let mut el: EdgeList = case
-        .vec(max_m / 2..max_m, |c| {
-            (c.range(0..n as u32), c.range(0..n as u32))
-        })
+        .vec(m, |c| (c.range(0..n as u32), c.range(0..n as u32)))
         .into_iter()
         .collect();
     Csr::from_edges(n, &mut el)
+}
+
+/// A graph of about 10,000 adjacency elements: each of two shards of it
+/// overflows the tiny device's batch capacity (about 3,300 elements), so
+/// capacity cuts split lists inside each shard.
+fn arb_graph_over_tiny_capacity(case: &mut Case) -> Csr {
+    arb_graph(case, 300..400, 5_400..6_000)
+}
+
+/// The fleets every crash property runs on: random graphs on one to
+/// three K20s (each shard one batch), and a larger graph on one and two
+/// tiny devices, whose shards each cut into batches that split lists.
+fn crash_rows(case: &mut Case) -> Vec<(Csr, DeviceConfig, usize)> {
+    let small = arb_graph(case, 8..40, 80..160);
+    let devices = case.range(1usize..4);
+    let big = arb_graph_over_tiny_capacity(case);
+    let tiny = DeviceConfig::tiny_test_device();
+    vec![
+        (small, DeviceConfig::tesla_k20(), devices),
+        (big.clone(), tiny.clone(), 1),
+        (big, tiny, 2),
+    ]
 }
 
 /// The tentpole acceptance: kill the run at every crash site in turn,
@@ -97,99 +129,119 @@ fn arb_graph(case: &mut Case, max_n: usize, max_m: usize) -> Csr {
 /// serial oracle's partition, and a resume after a manifest commit
 /// replays exactly the committed shards from disk (the RecoveryReport
 /// counters prove no completed shard re-executed) — every fleet
-/// commits per shard.
+/// commits per shard, also when capacity cuts split lists inside a
+/// shard.
 #[test]
 fn kill_at_any_site_then_resume_matches_the_serial_oracle() {
     check(3, |case| {
-        let g = arb_graph(case, 40, 160);
+        let rows = crash_rows(case);
         let seed = case.range(0u64..1000);
-        let devices = case.range(1usize..4);
         let base = ShinglingParams::light(seed);
-        let oracle = SerialShingling::new(base).unwrap().cluster(&g);
         let params = base.with_shards(2);
-        for (site, occurrence) in [
-            (CrashSite::ShardSeal, 1),
-            (CrashSite::ManifestCommit, 1),
-            (CrashSite::Merge, 1),
-        ] {
-            let dir = checkpoint_dir("kill");
-            let cfg = CheckpointConfig::new(&dir)
-                .with_crash(CrashPlan::scheduled().with_kill(site, occurrence));
-            let err = checkpointed_fleet_run(&g, params, cfg, devices).unwrap_err();
-            assert_killed(&err);
-            let (got, times) =
-                checkpointed_fleet_run(&g, params, CheckpointConfig::new(&dir).resuming(), devices)
-                    .unwrap();
-            assert_eq!(&got, &oracle, "kill at {:?}", site);
-            let rec = &times.recovery;
-            assert_eq!(rec.checksum_failures, 0, "kill at {:?}", site);
-            match site {
-                // Sealed but never committed: nothing to replay.
-                CrashSite::ShardSeal => assert_eq!(rec.resumed_shards, 0),
-                // Exactly the one committed shard replays from disk.
-                CrashSite::ManifestCommit => assert_eq!(rec.resumed_shards, 1),
-                // Every pass-I shard committed before the merge died.
-                CrashSite::Merge => assert!(rec.resumed_shards >= 1),
+        for (g, device, devices) in &rows {
+            let oracle = SerialShingling::new(base).unwrap().cluster(g);
+            let shingles = resident_first_level_shingles(g, base);
+            let split_lists = device.name != DeviceConfig::tesla_k20().name;
+            for (site, occurrence) in [
+                (CrashSite::ShardSeal, 1),
+                (CrashSite::ManifestCommit, 1),
+                (CrashSite::Merge, 1),
+            ] {
+                let row = format!("kill at {site:?} on {} x{devices}", device.name);
+                let dir = checkpoint_dir("kill");
+                let cfg = CheckpointConfig::new(&dir)
+                    .with_crash(CrashPlan::scheduled().with_kill(site, occurrence));
+                let err = checkpointed_fleet_run(g, params, cfg, device, *devices).unwrap_err();
+                assert_killed(&err);
+                let resume = CheckpointConfig::new(&dir).resuming();
+                let r = checkpointed_fleet_run(g, params, resume, device, *devices).unwrap();
+                assert_eq!(r.partition, oracle, "{row}");
+                assert_eq!(r.first_level_shingles, shingles, "{row}");
+                let times = r.times;
+                if split_lists {
+                    assert!(
+                        times.pass_batches[0] > times.shards,
+                        "{row}: {} pass-I batches in {} shards",
+                        times.pass_batches[0],
+                        times.shards
+                    );
+                }
+                let rec = &times.recovery;
+                assert_eq!(rec.checksum_failures, 0, "{row}");
+                match site {
+                    // Sealed but never committed: nothing to replay.
+                    CrashSite::ShardSeal => assert_eq!(rec.resumed_shards, 0, "{row}"),
+                    // Exactly the one committed shard replays from disk.
+                    CrashSite::ManifestCommit => assert_eq!(rec.resumed_shards, 1, "{row}"),
+                    // Every pass-I shard committed before the merge died.
+                    CrashSite::Merge => assert!(rec.resumed_shards >= 1, "{row}"),
+                }
+                // finalize retired the journal on success.
+                assert!(sealed_files(&dir).is_empty(), "{row}");
+                std::fs::remove_dir_all(&dir).ok();
             }
-            // finalize retired the journal on success.
-            assert!(sealed_files(&dir).is_empty());
-            std::fs::remove_dir_all(&dir).ok();
         }
     });
 }
 
-/// Satellite: any single corrupted *or* truncated sealed file is
-/// caught by checksum verification on resume — the damaged shard
-/// re-executes and the partition still matches the oracle — across
-/// kernels × shard counts.
+/// Any single corrupted *or* truncated sealed file is caught by
+/// checksum verification on resume — the damaged shard re-executes and
+/// the partition still matches the oracle — across kernels × shard
+/// counts, on a K20 (each shard one batch) and on a tiny device whose
+/// capacity cuts split lists inside each shard.
 #[test]
 fn corrupted_or_truncated_sealed_runs_are_detected_not_merged() {
     check(3, |case| {
-        let g = arb_graph(case, 40, 160);
+        let small = arb_graph(case, 8..40, 80..160);
         let seed = case.range(0u64..1000);
         let truncate = case.bool();
+        let big = arb_graph_over_tiny_capacity(case);
         let base = ShinglingParams::light(seed);
-        let oracle = SerialShingling::new(base).unwrap().cluster(&g);
-        for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
-            for shards in [2u32, 3] {
-                let params = base.with_kernel(kernel).with_shards(shards);
-                let dir = checkpoint_dir("corrupt");
-                // Die at the pass-I merge: every shard is committed
-                // and its sealed files survive on disk.
-                let cfg = CheckpointConfig::new(&dir)
-                    .with_crash(CrashPlan::scheduled().with_kill(CrashSite::Merge, 1));
-                let err = checkpointed_run(&g, params, cfg).unwrap_err();
-                assert_killed(&err);
-                let files = sealed_files(&dir);
-                let damaged = if let Some(f) = files.first() {
-                    let bytes = std::fs::read(f).unwrap();
-                    if truncate {
-                        std::fs::write(f, &bytes[..bytes.len() - 5]).unwrap();
-                    } else {
-                        let mut bytes = bytes;
-                        let at = bytes.len() - 5;
-                        bytes[at] ^= 0x40;
-                        std::fs::write(f, &bytes).unwrap();
-                    }
-                    true
-                } else {
-                    false
-                };
-                let (got, times) =
-                    checkpointed_run(&g, params, CheckpointConfig::new(&dir).resuming()).unwrap();
-                assert_eq!(
-                    &got, &oracle,
-                    "{:?} {} shard(s) truncate={}",
-                    kernel, shards, truncate
-                );
-                if damaged {
-                    assert_eq!(
-                        times.recovery.checksum_failures, 1,
-                        "{:?} {} shard(s) truncate={}",
-                        kernel, shards, truncate
+        let rows = [
+            (small, DeviceConfig::tesla_k20()),
+            (big, DeviceConfig::tiny_test_device()),
+        ];
+        for (g, device) in &rows {
+            let oracle = SerialShingling::new(base).unwrap().cluster(g);
+            let shingles = resident_first_level_shingles(g, base);
+            for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
+                for shards in [2u32, 3] {
+                    let row = format!(
+                        "{kernel:?} {shards} shard(s) on {} truncate={truncate}",
+                        device.name
                     );
+                    let params = base.with_kernel(kernel).with_shards(shards);
+                    let dir = checkpoint_dir("corrupt");
+                    // Die at the pass-I merge: every shard is committed
+                    // and its sealed files survive on disk.
+                    let cfg = CheckpointConfig::new(&dir)
+                        .with_crash(CrashPlan::scheduled().with_kill(CrashSite::Merge, 1));
+                    let err = checkpointed_fleet_run(g, params, cfg, device, 1).unwrap_err();
+                    assert_killed(&err);
+                    let files = sealed_files(&dir);
+                    let damaged = if let Some(f) = files.first() {
+                        let bytes = std::fs::read(f).unwrap();
+                        if truncate {
+                            std::fs::write(f, &bytes[..bytes.len() - 5]).unwrap();
+                        } else {
+                            let mut bytes = bytes;
+                            let at = bytes.len() - 5;
+                            bytes[at] ^= 0x40;
+                            std::fs::write(f, &bytes).unwrap();
+                        }
+                        true
+                    } else {
+                        false
+                    };
+                    let resume = CheckpointConfig::new(&dir).resuming();
+                    let r = checkpointed_fleet_run(g, params, resume, device, 1).unwrap();
+                    assert_eq!(r.partition, oracle, "{row}");
+                    assert_eq!(r.first_level_shingles, shingles, "{row}");
+                    if damaged {
+                        assert_eq!(r.times.recovery.checksum_failures, 1, "{row}");
+                    }
+                    std::fs::remove_dir_all(&dir).ok();
                 }
-                std::fs::remove_dir_all(&dir).ok();
             }
         }
     });
@@ -235,6 +287,16 @@ fn resume_refuses_wrong_input_and_wrong_axes() {
     let err = checkpointed_run(&g, params, CheckpointConfig::new(&empty).resuming()).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("nothing to resume"), "{msg}");
+
+    // A journal of the previous format (version 1, entry groups keyed by
+    // plan signature) is refused as a corrupt manifest, never read.
+    std::fs::create_dir_all(&empty).unwrap();
+    let v1 = "{\"version\": 1, \"fingerprint\": 0, \"axes\": {}, \"groups\": []}";
+    std::fs::write(empty.join("manifest.json"), v1).unwrap();
+    let err = checkpointed_run(&g, params, CheckpointConfig::new(&empty).resuming()).unwrap_err();
+    let msg = format!("{err}");
+    assert!(msg.contains("corrupt manifest"), "{msg}");
+    assert!(msg.contains("unsupported manifest version 1"), "{msg}");
 
     // The kernel is no axis: the journal written under the default fused
     // kernel resumes under the sort kernel to the oracle's partition, and
@@ -305,39 +367,43 @@ fn manifest_recording_removed_axes_still_resumes() {
     }
 }
 
-/// A manifest whose group signature this build's carving never produces
-/// — which is how a manifest journaled under an older shard carving
-/// looks — has nothing to reuse: the resume re-runs every shard to the
-/// oracle's partition and finalize leaves none of the stale group's
-/// sealed files behind.
+/// A manifest entry recording another element range than its shard now
+/// covers — which is how an entry journaled under an older shard carving
+/// looks — is a miss, not damage: the resume re-executes exactly that
+/// shard, replays the others from disk to the oracle's partition, and
+/// finalize leaves none of the stale entry's sealed files behind.
 #[test]
-fn stale_group_signature_resumes_fresh_and_retires_its_files() {
+fn stale_shard_range_reexecutes_and_retires_its_files() {
     let g = gos_shaped_graph(400, 8, 17);
     let base = ShinglingParams::light(5);
     let oracle = SerialShingling::new(base).unwrap().cluster(&g);
     let est = Plan::estimate_pass_resident_bytes(g.offsets(), base.s1, base.c1);
     let params = base.with_mem_budget(est / 3);
-    let dir = checkpoint_dir("stale-group");
+    let dir = checkpoint_dir("stale-range");
     let cfg = CheckpointConfig::new(&dir)
-        .with_crash(CrashPlan::scheduled().with_kill(CrashSite::ManifestCommit, 1));
+        .with_crash(CrashPlan::scheduled().with_kill(CrashSite::Merge, 1));
     assert_killed(&checkpointed_run(&g, params, cfg).unwrap_err());
-    let stale = sealed_files(&dir);
-    assert!(!stale.is_empty(), "the first shard sealed before the kill");
+    assert!(
+        !sealed_files(&dir).is_empty(),
+        "every shard sealed before the kill"
+    );
 
+    // Stretch the first entry's range by one element.
     let manifest = dir.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).unwrap();
-    let start = text.find("\"sig\": ").expect("manifest records a group") + 7;
+    let start = text.find("\"hi\": ").expect("manifest records a range") + 6;
     let end = start + text[start..].find(',').unwrap();
-    let sig: u64 = text[start..end].parse().unwrap();
-    let text = format!("{}{}{}", &text[..start], sig ^ 1, &text[end..]);
+    let hi: u64 = text[start..end].parse().unwrap();
+    let text = format!("{}{}{}", &text[..start], hi + 1, &text[end..]);
     std::fs::write(&manifest, text).unwrap();
 
     let (got, times) =
         checkpointed_run(&g, params, CheckpointConfig::new(&dir).resuming()).unwrap();
     assert_eq!(got, oracle);
-    assert_eq!(times.recovery.resumed_shards, 0, "{}", times.recovery);
-    assert_eq!(times.recovery.checksum_failures, 0);
     assert!(times.shards >= 2, "the budget must shard: {}", times.shards);
+    let rec = &times.recovery;
+    assert_eq!(rec.resumed_shards, times.shards - 1, "{rec}");
+    assert_eq!(rec.checksum_failures, 0, "{rec}");
     let left = sealed_files(&dir);
     assert!(left.is_empty(), "sealed files survived finalize: {left:?}");
     std::fs::remove_dir_all(&dir).ok();

@@ -278,7 +278,8 @@ fn missing_required_flag_reports_error() {
 /// Each subcommand accepts only its own flags, and a value that does not
 /// parse is an error naming its flag: the removed schedule flags, a
 /// misspelling and an unknown flag all exit 1, as does a malformed value,
-/// for `cluster` and `serve` alike — while a valid command still runs.
+/// for `cluster` and `serve` alike; an infeasible budget reads the same
+/// from both — while a valid command still runs.
 #[test]
 fn unknown_flags_and_malformed_values_exit_1_naming_the_flag() {
     let dir = tmpdir("strict_flags");
@@ -375,6 +376,23 @@ fn unknown_flags_and_malformed_values_exit_1_naming_the_flag() {
             "{args:?}: {err}"
         );
     }
+    // An infeasible budget is a host-side refusal, not a device failure:
+    // both commands print the same first `error:` line.
+    let refusals: Vec<String> = [&cluster[..], &serve[..]]
+        .iter()
+        .map(|args| {
+            let args: Vec<&str> = args.iter().chain(&["--mem-budget", "1"]).copied().collect();
+            let (code, err) = exit(&args);
+            assert_eq!(code, Some(1), "{args:?} must exit 1: {err}");
+            let first = err.lines().find(|l| l.starts_with("error: "));
+            first.unwrap_or_default().to_string()
+        })
+        .collect();
+    assert!(
+        refusals[0].starts_with("error: memory budget of 1 bytes is infeasible"),
+        "{refusals:?}"
+    );
+    assert_eq!(refusals[0], refusals[1]);
 
     let valid: Vec<&str> = cluster
         .iter()

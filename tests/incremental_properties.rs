@@ -2,9 +2,9 @@
 //! plus a sequence of deltas, streamed through [`IncrementalEngine`],
 //! yields a partition (and index) identical to clustering the union graph
 //! from scratch — across kernels × 1–4 devices × fault rates, under
-//! bounded memory, with vertex growth mixed in, and through both refresh
-//! paths (delta pass and full recluster). The serial pClust
-//! implementation is the oracle, exactly as in `tests/plan_properties.rs`.
+//! bounded memory, with vertex growth mixed in, and whatever share of the
+//! graph a flush's delta pass touches. The serial pClust implementation
+//! is the oracle, exactly as in `tests/plan_properties.rs`.
 
 use gpclust::core::{
     IncrementalEngine, RefreshDecision, SerialShingling, ShingleKernel, ShinglingParams,
@@ -57,9 +57,8 @@ fn fleet(n_devices: usize, plan: &FaultPlan) -> Vec<Gpu> {
 }
 
 /// A base cut of a graph with `n_edges` edges. Half the cases hold back
-/// only the last few edges — a delta below the full-refresh share, so
-/// the flush runs the delta pass — and the rest split anywhere, so large
-/// deltas re-cluster from scratch.
+/// only the last few edges and the rest split anywhere, so a flush's
+/// delta pass touches anything from two lists to the whole graph.
 fn arb_cut(case: &mut Case, n_edges: usize) -> usize {
     if case.bool() {
         n_edges.saturating_sub(case.range(1..=(n_edges / 20).max(1)))
@@ -95,41 +94,38 @@ fn stream_through_engine(
     (engine, decisions)
 }
 
-/// Flushes per refresh path across a property's cases.
+/// Delta-pass flushes across a property's cases.
 #[derive(Default)]
-struct PathTally {
+struct DeltaTally {
     delta: Cell<usize>,
-    full: Cell<usize>,
     /// Most vertices one delta-pass flush touched.
     widest_delta: Cell<usize>,
 }
 
-impl PathTally {
+impl DeltaTally {
+    /// Count `decisions`, asserting that every flush which touched a
+    /// list ran the delta pass.
     fn record(&self, decisions: &[RefreshDecision]) {
         for d in decisions.iter().filter(|d| d.touched > 0) {
-            if d.full {
-                self.full.set(self.full.get() + 1);
-            } else {
-                self.delta.set(self.delta.get() + 1);
-                self.widest_delta
-                    .set(self.widest_delta.get().max(d.touched));
-            }
+            assert!(!d.full, "every flush runs the delta pass: {d:?}");
+            self.delta.set(self.delta.get() + 1);
+            self.widest_delta
+                .set(self.widest_delta.get().max(d.touched));
         }
     }
 
-    /// Panic unless both refresh paths ran.
-    fn assert_both_paths(&self) {
+    /// Panic unless some flush ran the delta pass.
+    fn assert_delta_ran(&self) {
         assert!(self.delta.get() > 0, "no flush took the delta path");
-        assert!(self.full.get() > 0, "no flush re-clustered from scratch");
     }
 }
 
 /// Any base/delta split, streamed in any number of batches, lands on
 /// the serial oracle's partition — over both kernels, fleet sizes,
-/// and fault rates, and through both refresh paths.
+/// and fault rates — and every flush runs the delta pass.
 #[test]
 fn base_plus_delta_stream_matches_serial_oracle() {
-    let tally = PathTally::default();
+    let tally = DeltaTally::default();
     check(12, |case| {
         let g = arb_graph(case, 40, 160);
         let kernel = arb_kernel(case);
@@ -161,16 +157,16 @@ fn base_plus_delta_stream_matches_serial_oracle() {
             rate
         );
     });
-    tally.assert_both_paths();
+    tally.assert_delta_ran();
 }
 
 /// The maintained index is byte-identical to the one a from-scratch
-/// bootstrap of the union graph builds, whichever refresh path each
-/// flush takes. Both paths must occur across the cases, and some delta
-/// pass must span more than one edge.
+/// bootstrap of the union graph builds, however much of the graph each
+/// flush's delta pass touches; some delta pass must span more than one
+/// edge.
 #[test]
 fn streamed_index_is_bit_identical_to_from_scratch() {
-    let tally = PathTally::default();
+    let tally = DeltaTally::default();
     check(12, |case| {
         let g = arb_graph(case, 40, 160);
         let seed = case.range(0u64..1000);
@@ -196,7 +192,7 @@ fn streamed_index_is_bit_identical_to_from_scratch() {
         );
         assert_eq!(engine.partition(), scratch.partition());
     });
-    tally.assert_both_paths();
+    tally.assert_delta_ran();
     assert!(
         tally.widest_delta.get() > 2,
         "no delta pass touched more than one edge's endpoints"
@@ -204,10 +200,10 @@ fn streamed_index_is_bit_identical_to_from_scratch() {
 }
 
 /// Sharded (out-of-core) refreshes spill and external-merge without
-/// disturbing the partition, on either refresh path.
+/// disturbing the partition.
 #[test]
 fn bounded_budget_stream_matches_serial_oracle() {
-    let tally = PathTally::default();
+    let tally = DeltaTally::default();
     let spilled = Cell::new(0u64);
     check(12, |case| {
         let g = arb_graph(case, 30, 120);
@@ -228,7 +224,7 @@ fn bounded_budget_stream_matches_serial_oracle() {
         spilled.set(spilled.get() + engine.spill_stats().bytes);
         assert_eq!(engine.partition(), &oracle, "cut {cut} shards {shards}");
     });
-    tally.assert_both_paths();
+    tally.assert_delta_ran();
     assert!(spilled.get() > 0, "no refresh spilled");
 }
 
