@@ -29,7 +29,7 @@
 use crate::aggregate::{merge_runs_to_run, SortedRun, StreamInverter};
 use crate::checkpoint::{self, axes_record, crc32, CheckpointError, FINGERPRINT_SAMPLE};
 use crate::params::{MemoryBudget, ShinglingParams};
-use crate::spill::{merge_external_to_run, ExternalRun, SpillStats, SpilledRun};
+use crate::spill::{SpillStats, SpilledRun};
 use gpclust_graph::{io as graph_io, Csr, Partition, ShingleGraph, VertexId};
 use gpclust_support::json::{self, esc, Json};
 use std::fs::{self, File};
@@ -430,10 +430,9 @@ impl IndexStore {
             });
         }
 
-        // The sealed record run, checksummed frame by frame on reopen and
-        // cross-checked against the manifest's totals.
-        let run_path = self.dir.join(&m.run_file);
-        let sealed = SpilledRun::reopen(run_path)
+        // The sealed record run, checksummed and decoded frame by frame in
+        // one read, then cross-checked against the manifest's totals.
+        let (sealed, run) = SpilledRun::load(self.dir.join(&m.run_file))
             .map_err(|e| corrupt(format!("run {}: {e}", m.run_file)))?;
         if sealed.len() as u64 != m.records || sealed.s() != m.s as usize || sealed.crc() != m.crc {
             return Err(corrupt(format!(
@@ -441,9 +440,6 @@ impl IndexStore {
                 m.run_file
             )));
         }
-        let mut stats = SpillStats::default();
-        let run = merge_external_to_run(m.s as usize, vec![ExternalRun::Disk(sealed)], &mut stats)
-            .map_err(|e| corrupt(format!("run {}: {e}", m.run_file)))?;
 
         // The cached partition, crc-checked as bytes then parsed.
         let part_path = self.dir.join(&m.partition_file);
@@ -699,6 +695,52 @@ mod tests {
             store.load(&p, MemoryBudget::default(), 1),
             Err(CheckpointError::Corrupt { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_refuses_a_flip_in_the_last_frame_of_a_multi_frame_run() {
+        // The run is verified and decoded in one pass, so the frames
+        // before the damaged one are already decoded when it is reached:
+        // the load must still refuse rather than return a partial index.
+        let p = params();
+        let g = planted_partition(&PlantedConfig {
+            group_sizes: vec![300, 250, 200, 150],
+            n_noise_vertices: 100,
+            p_intra: 0.05,
+            max_intra_degree: f64::MAX,
+            inter_edges_per_vertex: 0.5,
+            seed: 7,
+        })
+        .graph;
+        let index = ShingleIndex::from_run(p.s1, pass1_records(&g, &p, None));
+        let part = Partition::singletons(g.n());
+        let dir = std::env::temp_dir().join(format!("gpclust-index-last-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = IndexStore::new(&dir);
+        store
+            .save(0, &index, &g, &part, &p, MemoryBudget::default(), 1)
+            .unwrap();
+        let run_path = dir.join(IndexStore::run_file(0));
+        let mut bytes = fs::read(&run_path).unwrap();
+        // Walk the frame headers to the last frame's payload.
+        let mut frames = Vec::new();
+        let mut at = 24;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+            frames.push((at + 12, len));
+            at += 12 + len;
+        }
+        assert!(frames.len() >= 2, "{} frame(s)", frames.len());
+        let (payload, len) = *frames.last().unwrap();
+        bytes[payload + len / 2] ^= 0x10;
+        fs::write(&run_path, &bytes).unwrap();
+        match store.load(&p, MemoryBudget::default(), 1) {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("frame CRC mismatch"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -24,7 +24,18 @@
 //! surfaced: a truncated or bit-flipped spill file is *detected* — a
 //! typed [`io::ErrorKind::InvalidData`] error naming the byte offset —
 //! never silently merged. The whole-payload CRC ([`SpilledRun::crc`])
-//! additionally names the run in checkpoint manifests.
+//! additionally names the run in checkpoint and index manifests.
+//!
+//! ## One checksum pass per frame
+//!
+//! The CRC touches each payload byte once per write and once per read.
+//! A writer checksums each frame once and folds that CRC into the run
+//! CRC with `checkpoint::crc32_combine`, so the run CRC is the
+//! CRC of the concatenated payloads without a second pass over them. A
+//! reader ([`SpilledRun::reopen`], `SpilledRun::load`, a replay)
+//! verifies each frame into one reused buffer and combines the run CRC
+//! the same way; `SpilledRun::load` decodes the records in that same
+//! pass.
 //!
 //! ## Lifetime
 //!
@@ -46,10 +57,10 @@
 //! bit-identity proof (`tests/oocore_properties.rs` pins it).
 
 use crate::aggregate::{SortedRun, StreamInverter};
-use crate::checkpoint::{crc32, Crc32};
+use crate::checkpoint::{crc32, crc32_combine};
 use std::collections::BinaryHeap;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -181,33 +192,37 @@ impl SpilledRun {
             path: path.clone(),
             armed: true,
         };
-        // Nothing is retained per record, so the writer's resident
-        // footprint is its 1 MiB buffer plus one frame's payload.
-        let mut w = BufWriter::with_capacity(1 << 20, File::create(&path)?);
-        w.write_all(&header_bytes(run.len() as u64, s as u32))?;
+        // Nothing is retained per record: the writer's resident footprint
+        // is one frame, assembled with its header in front and handed to
+        // the file in one write.
+        let mut file = File::create(&path)?;
+        file.write_all(&header_bytes(run.len() as u64, s as u32))?;
         let stride = 16 + 4 * s;
-        let mut digest = Crc32::new();
+        let mut run_crc = 0; // CRC-32 of the empty payload
         let mut disk_bytes = HEADER_LEN as u64;
-        let mut payload = Vec::with_capacity(stride * REPLAY_CHUNK.min(run.len().max(1)));
+        let mut frame_buf =
+            Vec::with_capacity(FRAME_HEADER + stride * REPLAY_CHUNK.min(run.len().max(1)));
         for frame in run.packed.chunks(REPLAY_CHUNK) {
-            payload.clear();
+            frame_buf.clear();
+            frame_buf.resize(FRAME_HEADER, 0);
             for &p in frame {
-                payload.extend_from_slice(&p.to_le_bytes());
+                frame_buf.extend_from_slice(&p.to_le_bytes());
                 let rep = (p & 0xFFFF_FFFF) as usize;
                 for &e in &run.elements[rep * s..(rep + 1) * s] {
-                    payload.extend_from_slice(&e.to_le_bytes());
+                    frame_buf.extend_from_slice(&e.to_le_bytes());
                 }
             }
-            digest.update(&payload);
-            w.write_all(&(frame.len() as u32).to_le_bytes())?;
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&crc32(&payload).to_le_bytes())?;
-            w.write_all(&payload)?;
-            disk_bytes += (FRAME_HEADER + payload.len()) as u64;
+            let payload = &frame_buf[FRAME_HEADER..];
+            let (len, crc) = (payload.len(), crc32(payload));
+            run_crc = crc32_combine(run_crc, crc, len as u64);
+            frame_buf[..4].copy_from_slice(&(frame.len() as u32).to_le_bytes());
+            frame_buf[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+            frame_buf[8..12].copy_from_slice(&crc.to_le_bytes());
+            file.write_all(&frame_buf)?;
+            disk_bytes += frame_buf.len() as u64;
         }
-        w.flush()?;
         if durable {
-            w.get_ref().sync_all()?;
+            file.sync_all()?;
         }
         guard.armed = false;
         stats.bytes += disk_bytes;
@@ -216,7 +231,7 @@ impl SpilledRun {
             path,
             records: run.len(),
             s,
-            crc: digest.finish(),
+            crc: run_crc,
             disk_bytes,
             keep,
         })
@@ -227,56 +242,49 @@ impl SpilledRun {
     /// end-of-file — the resume-time proof that the survivor is intact.
     /// The reopened run is checkpoint-owned (`keep = true`).
     pub fn reopen(path: PathBuf) -> io::Result<SpilledRun> {
-        let mut r = BufReader::with_capacity(1 << 20, File::open(&path)?);
-        let mut header = [0u8; HEADER_LEN];
-        r.read_exact(&mut header)
-            .map_err(|_| corrupt(&path, 0, "truncated header"))?;
-        if &header[..8] != MAGIC {
-            return Err(corrupt(&path, 0, "bad magic"));
+        SpilledRun::scan(FrameReader::open(path)?, |_| {})
+    }
+
+    /// [`SpilledRun::reopen`] that also decodes the records as it verifies
+    /// them, in one read of the file: the sealed run plus its records as
+    /// a resident [`SortedRun`] whose local indices are record positions.
+    pub(crate) fn load(path: PathBuf) -> io::Result<(SpilledRun, SortedRun)> {
+        let frames = FrameReader::open(path)?;
+        // The header's record count sizes the buffers only as far as the
+        // file's length can back it.
+        let stride = 16 + 4 * frames.s as u64;
+        let fits = frames.reader.metadata()?.len() / stride;
+        let cap = frames.remaining.min(fits as usize);
+        let mut run = SortedRun {
+            packed: Vec::with_capacity(cap),
+            elements: Vec::with_capacity(cap * frames.s),
+        };
+        let sealed = SpilledRun::scan(frames, |frame| {
+            frame.decode(&mut run.packed, &mut run.elements);
+        })?;
+        for (i, p) in run.packed.iter_mut().enumerate() {
+            *p = ((*p >> 32) << 32) | i as u128;
         }
-        if crc32(&header[..20]) != u32::from_le_bytes(header[20..24].try_into().unwrap()) {
-            return Err(corrupt(&path, 20, "header CRC mismatch"));
+        Ok((sealed, run))
+    }
+
+    /// Verify every remaining frame in order, handing each to `visit` once
+    /// its checksum holds, then check the end-of-file. The run CRC is
+    /// combined from the frame CRCs, not recomputed.
+    fn scan(mut frames: FrameReader, mut visit: impl FnMut(&Frame)) -> io::Result<SpilledRun> {
+        let (records, s) = (frames.remaining, frames.s);
+        let mut run_crc = 0;
+        while let Some(frame) = frames.next()? {
+            run_crc = crc32_combine(run_crc, frame.crc, frame.payload.len() as u64);
+            visit(&frame);
         }
-        let records = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-        let s = u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize;
-        let stride = 16 + 4 * s;
-        let mut digest = Crc32::new();
-        let mut seen = 0usize;
-        let mut offset = HEADER_LEN as u64;
-        let mut payload = Vec::new();
-        while seen < records {
-            let mut fh = [0u8; FRAME_HEADER];
-            r.read_exact(&mut fh)
-                .map_err(|_| corrupt(&path, offset, "truncated frame header"))?;
-            let n = u32::from_le_bytes(fh[..4].try_into().unwrap()) as usize;
-            let len = u32::from_le_bytes(fh[4..8].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-            if n == 0 || n > REPLAY_CHUNK || n > records - seen || len != n * stride {
-                return Err(corrupt(&path, offset, "bad frame framing"));
-            }
-            payload.resize(len, 0);
-            r.read_exact(&mut payload)
-                .map_err(|_| corrupt(&path, offset + FRAME_HEADER as u64, "truncated frame"))?;
-            if crc32(&payload) != crc {
-                return Err(corrupt(
-                    &path,
-                    offset + FRAME_HEADER as u64,
-                    "frame CRC mismatch",
-                ));
-            }
-            digest.update(&payload);
-            seen += n;
-            offset += (FRAME_HEADER + len) as u64;
-        }
-        if r.read(&mut [0u8; 1])? != 0 {
-            return Err(corrupt(&path, offset, "trailing bytes after last frame"));
-        }
+        let disk_bytes = frames.finish()?;
         Ok(SpilledRun {
-            path,
+            path: frames.path,
             records,
             s,
-            crc: digest.finish(),
-            disk_bytes: offset,
+            crc: run_crc,
+            disk_bytes,
             keep: true,
         })
     }
@@ -313,24 +321,19 @@ impl SpilledRun {
 
     /// Open a sequential replay over the run's records.
     pub fn replay(&self) -> io::Result<RunReplay> {
-        let mut reader = BufReader::with_capacity(1 << 20, File::open(&self.path)?);
-        let mut header = [0u8; HEADER_LEN];
-        reader
-            .read_exact(&mut header)
-            .map_err(|_| corrupt(&self.path, 0, "truncated header"))?;
-        if &header[..8] != MAGIC
-            || crc32(&header[..20]) != u32::from_le_bytes(header[20..24].try_into().unwrap())
-        {
-            return Err(corrupt(&self.path, 0, "bad header"));
+        let frames = FrameReader::open(self.path.clone())?;
+        if frames.remaining != self.records || frames.s != self.s {
+            return Err(corrupt(
+                &self.path,
+                8,
+                "header disagrees with the sealed run",
+            ));
         }
+        let chunk = REPLAY_CHUNK.min(self.records);
         Ok(RunReplay {
-            reader,
-            path: self.path.clone(),
-            s: self.s,
-            remaining: self.records,
-            offset: HEADER_LEN as u64,
-            packed: Vec::new(),
-            elements: Vec::new(),
+            frames,
+            packed: Vec::with_capacity(chunk),
+            elements: Vec::with_capacity(chunk * self.s),
             pos: 0,
         })
     }
@@ -344,15 +347,120 @@ impl Drop for SpilledRun {
     }
 }
 
+/// One verified frame: its checksum and payload.
+struct Frame<'a> {
+    crc: u32,
+    stride: usize,
+    payload: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Append the frame's records to `packed` and their element ids to
+    /// `elements`.
+    fn decode(&self, packed: &mut Vec<u128>, elements: &mut Vec<u32>) {
+        for rec in self.payload.chunks_exact(self.stride) {
+            packed.push(u128::from_le_bytes(rec[..16].try_into().unwrap()));
+            elements.extend(
+                rec[16..]
+                    .chunks_exact(4)
+                    .map(|e| u32::from_le_bytes(e.try_into().unwrap())),
+            );
+        }
+    }
+}
+
+/// A run file read front to back one frame at a time into one reused
+/// buffer, straight from the file (a frame is one read, so a second
+/// buffer would only add a copy); no payload byte is surfaced before its
+/// frame's length framing and CRC are checked.
+#[derive(Debug)]
+struct FrameReader {
+    reader: File,
+    path: PathBuf,
+    s: usize,
+    /// Records the header promises that no frame has delivered yet.
+    remaining: usize,
+    offset: u64,
+    buf: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Open `path` and verify its header.
+    fn open(path: PathBuf) -> io::Result<FrameReader> {
+        let mut reader = File::open(&path)?;
+        let mut header = [0u8; HEADER_LEN];
+        reader
+            .read_exact(&mut header)
+            .map_err(|_| corrupt(&path, 0, "truncated header"))?;
+        if &header[..8] != MAGIC {
+            return Err(corrupt(&path, 0, "bad magic"));
+        }
+        if crc32(&header[..20]) != u32::from_le_bytes(header[20..24].try_into().unwrap()) {
+            return Err(corrupt(&path, 20, "header CRC mismatch"));
+        }
+        Ok(FrameReader {
+            reader,
+            path,
+            remaining: u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize,
+            s: u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize,
+            offset: HEADER_LEN as u64,
+            buf: Vec::new(),
+        })
+    }
+
+    /// The next verified frame, or `None` once the header's record count
+    /// is delivered.
+    fn next(&mut self) -> io::Result<Option<Frame<'_>>> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        let mut fh = [0u8; FRAME_HEADER];
+        self.reader
+            .read_exact(&mut fh)
+            .map_err(|_| corrupt(&self.path, self.offset, "truncated frame header"))?;
+        let n = u32::from_le_bytes(fh[..4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(fh[4..8].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(fh[8..12].try_into().unwrap());
+        let stride = 16 + 4 * self.s;
+        if n == 0 || n > REPLAY_CHUNK || n > self.remaining || len != n * stride {
+            return Err(corrupt(&self.path, self.offset, "bad frame framing"));
+        }
+        let at = self.offset + FRAME_HEADER as u64;
+        self.buf.resize(len, 0);
+        self.reader
+            .read_exact(&mut self.buf)
+            .map_err(|_| corrupt(&self.path, at, "truncated frame"))?;
+        if crc32(&self.buf) != crc {
+            return Err(corrupt(&self.path, at, "frame CRC mismatch"));
+        }
+        self.remaining -= n;
+        self.offset = at + len as u64;
+        Ok(Some(Frame {
+            crc,
+            stride,
+            payload: &self.buf,
+        }))
+    }
+
+    /// Check that nothing follows the last frame and return the file's
+    /// length.
+    fn finish(&mut self) -> io::Result<u64> {
+        if self.reader.read(&mut [0u8; 1])? != 0 {
+            return Err(corrupt(
+                &self.path,
+                self.offset,
+                "trailing bytes after last frame",
+            ));
+        }
+        Ok(self.offset)
+    }
+}
+
 /// A bounded-memory cursor over a [`SpilledRun`]'s records, refilled one
 /// verified frame (`REPLAY_CHUNK` records) at a time.
 #[derive(Debug)]
 pub struct RunReplay {
-    reader: BufReader<File>,
-    path: PathBuf,
-    s: usize,
-    remaining: usize,
-    offset: u64,
+    frames: FrameReader,
     packed: Vec<u128>,
     elements: Vec<u32>,
     pos: usize,
@@ -371,7 +479,8 @@ impl RunReplay {
     /// The current frontier record's element ids (valid after a
     /// successful [`RunReplay::peek`]).
     pub fn elements(&self) -> &[u32] {
-        &self.elements[self.pos * self.s..(self.pos + 1) * self.s]
+        let s = self.frames.s;
+        &self.elements[self.pos * s..(self.pos + 1) * s]
     }
 
     /// Advance past the current frontier record.
@@ -383,45 +492,9 @@ impl RunReplay {
         self.packed.clear();
         self.elements.clear();
         self.pos = 0;
-        if self.remaining == 0 {
-            return Ok(());
+        if let Some(frame) = self.frames.next()? {
+            frame.decode(&mut self.packed, &mut self.elements);
         }
-        let mut fh = [0u8; FRAME_HEADER];
-        self.reader
-            .read_exact(&mut fh)
-            .map_err(|_| corrupt(&self.path, self.offset, "truncated frame header"))?;
-        let n = u32::from_le_bytes(fh[..4].try_into().unwrap()) as usize;
-        let len = u32::from_le_bytes(fh[4..8].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(fh[8..12].try_into().unwrap());
-        let stride = 16 + 4 * self.s;
-        if n == 0 || n > REPLAY_CHUNK || n > self.remaining || len != n * stride {
-            return Err(corrupt(&self.path, self.offset, "bad frame framing"));
-        }
-        let mut buf = vec![0u8; len];
-        self.reader.read_exact(&mut buf).map_err(|_| {
-            corrupt(
-                &self.path,
-                self.offset + FRAME_HEADER as u64,
-                "truncated frame",
-            )
-        })?;
-        if crc32(&buf) != crc {
-            return Err(corrupt(
-                &self.path,
-                self.offset + FRAME_HEADER as u64,
-                "frame CRC mismatch",
-            ));
-        }
-        for rec in buf.chunks_exact(stride) {
-            self.packed
-                .push(u128::from_le_bytes(rec[..16].try_into().unwrap()));
-            for e in rec[16..].chunks_exact(4) {
-                self.elements
-                    .push(u32::from_le_bytes(e.try_into().unwrap()));
-            }
-        }
-        self.remaining -= n;
-        self.offset += (FRAME_HEADER + len) as u64;
         Ok(())
     }
 }
@@ -763,6 +836,44 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n as usize);
+    }
+
+    /// A seeded run at s = 2: random `(key, node)` pairs in ascending
+    /// order, local indices in emission order, random element ids.
+    fn seeded_run(seed: u64, n: usize) -> SortedRun {
+        let mut rng = gpclust_support::rng::StdRng::seed_from_u64(seed);
+        let mut run = SortedRun::default();
+        for i in 0..n {
+            let key_node = ((rng.gen::<u64>() as u128) << 32) | rng.gen::<u32>() as u128;
+            run.packed.push((key_node << 32) | i as u128);
+            run.elements.extend([rng.gen::<u32>(), rng.gen::<u32>()]);
+        }
+        run.packed.sort_unstable();
+        run
+    }
+
+    #[test]
+    fn sealed_bytes_and_crcs_are_pinned() {
+        // The on-disk format and every recorded CRC are a compatibility
+        // contract with runs and manifests sealed by earlier builds: these
+        // constants were recorded from the byte-at-a-time CRC.
+        let run = seeded_run(25, 2 * REPLAY_CHUNK + 17);
+        let mut stats = SpillStats::default();
+        let spilled = SpilledRun::write(2, &run, &mut stats).unwrap();
+        let bytes = std::fs::read(spilled.path()).unwrap();
+        let mut frame_crcs = Vec::new();
+        let mut offset = HEADER_LEN;
+        while offset < bytes.len() {
+            let len = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
+            frame_crcs.push(u32::from_le_bytes(
+                bytes[offset + 8..offset + 12].try_into().unwrap(),
+            ));
+            offset += FRAME_HEADER + len as usize;
+        }
+        assert_eq!(offset, bytes.len());
+        assert_eq!(bytes.len(), 24 + 3 * 12 + run.len() * 24);
+        assert_eq!(frame_crcs, [0x3c6d_7d44, 0x6c20_f1ba, 0x8c34_52ce]);
+        assert_eq!(spilled.crc(), 0xfda7_9af5);
     }
 
     #[test]
