@@ -1,21 +1,23 @@
 //! The spill layer's integrity and I/O costs on a real Pass-I run: the
-//! CRC-32 over its sealed bytes, writing it as a framed run file, and
-//! replaying it frame by frame. Under `--bench` it also prints the CRC's
-//! nanoseconds per byte.
+//! CRC-32 over its sealed bytes, writing it as a framed run file,
+//! replaying it frame by frame, and updating the shingle index built from
+//! it with a 1 % delta in one record merge. Under `--bench` it also
+//! prints the CRC's nanoseconds per byte.
 
-use gpclust_bench::time;
+use gpclust_bench::{time, time_with_setup};
 use gpclust_core::aggregate::{SortedRun, StreamAggregator};
 use gpclust_core::checkpoint::crc32;
 use gpclust_core::minwise::unpack_element;
 use gpclust_core::serial::shingle_pass_foreach;
-use gpclust_core::{ShinglingParams, SpillStats, SpilledRun};
+use gpclust_core::{ExternalRun, ShingleIndex, ShinglingParams, SpillStats, SpilledRun};
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
+use gpclust_graph::{Csr, GraphDelta, VertexId};
 use std::hint::black_box;
 use std::time::Instant;
 
 /// The pipeline bench's graph: 7,500 vertices, Zipf-sized planted groups.
-fn pass1_run() -> (usize, SortedRun) {
-    let g = planted_partition(&PlantedConfig {
+fn bench_graph() -> Csr {
+    planted_partition(&PlantedConfig {
         group_sizes: PlantedConfig::zipf_groups(6_000, 4, 250, 1.4, 13),
         n_noise_vertices: 1_500,
         p_intra: 0.8,
@@ -23,16 +25,40 @@ fn pass1_run() -> (usize, SortedRun) {
         inter_edges_per_vertex: 0.1,
         seed: 13,
     })
-    .graph;
-    let params = ShinglingParams::paper_default(7);
+    .graph
+}
+
+/// The serial oracle's Pass-I records of `g`, of the vertices in `only`
+/// (sorted) when given.
+fn pass1_records(g: &Csr, params: &ShinglingParams, only: Option<&[VertexId]>) -> SortedRun {
     let mut agg = StreamAggregator::new(params.s1);
     shingle_pass_foreach(
-        &g,
+        g,
         params.s1,
         &params.family_pass1(),
-        |trial, node, pairs| agg.push(trial, node, pairs.iter().map(|&p| unpack_element(p))),
+        |trial, node, pairs| {
+            if only.is_none_or(|vs| vs.binary_search(&node).is_ok()) {
+                agg.push(trial, node, pairs.iter().map(|&p| unpack_element(p)))
+            }
+        },
     );
-    (params.s1, agg.into_run())
+    agg.into_run()
+}
+
+/// `g` grown by 1 % new vertices with 8 edges each into the first 250
+/// vertices, as a `serve` round grows a graph: the union graph and its
+/// touched vertices.
+fn one_percent_delta(g: &Csr) -> (Csr, Vec<VertexId>) {
+    let n = g.n() as VertexId;
+    let k = g.n() / 100;
+    let mut delta = GraphDelta::new();
+    delta.add_vertices(k);
+    for i in 0..k as VertexId {
+        for j in 0..8 {
+            delta.add_edge(n + i, (i * 8 + j) % 250);
+        }
+    }
+    (delta.apply(g), delta.touched(g))
 }
 
 /// Replay `sealed` and check every record against `run`: the same
@@ -54,7 +80,9 @@ fn assert_replays(s: usize, run: &SortedRun, sealed: &SpilledRun) {
 }
 
 fn main() {
-    let (s, run) = pass1_run();
+    let g = bench_graph();
+    let params = ShinglingParams::paper_default(7);
+    let (s, run) = (params.s1, pass1_records(&g, &params, None));
     let mut stats = SpillStats::default();
     let sealed = SpilledRun::write(s, &run, &mut stats).unwrap();
     assert_replays(s, &run, &sealed);
@@ -84,4 +112,25 @@ fn main() {
         }
         acc
     });
+
+    let (union, touched) = one_percent_delta(&g);
+    let fresh = pass1_records(&union, &params, Some(&touched));
+    let base = ShingleIndex::from_run(s, run);
+    let scratch = ShingleIndex::from_run(s, pass1_records(&union, &params, None));
+    println!(
+        "spill: index of {} records, 1 % delta touches {} vertices with {} fresh records",
+        base.len(),
+        touched.len(),
+        fresh.len()
+    );
+    let setup = || (base.clone(), vec![ExternalRun::Mem(fresh.clone())]);
+    let update = |(mut index, runs): (ShingleIndex, Vec<ExternalRun>)| {
+        index.update(&touched, runs).unwrap();
+        index
+    };
+    assert!(
+        update(setup()) == scratch,
+        "the update must equal the from-scratch index"
+    );
+    time_with_setup("spill/index_update", 10, setup, update);
 }

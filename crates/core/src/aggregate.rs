@@ -65,9 +65,11 @@ pub fn aggregate(raw: &RawShingles) -> ShingleGraph {
     }
 
     // Ungrouped inputs pay one fragment merge-and-pack into a single
-    // sorted run, then flow through the same streaming merge/inversion
-    // the device-aggregation runs use.
-    merge_sorted_runs(s, vec![merge_fragments(raw)])
+    // sorted run, then invert like the grouped path.
+    let run = merge_fragments(raw);
+    invert_packed(s, &run.packed, |rep, out| {
+        out.extend_from_slice(&run.elements[rep * s..(rep + 1) * s]);
+    })
 }
 
 /// Merge fragments of an *ungrouped* record stream (records of the same
@@ -162,112 +164,6 @@ impl SortedRun {
     pub fn is_empty(&self) -> bool {
         self.packed.is_empty()
     }
-}
-
-/// Merge sorted runs into the bipartite shingle graph in one streaming
-/// binary-heap pass — the per-device and per-shard runs of a pass plus
-/// its finalized fragments.
-///
-/// Entries pop in ascending `((key, node), run-index, position)` order.
-/// Runs arrive in batch order and their local indices in emission order,
-/// so this reproduces, record for record, exactly the sequence the host
-/// oracle's global `(key << 64 | node << 32 | record-index)` sort
-/// produces — which is what makes a pass split across runs bit-identical
-/// to one global sort. Host work is O(|records| · log |runs|).
-pub fn merge_sorted_runs(s: usize, runs: Vec<SortedRun>) -> ShingleGraph {
-    let runs: Vec<SortedRun> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert!(total < (1 << 32), "too many shingle records");
-    debug_assert!(runs
-        .iter()
-        .all(|r| r.packed.windows(2).all(|w| w[0] <= w[1])));
-    let mut inv = StreamInverter::new(s, total);
-
-    if let [run] = runs.as_slice() {
-        // Degenerate single-run merge (host fragment path, one batch):
-        // skip the heap entirely.
-        for &p in &run.packed {
-            let rep = (p & 0xFFFF_FFFF) as usize;
-            inv.push(p, |out| {
-                out.extend_from_slice(&run.elements[rep * s..(rep + 1) * s])
-            });
-        }
-        return inv.finish();
-    }
-
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    // Heap keys strip the run-local index (low 32 bits) and tie-break on
-    // the run index, restoring the global emission order for records with
-    // equal (key, node).
-    let mut cursors = vec![0usize; runs.len()];
-    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = runs
-        .iter()
-        .enumerate()
-        .map(|(ri, r)| Reverse((r.packed[0] >> 32, ri)))
-        .collect();
-    while let Some(Reverse((_, ri))) = heap.pop() {
-        let run = &runs[ri];
-        let p = run.packed[cursors[ri]];
-        let rep = (p & 0xFFFF_FFFF) as usize;
-        inv.push(p, |out| {
-            out.extend_from_slice(&run.elements[rep * s..(rep + 1) * s])
-        });
-        cursors[ri] += 1;
-        if let Some(&next) = run.packed.get(cursors[ri]) {
-            heap.push(Reverse((next >> 32, ri)));
-        }
-    }
-    inv.finish()
-}
-
-/// Merge sorted runs into one [`SortedRun`], re-ranking local indices
-/// globally — the record-level sibling of [`merge_sorted_runs`], for when
-/// the merged records must *outlive* the pass (the persistent shingle
-/// index) instead of collapsing straight into a graph.
-///
-/// Records pop in exactly the order [`merge_sorted_runs`] consumes them
-/// (ascending `(key, node)`, run-index tie-break), so
-/// `merge_sorted_runs(s, vec![merge_runs_to_run(s, runs)])` is
-/// bit-identical to `merge_sorted_runs(s, runs)` — which is what lets a
-/// delta pass fold fresh records into a stored run and still reproduce
-/// the from-scratch aggregation byte for byte.
-pub fn merge_runs_to_run(s: usize, runs: Vec<SortedRun>) -> SortedRun {
-    let mut runs: Vec<SortedRun> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert!(total < (1 << 32), "too many shingle records");
-    debug_assert!(runs
-        .iter()
-        .all(|r| r.packed.windows(2).all(|w| w[0] <= w[1])));
-    if runs.len() == 1 {
-        return runs.pop().unwrap();
-    }
-    let mut out = SortedRun {
-        packed: Vec::with_capacity(total),
-        elements: Vec::with_capacity(total * s),
-    };
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut cursors = vec![0usize; runs.len()];
-    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = runs
-        .iter()
-        .enumerate()
-        .map(|(ri, r)| Reverse((r.packed[0] >> 32, ri)))
-        .collect();
-    while let Some(Reverse((key_node, ri))) = heap.pop() {
-        let run = &runs[ri];
-        let p = run.packed[cursors[ri]];
-        let rep = (p & 0xFFFF_FFFF) as usize;
-        let idx = out.packed.len() as u128;
-        out.packed.push((key_node << 32) | idx);
-        out.elements
-            .extend_from_slice(&run.elements[rep * s..(rep + 1) * s]);
-        cursors[ri] += 1;
-        if let Some(&next) = run.packed.get(cursors[ri]) {
-            heap.push(Reverse((next >> 32, ri)));
-        }
-    }
-    out
 }
 
 /// Streaming shingle aggregation: records flow in one at a time (from
@@ -367,9 +263,9 @@ fn invert_packed(
     inv.finish()
 }
 
-/// The streaming grouping core shared by [`invert_packed`] (host mode),
-/// [`merge_sorted_runs`] (device mode) and the out-of-core external merge
-/// ([`crate::spill::merge_external_runs`]): consumes packed records in
+/// The streaming grouping core shared by [`invert_packed`] (host mode)
+/// and the record merge ([`crate::spill::merge_external_runs`], the
+/// shingle index's inversion): consumes packed records in
 /// ascending `(key, node)` order one at a time, opens a shingle per
 /// distinct key (filling its elements from the group's first record, the
 /// representative) and dedups consecutive generator nodes.
@@ -404,7 +300,7 @@ impl StreamInverter {
     /// Absorb the next record (ascending `(key, node)` across calls);
     /// `fill_elements` appends its `s` element ids, invoked only when the
     /// record opens a new key group.
-    #[inline]
+    #[inline(always)] // measured: the record merge's graph sink slows without it
     pub(crate) fn push(&mut self, packed: u128, fill_elements: impl FnOnce(&mut Vec<u32>)) {
         let key = (packed >> 64) as u64;
         let node = ((packed >> 32) & 0xFFFF_FFFF) as u32;
@@ -560,88 +456,6 @@ mod tests {
         // 7 trials × 50 element pairs → 350 distinct shingles, each with
         // many generators.
         assert_eq!(via_grouped.len(), 350);
-    }
-
-    /// Pack one grouped record the way a device run does (run-local idx).
-    fn push_run_record(run: &mut SortedRun, trial: u32, node: u32, pairs: &[PackedHash]) {
-        let s = pairs.len();
-        let idx = (run.elements.len() / s) as u128;
-        for &p in pairs {
-            run.elements.push(unpack_element(p));
-        }
-        let key = shingle_key(trial, pairs.iter().map(|&p| unpack_element(p)));
-        run.packed
-            .push(((key as u128) << 64) | ((node as u128) << 32) | idx);
-    }
-
-    #[test]
-    fn merged_runs_equal_global_sort_oracle() {
-        // The same grouped record stream, aggregated (a) through the host
-        // oracle's one global sort and (b) split into per-"batch" runs,
-        // each sorted locally, then k-way merged — the device-aggregation
-        // shape. The graphs must be bit-identical for any split.
-        let s = 2;
-        for n_runs in [1usize, 2, 3, 7] {
-            let mut oracle = StreamAggregator::new(s);
-            let mut runs: Vec<SortedRun> = vec![SortedRun::default(); n_runs];
-            for i in 0..2_000u32 {
-                let trial = i % 5;
-                let e = i % 37;
-                let pairs = [pack(e, e), pack(e + 1, e + 1)];
-                oracle.push(trial, i, pairs.map(unpack_element));
-                // Split in contiguous chunks, like batches of nodes.
-                let run = (i as usize * n_runs) / 2_000;
-                push_run_record(&mut runs[run], trial, i, &pairs);
-            }
-            for run in &mut runs {
-                run.packed.sort_unstable();
-            }
-            assert_eq!(merge_sorted_runs(s, runs), oracle.finish(), "{n_runs} runs");
-        }
-    }
-
-    #[test]
-    fn merge_handles_empty_and_unbalanced_runs() {
-        let s = 1;
-        let mut oracle = StreamAggregator::new(s);
-        let mut big = SortedRun::default();
-        let mut small = SortedRun::default();
-        for i in 0..100u32 {
-            let pairs = [pack(i % 9, i % 9)];
-            oracle.push(0, i, pairs.map(unpack_element));
-            push_run_record(if i < 99 { &mut big } else { &mut small }, 0, i, &pairs);
-        }
-        big.packed.sort_unstable();
-        small.packed.sort_unstable();
-        let runs = vec![SortedRun::default(), big, SortedRun::default(), small];
-        assert_eq!(merge_sorted_runs(s, runs), oracle.finish());
-        assert!(merge_sorted_runs(s, Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn merge_runs_to_run_commutes_with_graph_merge() {
-        // Collapsing runs into one run first, then inverting, must equal
-        // inverting the runs directly — for any split, including ties on
-        // (key, node) across runs.
-        let s = 2;
-        for n_runs in [1usize, 2, 3, 5] {
-            let mut runs: Vec<SortedRun> = vec![SortedRun::default(); n_runs];
-            for i in 0..1_500u32 {
-                let trial = i % 4;
-                let e = i % 23;
-                let pairs = [pack(e, e), pack(e + 1, e + 1)];
-                let run = (i as usize * n_runs) / 1_500;
-                push_run_record(&mut runs[run], trial, i, &pairs);
-            }
-            for run in &mut runs {
-                run.packed.sort_unstable();
-            }
-            let direct = merge_sorted_runs(s, runs.clone());
-            let merged = merge_runs_to_run(s, runs);
-            assert!(merged.packed.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(merge_sorted_runs(s, vec![merged]), direct, "{n_runs} runs");
-        }
-        assert!(merge_runs_to_run(s, Vec::new()).is_empty());
     }
 
     #[test]

@@ -908,8 +908,9 @@ mod tests {
     /// oracle's.
     #[test]
     fn fragment_heavy_passes_match_the_serial_oracle() {
-        use crate::aggregate::{merge_fragments, merge_sorted_runs};
+        use crate::aggregate::merge_fragments;
         use crate::serial::SerialShingling;
+        use crate::spill::merge_resident;
         use gpclust_gpu::FaultPlan;
         use gpclust_graph::components::absorb_labels;
         let g = batching_graph(23);
@@ -942,7 +943,7 @@ mod tests {
                     .unwrap();
                 let mut runs = deferred.runs;
                 runs.push(merge_fragments(&deferred.raw));
-                assert_eq!(merge_sorted_runs(2, runs), serial, "{what}: deferred");
+                assert_eq!(merge_resident(2, runs), serial, "{what}: deferred");
 
                 let fx = clusters_fixture(&gpu, Some(24));
                 let run = SerialShingling::new(fx.params).unwrap().run(&fx.g);
@@ -1403,6 +1404,6 @@ mod tests {
         assert!(!report.raw.is_grouped(), "deferred records are unmerged");
         let mut runs = report.runs;
         runs.push(merge_fragments(&report.raw));
-        assert_eq!(serial, crate::aggregate::merge_sorted_runs(2, runs));
+        assert_eq!(serial, crate::spill::merge_resident(2, runs));
     }
 }

@@ -8,11 +8,14 @@
 //! [`GraphDelta`] actually changed. Because a vertex's min-wise shingles
 //! are a pure function of its own list, retracting the touched vertices'
 //! records from the stored index and merging in the freshly-computed ones
-//! reproduces — bit for bit — the canonical run a from-scratch Pass I
-//! over the union graph would emit. Passes II/III are cheap relative to
-//! Pass I and always re-run from the merged index, so the resulting
-//! [`Partition`] is *identical* to re-clustering the union graph from
-//! scratch, across kernels × shards × fleets × faults.
+//! — one [`ShingleIndex::update`] pass — reproduces, bit for bit, the
+//! canonical run a from-scratch Pass I over the union graph would emit.
+//! Passes II/III always re-run from the updated index over the whole
+//! union graph, so the resulting [`Partition`] is *identical* to
+//! re-clustering the union graph from scratch, across kernels × shards ×
+//! fleets × faults. They are the bulk of a small flush, not a cheap
+//! tail: 534 of 759 ms of a 1 % flush on a 10K-vertex graph
+//! (EXPERIMENTS.md).
 //!
 //! Every flush runs the delta pass, whatever share of the graph it
 //! touches; only [`IncrementalEngine::bootstrap`] shingles the whole
@@ -37,7 +40,7 @@ use crate::params::ShinglingParams;
 use crate::pipeline::GpClust;
 use crate::plan::Plan;
 use crate::shingle::AdjacencyInput;
-use crate::spill::SpillStats;
+use crate::spill::{io_to_device, SpillStats};
 use crate::timing::RecoveryReport;
 use std::fmt;
 
@@ -181,12 +184,12 @@ impl IncrementalEngine {
             spill: SpillStats::default(),
             recovery: RecoveryReport::default(),
         };
-        let (fresh, _, rec) =
+        let (runs, _, rec) =
             engine
                 .fleet
                 .gather_pass1_records(&params, &base, &mut engine.spill)?;
         engine.recovery.merge(&rec);
-        engine.index.merge(fresh);
+        engine.index.update(&[], runs).map_err(io_to_device)?;
         engine.commit(base)?;
         Ok(engine)
     }
@@ -320,12 +323,12 @@ impl IncrementalEngine {
     }
 
     /// Apply the pending delta: compact the union graph, refresh the
-    /// index with a delta pass (re-shingle the touched lists, retract
-    /// their old records, merge in the fresh ones), re-run Passes II/III
-    /// from the merged index, and seal a new generation in the attached
-    /// store. A no-op (with `touched == 0`) when nothing is pending. The
-    /// resulting partition is bit-identical to clustering the union graph
-    /// from scratch.
+    /// index with a delta pass (re-shingle the touched lists, then one
+    /// update retracts their old records and merges in the fresh ones),
+    /// re-run Passes II/III from the updated index, and seal a new
+    /// generation in the attached store. A no-op (with `touched == 0`)
+    /// when nothing is pending. The resulting partition is bit-identical
+    /// to clustering the union graph from scratch.
     pub fn flush(&mut self) -> Result<RefreshDecision, EngineError> {
         let mut decision = RefreshDecision {
             full: false,
@@ -343,12 +346,11 @@ impl IncrementalEngine {
         decision.touched = touched.len();
         decision.n_vertices = union.n();
         let masked = MaskedAdjacency::of(&union, &touched);
-        let (fresh, _, rec) =
+        let (runs, _, rec) =
             self.fleet
                 .gather_pass1_records(&self.params, &masked, &mut self.spill)?;
         self.recovery.merge(&rec);
-        self.index.retract(&touched);
-        self.index.merge(fresh);
+        self.index.update(&touched, runs).map_err(io_to_device)?;
         self.commit(union)?;
         Ok(decision)
     }
@@ -637,6 +639,31 @@ mod tests {
             IncrementalEngine::resume(&params, fleet(2), IndexStore::new(dir.path())).unwrap();
         assert_eq!(again.generation(), gen + 1);
         assert_eq!(*again.partition(), oracle);
+    }
+
+    /// The bytes a flush seals are a compatibility contract with index
+    /// directories written by earlier builds: a bootstrap, a sealed first
+    /// generation and one delta flush must persist exactly this run.
+    #[test]
+    fn persisted_index_bytes_are_pinned() {
+        let dir = ScratchDir::new("pin");
+        let g = planted(27);
+        let (base, delta) = split(&g, 3, 4);
+        let params = light(27);
+        let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base)
+            .unwrap()
+            .with_store(IndexStore::new(dir.path()))
+            .unwrap();
+        engine.apply(&delta);
+        assert!(engine.flush().unwrap().touched > 0);
+        let runs: Vec<_> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "run"))
+            .collect();
+        assert_eq!(runs.len(), 1, "{runs:?}");
+        let sealed = crate::spill::SpilledRun::reopen(runs[0].clone()).unwrap();
+        assert_eq!((sealed.len(), sealed.crc()), (800, 0x7e1b_a017));
     }
 
     #[test]

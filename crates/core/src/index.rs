@@ -5,10 +5,13 @@
 //! [`crate::aggregate`]) for a whole graph. Min-wise shingles are a pure
 //! function of one vertex's adjacency list and the hash seed, so a graph
 //! delta invalidates exactly the records of the vertices whose lists it
-//! extends: the incremental engine [`retract`]s those vertices, re-runs
-//! Pass I over just them, [`merge`]s the fresh records back in, and
-//! re-runs the cheap Passes II/III from [`to_graph`] — bit-identical to
-//! re-clustering the union graph from scratch (see
+//! extends: the incremental engine re-runs Pass I over just those
+//! vertices, and one [`update`] drops their old records and merges the
+//! fresh ones in a single pass. Passes II/III then re-run from
+//! [`to_graph`] over the whole union graph; they are not cheap — they
+//! take most of a small flush (534 of 759 ms of a 1 % flush on a
+//! 10K-vertex graph, EXPERIMENTS.md) — but the partition is
+//! bit-identical to re-clustering the union graph from scratch (see
 //! `tests/incremental_properties.rs`).
 //!
 //! [`IndexStore`] persists an index snapshot (records + union graph +
@@ -22,14 +25,13 @@
 //! record or input fingerprint disagrees with the live parameters —
 //! a stale index is never silently merged into.
 //!
-//! [`retract`]: ShingleIndex::retract
-//! [`merge`]: ShingleIndex::merge
+//! [`update`]: ShingleIndex::update
 //! [`to_graph`]: ShingleIndex::to_graph
 
-use crate::aggregate::{merge_runs_to_run, SortedRun, StreamInverter};
+use crate::aggregate::{SortedRun, StreamInverter};
 use crate::checkpoint::{self, axes_record, crc32, CheckpointError, FINGERPRINT_SAMPLE};
 use crate::params::{MemoryBudget, ShinglingParams};
-use crate::spill::{SpillStats, SpilledRun};
+use crate::spill::{merge_runs, Cursor, ExternalRun, SpillStats, SpilledRun};
 use gpclust_graph::{io as graph_io, Csr, Partition, ShingleGraph, VertexId};
 use gpclust_support::json::{self, esc, Json};
 use std::fs::{self, File};
@@ -59,39 +61,9 @@ pub fn fingerprint_resident(g: &Csr) -> u64 {
 // The in-memory index
 // ---------------------------------------------------------------------------
 
-/// Rewrite a sorted run into the index's canonical representation:
-/// local indices ranked sequentially in `(key, node)` order, elements
-/// stored in that same order. A [`SortedRun`] is only sorted by its
-/// *packed* field; its local indices may still point into emission-order
-/// element storage (`merge_fragments` ranks before its final sort), so two
-/// logically identical runs can differ byte-wise. Normalizing here makes
-/// index equality — and the snapshot round-trip — representation-free.
-fn normalize_run(s: usize, run: SortedRun) -> SortedRun {
-    let sequential = run
-        .packed
-        .iter()
-        .enumerate()
-        .all(|(i, &p)| (p & 0xFFFF_FFFF) as usize == i);
-    if sequential {
-        return run;
-    }
-    let mut out = SortedRun {
-        packed: Vec::with_capacity(run.len()),
-        elements: Vec::with_capacity(run.elements.len()),
-    };
-    for &p in &run.packed {
-        let rep = (p & 0xFFFF_FFFF) as usize;
-        let idx = out.packed.len() as u128;
-        out.packed.push(((p >> 32) << 32) | idx);
-        out.elements
-            .extend_from_slice(&run.elements[rep * s..(rep + 1) * s]);
-    }
-    out
-}
-
 /// Pass-I shingle records for a whole graph, held as one canonical
-/// [`SortedRun`]: ascending `(key, node)` with sequentially re-ranked
-/// local indices — the same bytes regardless of how many delta passes
+/// [`SortedRun`]: ascending `(key, node)` with local indices equal to
+/// record positions — the same bytes regardless of how many delta passes
 /// built it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShingleIndex {
@@ -108,14 +80,11 @@ impl ShingleIndex {
         }
     }
 
-    /// Wrap a sorted run (any representation — normalized on entry).
+    /// The index of one sorted run in any representation.
     pub fn from_run(s: usize, run: SortedRun) -> ShingleIndex {
-        debug_assert!(run.packed.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(run.elements.len(), run.len() * s);
-        ShingleIndex {
-            s,
-            run: normalize_run(s, run),
-        }
+        let mut index = ShingleIndex::new(s);
+        index.merge(run);
+        index
     }
 
     /// Shingle size the records carry.
@@ -138,66 +107,54 @@ impl ShingleIndex {
         &self.run
     }
 
-    /// Drop every record belonging to a vertex in `touched` (sorted,
-    /// deduplicated), re-ranking the survivors sequentially. This is the
-    /// invalidation half of a delta pass: the retracted vertices' records
-    /// are stale the moment their adjacency lists grow.
-    pub fn retract(&mut self, touched: &[VertexId]) {
-        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
-        if touched.is_empty() || self.run.is_empty() {
-            return;
+    /// Replace the records of every vertex in `retract` (any order,
+    /// duplicates and ids the index never saw allowed) with the fresh
+    /// records in `runs`, in one merge of the index with `runs`. A
+    /// vertex's shingles are a function of its own adjacency list, so
+    /// when `runs` hold a delta pass over exactly the retracted vertices
+    /// (or never-indexed ones) the result is byte for byte the index a
+    /// from-scratch Pass I over the union graph builds. On an error the
+    /// index is left as it was.
+    pub fn update(&mut self, retract: &[VertexId], runs: Vec<ExternalRun>) -> io::Result<()> {
+        if retract.is_empty() && runs.iter().all(ExternalRun::is_empty) {
+            return Ok(());
         }
-        let s = self.s;
-        let old = std::mem::take(&mut self.run);
-        let mut kept = SortedRun {
-            packed: Vec::with_capacity(old.len()),
-            elements: Vec::with_capacity(old.elements.len()),
-        };
-        for &p in &old.packed {
-            let node = ((p >> 32) & 0xFFFF_FFFF) as VertexId;
-            if touched.binary_search(&node).is_ok() {
-                continue;
-            }
-            let rep = (p & 0xFFFF_FFFF) as usize;
-            let idx = kept.packed.len() as u128;
-            kept.packed.push(((p >> 32) << 32) | idx);
-            kept.elements
-                .extend_from_slice(&old.elements[rep * s..(rep + 1) * s]);
+        let mut inputs = vec![Cursor::mem(&self.run)];
+        for run in &runs {
+            inputs.push(Cursor::of(run)?);
         }
-        self.run = kept;
+        self.run = merge_runs(self.s, inputs, retract, &mut SpillStats::default())?;
+        Ok(())
     }
 
-    /// Fold a delta pass's fresh records into the index. `fresh` must
-    /// cover only vertices previously [`retract`]ed (or never indexed):
-    /// the two runs' `(key, node)` sets are then disjoint, the merge
-    /// order is unique, and the result is byte-for-byte the run a
-    /// from-scratch Pass I over the union graph would aggregate.
+    /// Drop every record of a vertex in `touched`: [`update`] with no
+    /// fresh records.
     ///
-    /// [`retract`]: ShingleIndex::retract
+    /// [`update`]: ShingleIndex::update
+    pub fn retract(&mut self, touched: &[VertexId]) {
+        self.update(touched, Vec::new())
+            .expect("a resident merge does no I/O");
+    }
+
+    /// Fold fresh records in: [`update`] with nothing retracted.
+    ///
+    /// [`update`]: ShingleIndex::update
     pub fn merge(&mut self, fresh: SortedRun) {
-        if fresh.is_empty() {
-            return;
-        }
-        let old = std::mem::take(&mut self.run);
-        // `merge_runs_to_run` normalizes when it actually merges, but its
-        // single-run fast path (empty index, first flush) passes the
-        // fresh run's representation straight through.
-        self.run = normalize_run(self.s, merge_runs_to_run(self.s, vec![old, fresh]));
+        self.update(&[], vec![ExternalRun::Mem(fresh)])
+            .expect("a resident merge does no I/O");
     }
 
     /// Invert the posting records into the bipartite first-level shingle
-    /// graph G′ — the input Passes II/III consume. Equal to
-    /// `merge_sorted_runs(s, vec![run])` without cloning the run.
+    /// graph G′ — the input Passes II/III consume.
     pub fn to_graph(&self) -> ShingleGraph {
-        let s = self.s;
-        let mut inv = StreamInverter::new(s, self.run.len());
-        for &p in &self.run.packed {
-            let rep = (p & 0xFFFF_FFFF) as usize;
-            inv.push(p, |out| {
-                out.extend_from_slice(&self.run.elements[rep * s..(rep + 1) * s])
-            });
-        }
-        inv.finish()
+        merge_runs::<StreamInverter>(
+            self.s,
+            vec![Cursor::mem(&self.run)],
+            &[],
+            &mut SpillStats::default(),
+        )
+        .expect("a resident merge does no I/O")
+        .finish()
     }
 }
 
@@ -463,7 +420,11 @@ impl IndexStore {
         }
 
         Ok(IndexSnapshot {
-            index: ShingleIndex::from_run(m.s as usize, run),
+            // Sealed from a canonical index, so canonical as decoded.
+            index: ShingleIndex {
+                s: m.s as usize,
+                run,
+            },
             graph,
             partition,
             generation: m.generation,
@@ -551,7 +512,7 @@ fn partition_from_tsv(bytes: &[u8]) -> Result<Partition, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{merge_fragments, merge_sorted_runs};
+    use crate::aggregate::{aggregate, merge_fragments};
     use crate::serial::shingle_pass_foreach;
     use crate::shingle::RawShingles;
     use gpclust_graph::generate::{planted_partition, PlantedConfig};
@@ -604,12 +565,39 @@ mod tests {
     }
 
     #[test]
-    fn to_graph_matches_merge_sorted_runs() {
+    fn to_graph_matches_the_host_aggregation() {
         let p = params();
         let g = graph(2);
-        let run = pass1_records(&g, &p, None);
-        let index = ShingleIndex::from_run(p.s1, run.clone());
-        assert_eq!(index.to_graph(), merge_sorted_runs(p.s1, vec![run]));
+        let mut raw = RawShingles::new(p.s1);
+        shingle_pass_foreach(&g, p.s1, &p.family_pass1(), |trial, node, pairs| {
+            raw.push(trial, node, pairs)
+        });
+        let index = ShingleIndex::from_run(p.s1, merge_fragments(&raw));
+        assert_eq!(index.to_graph(), aggregate(&raw));
+    }
+
+    #[test]
+    fn update_takes_retractions_in_any_order() {
+        let p = params();
+        let g = graph(8);
+        let full = ShingleIndex::from_run(p.s1, pass1_records(&g, &p, None));
+        let touched: Vec<VertexId> = vec![3, 10, 11, 40];
+        let fresh = || vec![ExternalRun::Mem(pass1_records(&g, &p, Some(&touched)))];
+        let mut sorted = full.clone();
+        sorted.update(&touched, fresh()).unwrap();
+        assert_eq!(sorted, full);
+        // Reversed, duplicated, and naming vertices past the graph.
+        let past = g.n() as VertexId;
+        let messy: Vec<VertexId> = vec![past + 70, 40, 11, 40, 10, 3, 3, past];
+        let mut index = full.clone();
+        index.update(&messy, fresh()).unwrap();
+        assert_eq!(index, full);
+        let mut retracted = full.clone();
+        retracted.retract(&messy);
+        let mut expected = full.clone();
+        expected.retract(&touched);
+        assert_eq!(retracted, expected);
+        assert!(retracted.len() < full.len());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! kernels on the pool* subtracted from the CPU column — that time stands
 //! in for the device, not the host).
 
-use crate::aggregate::{merge_fragments, merge_runs_to_run, merge_sorted_runs, SortedRun};
+use crate::aggregate::{merge_fragments, SortedRun};
 use crate::batch::{plan_batches_range, Batch, BatchStats};
 use crate::checkpoint::{
     self, CheckpointConfig, Checkpointer, CrashInjector, CrashSite, Reuse, RunMeta,
@@ -48,10 +48,7 @@ use crate::plan::{PassPlan, Plan};
 use crate::report::DistinctLists;
 use crate::resilience::with_oom_backoff;
 use crate::shingle::AdjacencyInput;
-use crate::spill::{
-    self, io_to_device, merge_external_runs, merge_external_to_run, ExternalRun, SpillStats,
-    SpilledRun,
-};
+use crate::spill::{self, io_to_device, merge_external_runs, ExternalRun, SpillStats, SpilledRun};
 use crate::timing::{RecoveryReport, ResidentGauge, StageTimes};
 use gpclust_gpu::{CountersSnapshot, DeviceError, Gpu};
 use gpclust_graph::{io as graph_io, Csr, Partition, ShingleGraph, UnionFind};
@@ -188,20 +185,10 @@ pub struct GpClustReport {
 /// the pass is one unspilled shard, spilled otherwise — and, per device,
 /// the pipelined makespan summed over the shards.
 struct Pass1 {
-    resident: Vec<SortedRun>,
-    spilled: Vec<SpilledRun>,
+    runs: Vec<ExternalRun>,
     stats: BatchStats,
     shards: u64,
     makespan: Vec<f64>,
-}
-
-impl Pass1 {
-    /// The spilled runs as the external merge's inputs (empty when the
-    /// pass never spilled).
-    fn external(&mut self) -> Vec<ExternalRun> {
-        let spilled = std::mem::take(&mut self.spilled);
-        spilled.into_iter().map(ExternalRun::Disk).collect()
-    }
 }
 
 /// Passes II + III: the partition and what the passes cost.
@@ -384,12 +371,10 @@ impl GpClust {
         let mut d = Durability::open(self.checkpoint.as_ref(), axes, offsets, &source)?;
         let mut recovery = RecoveryReport::default();
 
-        let mut pass1 = self.pass1(&plan, &params, offsets, &source, &mut d, &mut recovery)?;
+        let pass1 = self.pass1(&plan, &params, offsets, &source, &mut d, &mut recovery)?;
         let (stats1, shards, pipe1) = (pass1.stats, pass1.shards, slowest(&pass1.makespan));
-        let first = match pass1.external() {
-            ext if ext.is_empty() => merge_sorted_runs(params.s1, pass1.resident),
-            ext => merge_external_runs(params.s1, ext, &mut d.spill).map_err(io_to_device)?,
-        };
+        let first =
+            merge_external_runs(params.s1, pass1.runs, &mut d.spill).map_err(io_to_device)?;
         let first_level_shingles = first.len();
         let second = self.second_pass(&params, first, n, &mut recovery)?;
 
@@ -500,8 +485,8 @@ impl GpClust {
     /// batches went to) finalize once, in their shard's last run. Shards
     /// end on list boundaries, so no list spans two and two shards never
     /// share a `(key, node)`; within a shard the fragments still merge
-    /// after its complete records, and the external merge pops in the
-    /// same `((key, node), run)` order the in-memory merge does.
+    /// after its complete records, and the one record merge pops in
+    /// `((key, node), run)` order wherever the runs reside.
     #[allow(clippy::too_many_arguments)] // the unit with_oom_backoff re-plans
     fn shards(
         &self,
@@ -518,8 +503,7 @@ impl GpClust {
     ) -> Result<Pass1, DeviceError> {
         let s = pass.s;
         let mut out = Pass1 {
-            resident: Vec::new(),
-            spilled: Vec::new(),
+            runs: Vec::new(),
             stats: pass.stats,
             shards: chunks.len() as u64,
             makespan: vec![0.0; self.gpus.len()],
@@ -534,7 +518,7 @@ impl GpClust {
             match reuse {
                 Reuse::Hit(runs) => {
                     recovery.resumed_shards += 1;
-                    out.spilled.extend(runs);
+                    out.runs.extend(runs.into_iter().map(ExternalRun::Disk));
                     continue;
                 }
                 Reuse::Invalid => recovery.checksum_failures += 1,
@@ -560,10 +544,11 @@ impl GpClust {
                 let held =
                     4 * (range.end - range.start) + runs.iter().map(spill::run_bytes).sum::<u64>();
                 d.gauge.charge(held);
-                out.spilled.extend(d.seal(key, &range, s, &runs)?);
+                let sealed = d.seal(key, &range, s, &runs)?;
+                out.runs.extend(sealed.into_iter().map(ExternalRun::Disk));
                 d.gauge.discharge(held);
             } else {
-                out.resident.extend(runs);
+                out.runs.extend(runs.into_iter().map(ExternalRun::Mem));
             }
         }
         if spill {
@@ -626,25 +611,26 @@ impl GpClust {
         })
     }
 
-    /// Pass-I shingle records for `input`, merged into one canonical
-    /// record run — the incremental engine's delta pass. The batch
-    /// pipeline's Pass I (shards, fleet dealing, transient retries, OOM
-    /// re-plans, lost-device redistribution) without a run checkpoint:
-    /// the engine's durability lives in the index store, and a delta pass
-    /// is idempotent until its records are merged into the index. The run
-    /// inverts to exactly the graph the batch pipeline builds. Returns the
-    /// run, the pipelined makespan, and the recovery report.
+    /// Pass-I shingle records for `input` as its runs in shard order —
+    /// the incremental engine's bootstrap and delta pass, which merge
+    /// them into the index. The batch pipeline's Pass I (shards, fleet
+    /// dealing, transient retries, OOM re-plans, lost-device
+    /// redistribution) without a run checkpoint: the engine's durability
+    /// lives in the index store, and a delta pass is idempotent until its
+    /// records are merged into the index. The runs merge to exactly the
+    /// graph the batch pipeline builds. Returns the runs, the pipelined
+    /// makespan, and the recovery report.
     pub(crate) fn gather_pass1_records(
         &self,
         params: &ShinglingParams,
         input: &impl AdjacencyInput,
         spill: &mut SpillStats,
-    ) -> Result<(SortedRun, f64, RecoveryReport), DeviceError> {
+    ) -> Result<(Vec<ExternalRun>, f64, RecoveryReport), DeviceError> {
         let plan = Plan::lower(params, &self.gpus)?;
         let mut d = Durability::default();
         let mut recovery = RecoveryReport::default();
         let source = ShardSource::Resident(input.flat());
-        let mut pass1 = self.pass1(
+        let pass1 = self.pass1(
             &plan,
             params,
             input.offsets(),
@@ -652,13 +638,8 @@ impl GpClust {
             &mut d,
             &mut recovery,
         )?;
-        let makespan = slowest(&pass1.makespan);
-        let run = match pass1.external() {
-            ext if ext.is_empty() => merge_runs_to_run(params.s1, pass1.resident),
-            ext => merge_external_to_run(params.s1, ext, &mut d.spill).map_err(io_to_device)?,
-        };
         spill.merge(&d.spill);
-        Ok((run, makespan, recovery))
+        Ok((pass1.runs, slowest(&pass1.makespan), recovery))
     }
 
     /// Passes II + III from a first-level shingle graph: the cheap passes

@@ -1,15 +1,15 @@
-//! Spill-to-disk sorted runs and the external k-way merge — the
+//! Spill-to-disk sorted runs and the one k-way record merge — the
 //! out-of-core half of the aggregation layer.
 //!
 //! Host aggregation reduces each batch (or shard) of pass records to a
 //! [`SortedRun`] — packed `(key << 64 | node << 32 | local-index)` u128s
-//! plus `s` element ids per record — and
-//! [`crate::aggregate::merge_sorted_runs`] reconstructs the shingle graph
-//! from any set of such runs in one streaming heap pass. That merge only
-//! ever looks at each run's *frontier* record, so a run does not need to
-//! be resident: this module writes finished runs to framed temp files
-//! ([`SpilledRun`]) and generalizes the binary-heap merge into
-//! [`merge_external_runs`] over any mix of in-memory and on-disk runs.
+//! plus `s` element ids per record. Every merge of such runs is one
+//! streaming heap pass, `merge_runs`: Pass I's runs into the shingle
+//! graph ([`merge_external_runs`]), and the shingle index's update and
+//! inversion. The merge only ever looks at each run's *frontier* record,
+//! so a run does not need to be resident: this module writes finished
+//! runs to framed temp files ([`SpilledRun`]), and an [`ExternalRun`]
+//! input is either resident or spilled.
 //!
 //! ## On-disk format (v2, framed + checksummed)
 //!
@@ -49,15 +49,19 @@
 //!
 //! ## Bit-identity
 //!
-//! [`merge_external_runs`] pops records in exactly the order
-//! [`crate::aggregate::merge_sorted_runs`] does — ascending `(key, node)`
-//! with ties broken by run index — and feeds the same inverter. Where the
-//! records sleep between production and merge changes nothing about the
-//! sequence, so the out-of-core path inherits the in-memory path's
-//! bit-identity proof (`tests/oocore_properties.rs` pins it).
+//! `merge_runs` pops records in ascending `(key, node)` order with ties
+//! broken by run index — the order of the host oracle's global sort —
+//! whatever mix of resident and spilled runs it reads, and hands them to
+//! one of two sinks: the inverter every aggregation path builds its graph
+//! through, or the canonical run builder. Where the records sleep between
+//! production and merge changes nothing about the sequence, so the
+//! out-of-core path is bit-identical to the resident one
+//! (`tests/oocore_properties.rs` pins it).
 
 use crate::aggregate::{SortedRun, StreamInverter};
 use crate::checkpoint::{crc32, crc32_combine};
+use gpclust_graph::VertexId;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -499,14 +503,14 @@ impl RunReplay {
     }
 }
 
-/// One run of the external merge: resident or spilled.
+/// One run of the record merge: resident or spilled.
 #[derive(Debug)]
 pub enum ExternalRun {
-    /// A run kept in memory, merged beside spilled ones. The driver's
-    /// spilled Pass I seals every run, its shards' finalized fragments
-    /// included, so it passes only [`ExternalRun::Disk`].
+    /// A run kept in memory: a resident Pass I's runs, a delta pass's,
+    /// the shingle index's own.
     Mem(SortedRun),
-    /// A run spilled to disk.
+    /// A run spilled to disk: every run of a spilled Pass I, its shards'
+    /// finalized fragments included.
     Disk(SpilledRun),
 }
 
@@ -525,147 +529,230 @@ impl ExternalRun {
     }
 }
 
-/// Per-run cursor state of the external merge.
-enum Cursor {
-    Mem { run: SortedRun, pos: usize },
-    Disk { replay: RunReplay },
+/// Where the record merge sends its records, in merge order.
+pub(crate) trait RecordSink {
+    /// An empty sink for up to `records` records of `s` element ids.
+    fn sized(s: usize, records: usize) -> Self;
+    /// Take the next record: its `(key << 32 | node)` and element ids.
+    fn record(&mut self, key_node: u128, elements: &[u32]);
 }
 
-impl Cursor {
-    fn peek(&mut self) -> io::Result<Option<u128>> {
+/// The graph sink: records group into the bipartite shingle graph.
+impl RecordSink for StreamInverter {
+    fn sized(s: usize, records: usize) -> Self {
+        StreamInverter::new(s, records)
+    }
+
+    #[inline(always)]
+    fn record(&mut self, key_node: u128, elements: &[u32]) {
+        self.push(key_node << 32, |out| out.extend_from_slice(elements));
+    }
+}
+
+/// The canonical run builder: a record's local index is its position,
+/// and its element ids are stored in that same order.
+impl RecordSink for SortedRun {
+    fn sized(s: usize, records: usize) -> Self {
+        assert!(records < (1 << 32), "too many shingle records");
+        SortedRun {
+            packed: Vec::with_capacity(records),
+            elements: Vec::with_capacity(records * s),
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, key_node: u128, elements: &[u32]) {
+        self.packed
+            .push((key_node << 32) | self.packed.len() as u128);
+        self.elements.extend_from_slice(elements);
+    }
+}
+
+/// Vertex ids as a bitmap with one bit per id up to the largest, so it
+/// takes them in any order and with duplicates.
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    fn of(ids: &[VertexId]) -> NodeSet {
+        let words = ids.iter().max().map_or(0, |&v| v as usize / 64 + 1);
+        let mut bits = vec![0u64; words];
+        for &v in ids {
+            bits[v as usize / 64] |= 1 << (v % 64);
+        }
+        NodeSet(bits)
+    }
+
+    #[inline]
+    fn contains(&self, v: VertexId) -> bool {
+        self.0
+            .get(v as usize / 64)
+            .is_some_and(|w| (w >> (v % 64)) & 1 != 0)
+    }
+}
+
+/// One input of the record merge, read front to back.
+pub(crate) enum Cursor<'a> {
+    /// A resident run.
+    Mem { run: &'a SortedRun, pos: usize },
+    /// A spilled run, one verified frame resident at a time.
+    Disk(RunReplay),
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn mem(run: &'a SortedRun) -> Cursor<'a> {
+        debug_assert!(run.packed.windows(2).all(|w| w[0] <= w[1]), "unsorted run");
+        Cursor::Mem { run, pos: 0 }
+    }
+
+    pub(crate) fn of(run: &'a ExternalRun) -> io::Result<Cursor<'a>> {
+        Ok(match run {
+            ExternalRun::Mem(run) => Cursor::mem(run),
+            ExternalRun::Disk(spilled) => Cursor::Disk(spilled.replay()?),
+        })
+    }
+
+    /// Records not yet read.
+    fn len(&self) -> usize {
         match self {
-            Cursor::Mem { run, pos } => Ok(run.packed.get(*pos).copied()),
-            Cursor::Disk { replay } => replay.peek(),
+            Cursor::Mem { run, pos } => run.len() - pos,
+            Cursor::Disk(r) => r.frames.remaining + r.packed.len() - r.pos,
+        }
+    }
+
+    /// The resident records (the whole run, or the current frame, read
+    /// in once the last one is drained), their element ids by local
+    /// index, and the read position, which equals the record count once
+    /// the run is drained.
+    fn chunk(&mut self) -> io::Result<(&[u128], &[u32], &mut usize)> {
+        match self {
+            Cursor::Mem { run, pos } => Ok((&run.packed, &run.elements, pos)),
+            Cursor::Disk(r) => {
+                if r.pos == r.packed.len() {
+                    r.refill()?;
+                    // A frame stores element ids in record order.
+                    for (i, p) in r.packed.iter_mut().enumerate() {
+                        *p = ((*p >> 32) << 32) | i as u128;
+                    }
+                }
+                Ok((&r.packed, &r.elements, &mut r.pos))
+            }
         }
     }
 }
 
+/// The one k-way record merge behind every run merge: Pass I's runs into
+/// the shingle graph, the shingle index's update, its inversion.
+///
+/// Records pop in ascending `(key, node)` order, ties broken by input
+/// order. Runs arrive in batch order and their local indices in
+/// emission order, so this is record for record the sequence the host
+/// oracle's global `(key << 64 | node << 32 | record-index)` sort
+/// produces, whatever the split and wherever each run resides. Records
+/// of a vertex in `retract` (any order, duplicates allowed) are dropped
+/// from the first input only: the later inputs hold those vertices'
+/// fresh records.
+///
+/// The minimum run is drained in a tight loop while its next record
+/// stays below every other run's frontier (the heap's top), so a long
+/// stretch of one run pays no heap traffic and a switch costs one sift.
+/// Host memory holds one frame per spilled run plus the sink. The wall
+/// time counts as spill reading only when a run is on disk.
+pub(crate) fn merge_runs<S: RecordSink>(
+    s: usize,
+    mut runs: Vec<Cursor<'_>>,
+    retract: &[VertexId],
+    stats: &mut SpillStats,
+) -> io::Result<S> {
+    let t0 = Instant::now();
+    let mut sink = S::sized(s, runs.iter().map(Cursor::len).sum());
+    let retract = (!retract.is_empty()).then(|| NodeSet::of(retract));
+    // A lone resident run streams straight through: measured, the
+    // general loop reads it a fifth slower.
+    if let ([Cursor::Mem { run, .. }], None) = (runs.as_slice(), &retract) {
+        drain(
+            s,
+            &run.packed,
+            &run.elements,
+            u128::MAX,
+            |_| true,
+            &mut sink,
+        );
+        return Ok(sink);
+    }
+    let mut heap = BinaryHeap::with_capacity(runs.len());
+    for (ri, run) in runs.iter_mut().enumerate() {
+        let (packed, _, pos) = run.chunk()?;
+        if let Some(&p) = packed.get(*pos) {
+            heap.push(Reverse((p >> 32, ri)));
+        }
+    }
+    let mut next = heap.pop();
+    while let Some(Reverse((_, ri))) = next {
+        // Records below `stop` precede every other run's frontier; a
+        // tie goes to the earlier run.
+        let stop = heap.peek().map_or(u128::MAX, |&Reverse((key_node, rj))| {
+            key_node + (ri < rj) as u128
+        });
+        let retract = retract.as_ref().filter(|_| ri == 0);
+        next = loop {
+            let (packed, elements, pos) = runs[ri].chunk()?;
+            let stretch = &packed[*pos..];
+            if stretch.is_empty() {
+                break heap.pop(); // drained
+            }
+            // One loop, compiled with and without the retraction filter.
+            let end = match retract {
+                Some(r) => drain(s, stretch, elements, stop, |v| !r.contains(v), &mut sink),
+                None => drain(s, stretch, elements, stop, |_| true, &mut sink),
+            };
+            *pos += end;
+            if let Some(&p) = stretch.get(end) {
+                // No longer the minimum: trade places with the heap's top.
+                let mut top = heap.peek_mut().expect("a stop implies another run");
+                break Some(std::mem::replace(&mut *top, Reverse((p >> 32, ri))));
+            }
+        };
+    }
+    if runs.iter().any(|r| matches!(r, Cursor::Disk(_))) {
+        stats.read_seconds += t0.elapsed().as_secs_f64();
+    }
+    Ok(sink)
+}
+
+/// Hand `sink` the leading records of `stretch` below `stop` whose
+/// generator `keep` accepts; returns how many records were read.
+#[inline(always)]
+fn drain<S: RecordSink>(
+    s: usize,
+    stretch: &[u128],
+    elements: &[u32],
+    stop: u128,
+    keep: impl Fn(VertexId) -> bool,
+    sink: &mut S,
+) -> usize {
+    for (k, &p) in stretch.iter().enumerate() {
+        let key_node = p >> 32;
+        if key_node >= stop {
+            return k;
+        }
+        if keep(key_node as VertexId) {
+            let rep = p as u32 as usize;
+            sink.record(key_node, &elements[rep * s..(rep + 1) * s]);
+        }
+    }
+    stretch.len()
+}
+
 /// Merge resident and spilled sorted runs into the bipartite shingle
-/// graph — [`crate::aggregate::merge_sorted_runs`] generalized over run
-/// residency.
-///
-/// Entries pop in ascending `((key, node), run-index)` order, exactly the
-/// in-memory merge's sequence, so the result is bit-identical to merging
-/// the same runs resident. Host memory holds one `REPLAY_CHUNK`-record
-/// frontier per on-disk run plus the growing output graph; read traffic
-/// is tallied into `stats`.
-///
-/// [`merge_sorted_runs`]: crate::aggregate::merge_sorted_runs
+/// graph through `merge_runs`; read time is tallied into `stats` when
+/// a run is on disk.
 pub fn merge_external_runs(
     s: usize,
     runs: Vec<ExternalRun>,
     stats: &mut SpillStats,
 ) -> io::Result<gpclust_graph::ShingleGraph> {
-    let t0 = Instant::now();
-    let runs: Vec<ExternalRun> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert!(total < (1 << 32), "too many shingle records");
-    let mut inv = StreamInverter::new(s, total);
-    let mut cursors: Vec<Cursor> = runs
-        .into_iter()
-        .map(|r| match r {
-            ExternalRun::Mem(run) => Ok(Cursor::Mem { run, pos: 0 }),
-            ExternalRun::Disk(spilled) => Ok(Cursor::Disk {
-                replay: spilled.replay()?,
-            }),
-        })
-        .collect::<io::Result<_>>()?;
-
-    use std::cmp::Reverse;
-    // Heap keys strip the run-local index (low 32 bits) and tie-break on
-    // the run index — the same order [`merge_sorted_runs`] restores.
-    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = BinaryHeap::with_capacity(cursors.len());
-    for (ri, c) in cursors.iter_mut().enumerate() {
-        if let Some(p) = c.peek()? {
-            heap.push(Reverse((p >> 32, ri)));
-        }
-    }
-    while let Some(Reverse((_, ri))) = heap.pop() {
-        let cursor = &mut cursors[ri];
-        match cursor {
-            Cursor::Mem { run, pos } => {
-                let p = run.packed[*pos];
-                let rep = (p & 0xFFFF_FFFF) as usize;
-                // Split borrows: elements slice is read inside the push.
-                let elems = &run.elements[rep * s..(rep + 1) * s];
-                inv.push(p, |out| out.extend_from_slice(elems));
-                *pos += 1;
-            }
-            Cursor::Disk { replay } => {
-                let p = replay.peek()?.expect("heap entry implies a record");
-                inv.push(p, |out| out.extend_from_slice(replay.elements()));
-                replay.advance();
-            }
-        }
-        if let Some(next) = cursor.peek()? {
-            heap.push(Reverse((next >> 32, ri)));
-        }
-    }
-    stats.read_seconds += t0.elapsed().as_secs_f64();
-    Ok(inv.finish())
-}
-
-/// Merge resident and spilled sorted runs into one in-memory
-/// [`SortedRun`] — [`crate::aggregate::merge_runs_to_run`] generalized
-/// over run residency, for when the merged records must outlive the merge
-/// (the incremental engine folds delta-pass shard runs into its persistent
-/// shingle index this way). Pops in exactly [`merge_external_runs`]'s
-/// order, so collapsing through this run first then inverting is
-/// bit-identical to inverting the runs directly.
-pub fn merge_external_to_run(
-    s: usize,
-    runs: Vec<ExternalRun>,
-    stats: &mut SpillStats,
-) -> io::Result<SortedRun> {
-    let t0 = Instant::now();
-    let runs: Vec<ExternalRun> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert!(total < (1 << 32), "too many shingle records");
-    let mut out = SortedRun {
-        packed: Vec::with_capacity(total),
-        elements: Vec::with_capacity(total * s),
-    };
-    let mut cursors: Vec<Cursor> = runs
-        .into_iter()
-        .map(|r| match r {
-            ExternalRun::Mem(run) => Ok(Cursor::Mem { run, pos: 0 }),
-            ExternalRun::Disk(spilled) => Ok(Cursor::Disk {
-                replay: spilled.replay()?,
-            }),
-        })
-        .collect::<io::Result<_>>()?;
-
-    use std::cmp::Reverse;
-    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = BinaryHeap::with_capacity(cursors.len());
-    for (ri, c) in cursors.iter_mut().enumerate() {
-        if let Some(p) = c.peek()? {
-            heap.push(Reverse((p >> 32, ri)));
-        }
-    }
-    while let Some(Reverse((key_node, ri))) = heap.pop() {
-        let cursor = &mut cursors[ri];
-        let idx = out.packed.len() as u128;
-        out.packed.push((key_node << 32) | idx);
-        match cursor {
-            Cursor::Mem { run, pos } => {
-                let p = run.packed[*pos];
-                let rep = (p & 0xFFFF_FFFF) as usize;
-                out.elements
-                    .extend_from_slice(&run.elements[rep * s..(rep + 1) * s]);
-                *pos += 1;
-            }
-            Cursor::Disk { replay } => {
-                replay.peek()?.expect("heap entry implies a record");
-                out.elements.extend_from_slice(replay.elements());
-                replay.advance();
-            }
-        }
-        if let Some(next) = cursor.peek()? {
-            heap.push(Reverse((next >> 32, ri)));
-        }
-    }
-    stats.read_seconds += t0.elapsed().as_secs_f64();
-    Ok(out)
+    let cursors = runs.iter().map(Cursor::of).collect::<io::Result<_>>()?;
+    Ok(merge_runs::<StreamInverter>(s, cursors, &[], stats)?.finish())
 }
 
 /// Surface a spill/scratch I/O failure through the drivers' device-error
@@ -683,10 +770,18 @@ pub(crate) fn run_bytes(run: &SortedRun) -> u64 {
     (run.packed.len() * 16 + run.elements.len() * 4) as u64
 }
 
+/// The shingle graph of resident runs: [`merge_external_runs`] over
+/// [`ExternalRun::Mem`] runs.
+#[cfg(test)]
+pub(crate) fn merge_resident(s: usize, runs: Vec<SortedRun>) -> gpclust_graph::ShingleGraph {
+    let runs = runs.into_iter().map(ExternalRun::Mem).collect();
+    merge_external_runs(s, runs, &mut SpillStats::default()).expect("a resident merge does no I/O")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::merge_sorted_runs;
+    use crate::aggregate::StreamAggregator;
     use crate::minwise::{pack, unpack_element};
     use crate::shingle::shingle_key;
 
@@ -876,53 +971,104 @@ mod tests {
         assert_eq!(spilled.crc(), 0xfda7_9af5);
     }
 
+    /// The one merge against the host oracle's global sort: random
+    /// record streams split into 1–8 runs, each resident or spilled (a
+    /// long stream spills multi-frame runs), with empty runs, `(key,
+    /// node)` ties across runs and a random retraction set on run 0 (in
+    /// any order, with duplicates and ids no record carries).
     #[test]
-    fn external_merge_matches_in_memory_merge() {
-        // Every residency mix of the same runs must reproduce the
-        // in-memory k-way merge bit for bit.
-        for n_runs in [1usize, 2, 3, 7] {
-            let runs = sample_runs(n_runs, 2_000);
-            let oracle = merge_sorted_runs(2, runs.clone());
-            for spill_mask in 0..(1u32 << n_runs) {
-                let mut stats = SpillStats::default();
-                let ext: Vec<ExternalRun> = runs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        if spill_mask & (1 << i) != 0 {
-                            Ok(ExternalRun::Disk(SpilledRun::write(2, r, &mut stats)?))
-                        } else {
-                            Ok(ExternalRun::Mem(r.clone()))
-                        }
-                    })
-                    .collect::<io::Result<_>>()
-                    .unwrap();
-                let merged = merge_external_runs(2, ext, &mut stats).unwrap();
-                assert_eq!(merged, oracle, "{n_runs} runs, mask {spill_mask:b}");
+    fn one_merge_matches_the_global_sort_oracle() {
+        gpclust_support::check::check(64, |case| {
+            let s = case.range(1..4usize);
+            let long = case.range(0..16u32) == 0;
+            let n_runs = if long {
+                case.range(1..3usize)
+            } else {
+                case.range(1..9usize)
+            };
+            let n = if long {
+                3 * REPLAY_CHUNK
+            } else {
+                case.size(0..600)
+            };
+            let n_nodes = case.range(1..40u32);
+            // Records as emitted: `(trial, node, elements)` per run.
+            let mut emitted: Vec<Vec<(u32, u32, Vec<u32>)>> = vec![Vec::new(); n_runs];
+            for _ in 0..n {
+                let ri = case.range(0..n_runs);
+                let trial = case.range(0..4u32);
+                let node = case.range(0..n_nodes);
+                let elements = (0..s).map(|_| case.range(0..5u32)).collect();
+                emitted[ri].push((trial, node, elements));
             }
-        }
-    }
+            let retract: Vec<VertexId> = case.vec(0..8, |c| c.range(0..n_nodes + 4));
+            let dropped = NodeSet::of(&retract);
 
-    #[test]
-    fn external_merge_handles_empty_and_unbalanced_runs() {
-        let mut big = SortedRun::default();
-        let mut small = SortedRun::default();
-        for i in 0..100u32 {
-            let pairs = [pack(i % 9, i % 9)];
-            push_run_record(if i < 99 { &mut big } else { &mut small }, 0, i, &pairs);
-        }
-        big.packed.sort_unstable();
-        small.packed.sort_unstable();
-        let oracle = merge_sorted_runs(1, vec![big.clone(), small.clone()]);
+            // The global sort over the surviving records, absorbed in run
+            // order: once for the graph, once for the run.
+            let mut oracle = [StreamAggregator::new(s), StreamAggregator::new(s)];
+            let mut stats = SpillStats::default();
+            let mut spilled = false;
+            let mut runs = Vec::new();
+            for (ri, records) in emitted.iter().enumerate() {
+                let mut run = SortedRun::default();
+                for (i, (trial, node, elements)) in records.iter().enumerate() {
+                    let key = shingle_key(*trial, elements.iter().copied());
+                    run.packed
+                        .push(((key as u128) << 64) | ((*node as u128) << 32) | i as u128);
+                    run.elements.extend_from_slice(elements);
+                    if ri > 0 || !dropped.contains(*node) {
+                        for o in &mut oracle {
+                            o.push(*trial, *node, elements.iter().copied());
+                        }
+                    }
+                }
+                run.packed.sort_unstable();
+                runs.push(if case.bool() {
+                    spilled = true;
+                    ExternalRun::Disk(SpilledRun::write(s, &run, &mut stats).unwrap())
+                } else {
+                    ExternalRun::Mem(run)
+                });
+            }
+            let [oracle_graph, oracle_run] = oracle;
+            let cursors = || {
+                runs.iter()
+                    .map(Cursor::of)
+                    .collect::<io::Result<_>>()
+                    .unwrap()
+            };
+            let graph = merge_runs::<StreamInverter>(s, cursors(), &retract, &mut stats)
+                .unwrap()
+                .finish();
+            assert_eq!(graph, oracle_graph.finish());
+            let run: SortedRun = merge_runs(s, cursors(), &retract, &mut stats).unwrap();
+            if !spilled {
+                assert_eq!(stats.read_seconds, 0.0, "a resident merge reads no disk");
+            }
+
+            // The oracle's run, re-ranked into canonical form.
+            let mut canonical = SortedRun::default();
+            let sorted = oracle_run.into_run();
+            for &p in &sorted.packed {
+                let rep = p as u32 as usize;
+                canonical.record(p >> 32, &sorted.elements[rep * s..(rep + 1) * s]);
+            }
+            assert_eq!(run, canonical);
+            assert!(run
+                .packed
+                .iter()
+                .enumerate()
+                .all(|(i, &p)| p as u32 as usize == i));
+            assert!(run.packed.windows(2).all(|w| w[0] < w[1]));
+            let inverted = merge_external_runs(s, vec![ExternalRun::Mem(run)], &mut stats).unwrap();
+            assert_eq!(inverted, graph);
+            if retract.is_empty() {
+                assert_eq!(merge_external_runs(s, runs, &mut stats).unwrap(), graph);
+            }
+        });
         let mut stats = SpillStats::default();
-        let ext = vec![
-            ExternalRun::Mem(SortedRun::default()),
-            ExternalRun::Disk(SpilledRun::write(1, &big, &mut stats).unwrap()),
-            ExternalRun::Mem(SortedRun::default()),
-            ExternalRun::Mem(small),
-        ];
-        assert_eq!(merge_external_runs(1, ext, &mut stats).unwrap(), oracle);
-        assert!(merge_external_runs(1, Vec::new(), &mut stats)
+        assert!(merge_external_runs(2, Vec::new(), &mut stats)
             .unwrap()
             .is_empty());
     }
