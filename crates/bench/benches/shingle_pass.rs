@@ -1,16 +1,20 @@
-//! Benchmarks of one shingling pass — serial vs device — and of the CPU
-//! aggregation stage, on a homology-shaped planted graph.
+//! Benchmarks of one shingling pass — serial vs device — of the CPU
+//! aggregation stage, and of Pass II reduced to marks into Phase III, on
+//! a homology-shaped planted graph.
 
 use gpclust_bench::time;
-use gpclust_core::aggregate::{aggregate, StreamAggregator};
+use gpclust_core::aggregate::{aggregate, SortedRun, StreamAggregator};
 use gpclust_core::minwise::{unpack_element, HashFamily};
 use gpclust_core::serial::{shingle_pass, shingle_pass_foreach};
+use gpclust_core::shingle::AdjacencyInput;
 use gpclust_core::{
-    Executor, PassInput, Plan, RecoveryReport, ShingleKernel, ShinglingParams, Sink,
+    DistinctLists, Executor, PassInput, Plan, RecoveryReport, SerialShingling, ShingleKernel,
+    ShinglingParams, Sink,
 };
 use gpclust_gpu::{DeviceConfig, Gpu};
+use gpclust_graph::components::absorb_labels;
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
-use gpclust_graph::Csr;
+use gpclust_graph::{Csr, Partition, UnionFind};
 
 /// One gathered device pass through the plan/executor layer.
 fn device_pass(gpu: &Gpu, g: &Csr, family: &HashFamily, kernel: ShingleKernel) {
@@ -71,9 +75,47 @@ fn bench_aggregation(g: &Csr, family: &HashFamily) {
     });
 }
 
+/// Pass II over the distinct member lists of the serial Pass I, into
+/// Phase III: the device reduces each batch's trials to selected-member
+/// marks and the host unions them. Asserts the partition equals the
+/// serial oracle's.
+fn bench_pass2_marks(g: &Csr) {
+    let params = ShinglingParams::light(7);
+    let mut agg = StreamAggregator::new(params.s1);
+    shingle_pass_foreach(g, params.s1, &params.family_pass1(), |t, n, p| {
+        agg.push(t, n, p.iter().map(|&p| unpack_element(p)))
+    });
+    let lists = DistinctLists::new(&agg.finish(), params.s2, g.n());
+    let gpu = Gpu::new(DeviceConfig::tesla_k20());
+    let plan = Plan::lower(&params, std::slice::from_ref(&gpu)).unwrap();
+    let pass = plan.pass(params.s2, plan.aggregation, plan.capacity, lists.offsets());
+    let family = params.family_pass2();
+    let partition = || -> Partition {
+        let report = Executor::new(&gpu)
+            .run(
+                &pass,
+                PassInput::of(&lists),
+                &family,
+                &mut RecoveryReport::default(),
+                Sink::Clusters(&lists),
+            )
+            .unwrap();
+        let mut uf = UnionFind::new(g.n());
+        absorb_labels(&mut uf, &report.clusters.unwrap().labels);
+        lists.finish(uf, params.s2, &SortedRun::default()).0
+    };
+    assert_eq!(
+        partition(),
+        SerialShingling::new(params).unwrap().cluster(g),
+        "pass2/marks must cluster like the serial oracle"
+    );
+    time("pass2/marks", 10, partition);
+}
+
 fn main() {
     let g = graph();
     let family = HashFamily::new(20, 7);
     bench_pass(&g, &family);
     bench_aggregation(&g, &family);
+    bench_pass2_marks(&g);
 }

@@ -125,7 +125,9 @@ fn main() {
     );
     let setup = || (base.clone(), vec![ExternalRun::Mem(fresh.clone())]);
     let update = |(mut index, runs): (ShingleIndex, Vec<ExternalRun>)| {
-        index.update(&touched, runs).unwrap();
+        index
+            .update(&touched, runs, &mut SpillStats::default())
+            .unwrap();
         index
     };
     assert!(

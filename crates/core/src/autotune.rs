@@ -8,7 +8,9 @@
 //! it in closed form: batch count from the
 //! [`crate::batch::BYTES_PER_ELEM`] footprint, each batch's upload, its
 //! `⌈c / g⌉` trial groups ([`crate::batch::trial_group`]) of one kernel
-//! chain and one D2H copy each, and the double-buffered overlap. It
+//! chain and one D2H copy each — in Pass II, which reduces to marks, one
+//! group of all `c` trials and one copy of a byte per element — and the
+//! double-buffered overlap. It
 //! prices no host work: on the benchmark's workloads the host stages
 //! take most of the wall time, and a host rate the code never measured
 //! would only hide that.
@@ -171,14 +173,16 @@ pub struct Prediction {
 /// output holds `out_elems` pairs per trial, as the executor runs it: one
 /// upload, then trial groups of `g` trials ([`trial_group`]) and one
 /// shorter group for the `trials mod g` left over, each group one kernel
-/// chain and one D2H copy of its output.
+/// chain and one D2H copy of its output. A batch reduced to marks (Pass
+/// II) is one group of every trial and one copy of one mark byte per
+/// element; its fragments' few ids go unpriced.
 struct BatchCost {
     h2d: f64,
     /// `(count, kernels, d2h)` of the full groups, then of the shorter
     /// last group (count 0 when `g` divides `trials`). A group's kernels
-    /// are transform + segmented sort + gather for
-    /// [`ShingleKernel::SortCompact`]'s one trial, or the fused selection
-    /// over `batch_elems` elements per trial of the group for
+    /// are transform + segmented sort + gather per trial for
+    /// [`ShingleKernel::SortCompact`], or the fused selection over
+    /// `batch_elems` elements per trial of the group for
     /// [`ShingleKernel::FusedSelect`].
     groups: [(f64, f64, f64); 2],
 }
@@ -190,20 +194,30 @@ impl BatchCost {
         batch_elems: usize,
         out_elems: usize,
         trials: usize,
+        marks: bool,
     ) -> Self {
-        let g = trial_group(kernel, batch_elems, out_elems, trials);
+        let g = match marks {
+            true => trials.max(1),
+            false => trial_group(kernel, batch_elems, out_elems, trials),
+        };
         let group = |count: usize, trials: usize| {
             let kernels = match kernel {
-                ShingleKernel::SortCompact => gpu.model_kernel_sequence_seconds(&[
-                    (batch_elems, KernelCost::transform()),
-                    (batch_elems, KernelCost::segmented_sort()),
-                    (out_elems, KernelCost::gather()),
-                ]),
+                ShingleKernel::SortCompact => {
+                    trials as f64
+                        * gpu.model_kernel_sequence_seconds(&[
+                            (batch_elems, KernelCost::transform()),
+                            (batch_elems, KernelCost::segmented_sort()),
+                            (out_elems, KernelCost::gather()),
+                        ])
+                }
                 ShingleKernel::FusedSelect => {
                     gpu.model_kernel_seconds(batch_elems * trials, &KernelCost::segmented_select())
                 }
             };
-            let d2h = gpu.model_transfer_seconds(trials * out_elems * OUT_ELEM_BYTES);
+            let d2h = match marks {
+                true => gpu.model_transfer_seconds(batch_elems),
+                false => gpu.model_transfer_seconds(trials * out_elems * OUT_ELEM_BYTES),
+            };
             (count as f64, kernels, d2h)
         };
         let rest = trials % g;
@@ -239,11 +253,12 @@ impl BatchCost {
 }
 
 /// Closed-form stream makespan of `b_d` of a pass's `n_batches` batches
-/// on `gpu` ([`BatchCost::pipelined`] per batch).
+/// on `gpu` ([`BatchCost::pipelined`] per batch), each reduced to marks
+/// when `marks`.
 fn model_pass_share(
     gpu: &Gpu,
     kernel: ShingleKernel,
-    shape: &PassShape,
+    (shape, marks): (&PassShape, bool),
     n_batches: usize,
     b_d: usize,
 ) -> f64 {
@@ -252,7 +267,7 @@ fn model_pass_share(
     }
     let batch_elems = shape.n_elements.div_ceil(n_batches);
     let out_per_batch = shape.out_elements.div_ceil(n_batches).max(1);
-    let batch = BatchCost::of(gpu, kernel, batch_elems, out_per_batch, shape.trials);
+    let batch = BatchCost::of(gpu, kernel, batch_elems, out_per_batch, shape.trials, marks);
     b_d as f64 * batch.pipelined()
 }
 
@@ -270,7 +285,7 @@ pub fn device_weights(gpus: &[Gpu], kernel: ShingleKernel, trials: usize) -> Vec
                 return 0.0;
             }
             let n = NOMINAL_BATCH_ELEMS;
-            1.0 / BatchCost::of(gpu, kernel, n, n / 2, trials.max(1)).serialized()
+            1.0 / BatchCost::of(gpu, kernel, n, n / 2, trials.max(1), false).serialized()
         })
         .collect()
 }
@@ -332,8 +347,9 @@ pub fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
 /// Per pass: the batch count follows the fleet capacity (smallest
 /// unbenched device under the kernel — the same rule
 /// [`crate::plan::Plan::lower`] applies), batches are apportioned by
-/// `sharing`, each device's share is priced in closed form, and the pass
-/// makespan is the maximum over devices.
+/// `sharing`, each device's share is priced in closed form — Pass I's
+/// batches in trial groups, Pass II's as one launch and one mark copy
+/// each — and the pass makespan is the maximum over devices.
 pub fn predict(
     axes: PlanAxes,
     w: &WorkloadShape,
@@ -354,14 +370,14 @@ pub fn predict(
     let capacity = batch_capacity(min_mem);
     let mut device_seconds = 0.0;
     let mut n_batches = 0u64;
-    for shape in [&w.pass1, &w.pass2] {
-        let b = shape.n_elements.div_ceil(capacity.max(1));
+    for pass in [(&w.pass1, false), (&w.pass2, true)] {
+        let b = pass.0.n_elements.div_ceil(capacity.max(1));
         n_batches += b as u64;
         let counts = apportion(b, &shares);
         device_seconds += gpus
             .iter()
             .zip(&counts)
-            .map(|(gpu, &b_d)| model_pass_share(gpu, axes.kernel, shape, b, b_d))
+            .map(|(gpu, &b_d)| model_pass_share(gpu, axes.kernel, pass, b, b_d))
             .fold(0.0, f64::max);
     }
     Some(Prediction {

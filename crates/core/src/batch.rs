@@ -152,7 +152,9 @@ pub const OUT_ELEM_BYTES: usize = std::mem::size_of::<u32>();
 /// Bytes per batch element reserved for what the kernel writes:
 /// [`ShingleKernel::SortCompact`]'s packed `(hash, vertex)` workspace for
 /// the segmented sort, or the trial group [`ShingleKernel::FusedSelect`]
-/// writes in one launch, which [`trial_group`] bounds to this slot.
+/// writes in one launch, which [`trial_group`] bounds to this slot. A
+/// Pass II batch reduced to marks writes 1 byte per element; under the
+/// sort kernel that byte sits beside the workspace, inside [`HEADROOM`].
 const KERNEL_SLOT_BYTES: usize = 8;
 
 /// Device-memory footprint of one batch element, the same under both

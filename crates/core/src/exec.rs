@@ -9,21 +9,27 @@
 //! is the same as under blocking copies. Inside [`Executor::run`]:
 //!
 //! * the kernel ([`ShingleKernel`]) — the top-s extraction plan of a
-//!   batch's trials, run in groups of [`trial_group`] trials with one
-//!   D2H copy per group: `SortCompact` (transform → segmented sort →
-//!   compaction, the paper's pipeline, one trial per group) or
-//!   `FusedSelect` (one fused hash + ascending selection launch over the
-//!   whole group). Both select by the packed `(hash, element)` key and
-//!   download only the 4-byte element ids, in hash order, and both emit
-//!   bit-identical bytes.
+//!   batch's trials. A gathering pass runs them in groups of
+//!   [`trial_group`] trials with one D2H copy per group: `SortCompact`
+//!   (transform → segmented sort → compaction, the paper's pipeline, one
+//!   trial per group) or `FusedSelect` (one fused hash + ascending
+//!   selection launch over the whole group). Both select by the packed
+//!   `(hash, element)` key and download only the 4-byte element ids, in
+//!   hash order, and both emit bit-identical bytes. A pass into Phase III
+//!   ([`Sink::Clusters`]) reduces on the device instead: every trial of a
+//!   batch sets a selected-position mark per batch element (one fused
+//!   launch, or the sort kernel's gathers ORing into one buffer), and the
+//!   marks come back in one D2H per batch.
 //! * `SinkState` *(internal, from the public [`Sink`] request)* —
 //!   where finalized records go: a [`RawShingles`] buffer, sorted runs
 //!   packed on the host ([`StreamAggregator`]), or Phase III
-//!   ([`Sink::Clusters`]): each record of a distinct member list folds
-//!   onto the list's anchor in a host union–find. Complete records reach
-//!   the sink as element slices; only a boundary fragment (at most two
-//!   segments per batch and trial) is re-packed with its trial's hashes
-//!   (`repack`), because fragments merge by hash.
+//!   ([`Sink::Clusters`]): once a batch has succeeded, each complete
+//!   member list's marked members fold onto the list's anchor in a host
+//!   union–find ([`DistinctLists::union_marked`]). Complete records
+//!   reach a gathering sink as element slices; only a boundary fragment
+//!   (at most two segments per batch and trial) is downloaded per trial
+//!   under either sink and re-packed with its trial's hashes (`repack`),
+//!   because fragments merge by hash.
 //! * [`crate::resilience`] combinators — wrapped uniformly around every
 //!   device op: transient faults retry, an exhausted batch degrades to
 //!   the bit-identical host path when the policy allows, `OutOfMemory`
@@ -34,20 +40,20 @@
 //! driver runs on every device: an arbitrary share of the batch list,
 //! fragment-flagged records for driver-side reconciliation, records
 //! streamed into the sink with a per-batch rollback mark (a failed batch
-//! leaves nothing behind but the idempotent Phase-III unions of its
-//! complete records), and unfinished-share reporting on device loss.
+//! leaves nothing behind: its marks fold only after its download
+//! succeeds), and unfinished-share reporting on device loss.
 //! `Merge` (in-order batches, host-side carry merge of boundary
 //! fragments) serves callers that step through a single pass by hand.
 //! Both run every batch through one per-batch device body (upload,
-//! prefetch of the next batch, trial groups), which is what keeps both
-//! kernels bit-identical: same batch plan + same emission order ⇒ same
-//! records.
+//! prefetch of the next batch, trial groups or marks), which is what
+//! keeps both kernels bit-identical: same batch plan + same emission
+//! order ⇒ same records.
 
 #![deny(dead_code)]
 
 use crate::aggregate::{SortedRun, StreamAggregator};
 use crate::batch::{trial_group, Batch, BatchStats};
-use crate::gpu_pass::{compaction_tasks, host_trial_out, plan_batch, BatchPlan};
+use crate::gpu_pass::{compaction_tasks, host_trial_marks, host_trial_out, plan_batch, BatchPlan};
 use crate::minwise::{hash_with, pack, unpack_element, HashFamily, PackedHash};
 use crate::params::ShingleKernel;
 use crate::plan::{FragmentMode, PassPlan};
@@ -119,12 +125,16 @@ pub enum Sink<'a> {
     /// record in `raw`, grouped ([`RawShingles::push_complete`]).
     Gather,
     /// Stream Pass II into Phase III ([`PassReport::clusters`]). The pass
-    /// runs over the given [`DistinctLists`] (also its adjacency input),
-    /// and each complete record's elements fold onto its list's anchor in
-    /// a union–find ([`DistinctLists::union_record`]). The labels cover
-    /// the lists' input vertices and leave the owner closure to the
-    /// caller ([`DistinctLists::finish`]). Under [`FragmentMode::Defer`]
-    /// fragments pool in [`PassReport::raw`].
+    /// runs over the given [`DistinctLists`] (also its adjacency input).
+    /// The device reduces each batch's trials to one mark per element,
+    /// set where some trial selected it, and each complete list's marked
+    /// members fold onto the list's anchor in a union–find
+    /// ([`DistinctLists::union_marked`]). The labels cover the lists'
+    /// input vertices and leave the owner closure to the caller
+    /// ([`DistinctLists::finish`]). Boundary fragments come back as
+    /// per-trial records: merged on the host into records under
+    /// [`FragmentMode::Merge`] ([`DistinctLists::union_record`]), pooled
+    /// in [`PassReport::raw`] under [`FragmentMode::Defer`].
     Clusters(&'a DistinctLists),
 }
 
@@ -137,7 +147,8 @@ pub struct ClusterLabels {
     /// [`gpclust_graph::components::absorb_labels`].
     pub labels: Vec<u32>,
     /// Second-level `<shingle, generator>` records streamed (|E″|): each
-    /// list record counts once per owner ([`DistinctLists::owners`]).
+    /// list record counts once per owner ([`DistinctLists::owners`]), and
+    /// a complete list stands for one record per trial.
     pub records: u64,
 }
 
@@ -237,8 +248,8 @@ impl<'g> Executor<'g> {
         // Double buffer: the next batch's elements already uploaded.
         let mut staged: Staged = None;
         for (bi, batch) in pass.batches.iter().enumerate() {
-            let plan = plan_batch(batch, input.offsets, pass.s);
-            self.run_batch(
+            let plan = plan_batch(batch, input.offsets, pass.s, state.takes_marks());
+            let marks = self.run_batch(
                 pass,
                 &plan,
                 input.elements(batch),
@@ -253,6 +264,7 @@ impl<'g> Executor<'g> {
                     emit_trial_records(&plan, out, trial, coeffs, pass.s, carry, carry_node, state)
                 },
             )?;
+            state.marks(&plan, family.len(), &marks);
             carry_node = plan.nodes.last().copied().filter(|_| plan.last_frag);
         }
         debug_assert!(carry_node.is_none(), "carry must drain by the final batch");
@@ -263,9 +275,9 @@ impl<'g> Executor<'g> {
     /// boundary segments emitted fragment-flagged for the driver to
     /// reconcile, records streamed straight into the sink. A batch that
     /// fails rolls the sink back to the mark taken at its start, so a
-    /// survivor may re-run (or re-cut) it without duplicates — bar
-    /// [`Sink::Clusters`]'s unions of complete records, which are exact,
-    /// so a re-run only repeats them. A [`DeviceError::DeviceLost`]
+    /// survivor may re-run (or re-cut) it without duplicates;
+    /// [`Sink::Clusters`] folds a batch's marks only once the batch has
+    /// succeeded, so a failed batch unions nothing. A [`DeviceError::DeviceLost`]
     /// mid-share stops the loop and reports the unfinished batch ids.
     /// Every batch of a share is addressable in the input, so the
     /// prefetch of the share's next batch needs no contiguity.
@@ -291,7 +303,7 @@ impl<'g> Executor<'g> {
         for (i, &bid) in share.iter().enumerate() {
             let mark = state.mark();
             let batch = &pass.batches[bid];
-            let plan = plan_batch(batch, input.offsets, pass.s);
+            let plan = plan_batch(batch, input.offsets, pass.s, state.takes_marks());
             let n_segs = plan.nodes.len();
             let done = self.run_batch(
                 pass,
@@ -318,9 +330,12 @@ impl<'g> Executor<'g> {
                     }
                 },
             );
-            if let Err(e) = done {
-                state.rollback(mark);
-                return Ok(Some((share[i..].to_vec(), e)));
+            match done {
+                Ok(marks) => state.marks(&plan, family.len(), &marks),
+                Err(e) => {
+                    state.rollback(mark);
+                    return Ok(Some((share[i..].to_vec(), e)));
+                }
             }
         }
         Ok(None)
@@ -330,11 +345,14 @@ impl<'g> Executor<'g> {
     /// per-batch device body both loops share. Uploads the batch `elems`
     /// (or takes the copy `staged` for it), allocates the sort kernel's
     /// packed workspace, stages the `next` batch in turn, then runs the
-    /// batch's trials in groups ([`trial_group`]): one launch chain, one
-    /// retry scope and one D2H copy per group. Hands each trial's output
-    /// (the element ids of its top-s pairs per kept segment, in hash
-    /// order, laid out by `BatchPlan::out_offsets`) to `emit` in trial
-    /// order. Outputs are
+    /// batch's trials. A batch planned for gathering runs them in groups
+    /// ([`trial_group`]): one launch chain, one retry scope and one D2H
+    /// copy per group. A batch planned for marks runs every trial into
+    /// one batch-resident mark buffer ([`device_marks`]) and downloads it
+    /// once. Hands each trial's written output (the element ids of its
+    /// top-s pairs per written segment, in hash order, laid out by
+    /// `BatchPlan::out_offsets`) to `emit` in trial order, and returns the
+    /// batch's marks (empty unless planned for marks). Outputs are
     /// bit-identical across kernels, group sizes and the retry/degrade
     /// paths, which replay the same computation.
     #[allow(clippy::too_many_arguments)] // per-batch body of both loops
@@ -349,12 +367,12 @@ impl<'g> Executor<'g> {
         recovery: &mut RecoveryReport,
         staged: &mut Staged,
         emit: &mut dyn FnMut(usize, &[u32]),
-    ) -> Result<(), DeviceError> {
+    ) -> Result<Vec<u8>, DeviceError> {
         let gpu = self.gpu;
         let policy = &pass.policy;
         let staged_now = staged.take();
         if plan.nodes.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
         // Once true, every remaining trial runs on the host path.
         let mut degraded = false;
@@ -410,14 +428,44 @@ impl<'g> Executor<'g> {
         }
 
         let c = family.len();
-        let g = trial_group(pass.kernel, elems.len(), plan.out_total, c);
+        let w = plan.out_total;
+        let elems_dev = elems_dev.as_ref().filter(|_| !degraded);
+        if plan.marks {
+            let device = elems_dev.map(|elems_dev| {
+                device_marks(
+                    gpu,
+                    streams,
+                    pass,
+                    plan,
+                    elems_dev,
+                    &mut packed_dev,
+                    family,
+                    recovery,
+                    staged,
+                )
+            });
+            let (marks, out) = match device {
+                Some(Ok(out)) => out,
+                Some(Err(e)) if e.is_transient() && policy.degrade_to_host => {
+                    recovery.degraded_batches += 1;
+                    host_marks(plan, elems, family, recovery)
+                }
+                Some(Err(e)) => return Err(e),
+                None => host_marks(plan, elems, family, recovery),
+            };
+            for trial in 0..c {
+                emit(trial, &out[trial * w..(trial + 1) * w]);
+            }
+            return Ok(marks);
+        }
+        let g = trial_group(pass.kernel, elems.len(), w, c);
         // The group whose async download is still "in flight" — kept alive
         // for one group (stream semantics), freed before the next
         // allocation.
         let mut prev_out: Option<DeviceBuffer<u32>> = None;
         for lo in (0..c).step_by(g) {
             let trials = lo..(lo + g).min(c);
-            let group_out = match elems_dev.as_ref().filter(|_| !degraded) {
+            let group_out = match elems_dev.filter(|_| !degraded) {
                 Some(elems_dev) => {
                     let attempt = retry_transient(policy, recovery, || {
                         device_group(
@@ -445,13 +493,131 @@ impl<'g> Executor<'g> {
                 }
                 None => host_group_out(plan, elems, family, trials.clone(), recovery),
             };
-            let w = plan.out_total;
             for (i, trial) in trials.enumerate() {
                 emit(trial, &group_out[i * w..(i + 1) * w]);
             }
         }
-        Ok(())
+        Ok(Vec::new())
     }
+}
+
+/// Allocate a device buffer of `len` elements; under memory pressure,
+/// give the loop's prefetched batch in `staged` back (it will re-upload
+/// when its turn comes) and try once more.
+fn alloc_or_unstage<T: gpclust_gpu::memory::Pod + Default>(
+    gpu: &Gpu,
+    len: usize,
+    staged: &mut Staged,
+) -> Result<DeviceBuffer<T>, DeviceError> {
+    match gpu.alloc::<T>(len) {
+        Err(DeviceError::OutOfMemory { .. }) if staged.is_some() => {
+            *staged = None;
+            gpu.alloc::<T>(len)
+        }
+        result => result,
+    }
+}
+
+/// One marks batch's device execution: every trial of the batch writes
+/// into one batch-resident buffer of selected-position marks (one byte
+/// per batch element) and one trial-major buffer of the boundary
+/// fragments' element ids, and both come back once per batch. The fused
+/// kernel runs every trial in one launch
+/// ([`thrust::transform_select_mark_on`]), retried as a whole. The sort
+/// kernel keeps its three launches per trial, its gather ORing the
+/// trial's selections into the marks: each trial is a retry scope whose
+/// faults surface (`Gpu::take_fault`) before its gather runs and after,
+/// so a faulted trial leaves no mark behind, and a mark, once set, is
+/// idempotent. The caller degrades the batch to [`host_marks`] if the
+/// retries run out.
+#[allow(clippy::too_many_arguments)] // internal per-batch helper of run_batch
+fn device_marks(
+    gpu: &Gpu,
+    streams: Streams<'_>,
+    pass: &PassPlan,
+    plan: &BatchPlan,
+    elems_dev: &DeviceBuffer<u32>,
+    packed_dev: &mut Option<DeviceBuffer<u64>>,
+    family: &HashFamily,
+    recovery: &mut RecoveryReport,
+    staged: &mut Staged,
+) -> Result<(Vec<u8>, Vec<u32>), DeviceError> {
+    let (compute, copy) = streams;
+    let policy = &pass.policy;
+    let c = family.len();
+    let w = plan.out_total;
+    let n = elems_dev.len();
+    // 2d. The marks and the fragments' ids back to the host once the
+    // batch's kernels are done; a batch without fragments copies the
+    // marks alone.
+    let download = |marks_dev: &DeviceBuffer<u8>, out_dev: &DeviceBuffer<u32>| {
+        copy.wait_event(&compute.record_event());
+        let marks = copy.try_dtoh_async(marks_dev)?;
+        let out = match out_dev.is_empty() {
+            true => Vec::new(),
+            false => copy.try_dtoh_async(out_dev)?,
+        };
+        Ok((marks, out))
+    };
+    match (pass.kernel, packed_dev) {
+        (ShingleKernel::FusedSelect, _) => retry_transient(policy, recovery, || {
+            let mut marks_dev = alloc_or_unstage::<u8>(gpu, n, staged)?;
+            let mut out_dev = alloc_or_unstage::<u32>(gpu, c * w, staged)?;
+            // 2a–c fused over every trial: hash + per-segment top-s
+            // selection by `(hash, position)`, reduced to marks.
+            let coeffs: Vec<(u64, u64)> = (0..c).map(|t| family.coeffs(t)).collect();
+            thrust::transform_select_mark_on(
+                compute,
+                elems_dev,
+                &plan.local_offsets,
+                &plan.sel_offsets,
+                plan.marked.clone(),
+                c,
+                &mut out_dev,
+                &mut marks_dev,
+                |t, v: u32| hash_with(coeffs[t].0, coeffs[t].1, v),
+            );
+            download(&marks_dev, &out_dev)
+        }),
+        (ShingleKernel::SortCompact, Some(packed_dev)) => {
+            let mut marks_dev = alloc_or_unstage::<u8>(gpu, n, staged)?;
+            let mut out_dev = alloc_or_unstage::<u32>(gpu, c * w, staged)?;
+            let outs = out_dev.device_slice_mut();
+            for t in 0..c {
+                let out = &mut outs[t * w..(t + 1) * w];
+                retry_transient(policy, recovery, || {
+                    sort_trial(compute, plan, elems_dev, packed_dev, family.coeffs(t));
+                    gpu.take_fault()?;
+                    let tasks = compaction_tasks(
+                        plan,
+                        packed_dev.device_slice(),
+                        out,
+                        elems_dev.device_slice(),
+                        marks_dev.device_slice_mut(),
+                    );
+                    compute.launch(plan.sel_total(), &KernelCost::gather(), tasks);
+                    gpu.take_fault()
+                })?;
+            }
+            retry_transient(policy, recovery, || download(&marks_dev, &out_dev))
+        }
+        (ShingleKernel::SortCompact, None) => unreachable!("workspace allocated per batch"),
+    }
+}
+
+/// Steps 2a–b of the sort kernel for one trial: the min-wise hash packed
+/// with each element, then a segmented sort of each adjacency list.
+fn sort_trial(
+    compute: &Stream,
+    plan: &BatchPlan,
+    elems_dev: &DeviceBuffer<u32>,
+    packed_dev: &mut DeviceBuffer<u64>,
+    (a, b): (u64, u64),
+) {
+    thrust::transform_on(compute, elems_dev, packed_dev, move |v: u32| {
+        pack(hash_with(a, b, v), v)
+    });
+    thrust::segmented_sort_on(compute, packed_dev, &plan.local_offsets);
 }
 
 /// One trial group's device execution: allocate the group's dense,
@@ -481,30 +647,28 @@ fn device_group(
     // output buffer.
     *prev_out = None;
     let len = trials.len() * plan.out_total;
-    let mut out_dev = match gpu.alloc::<u32>(len) {
-        Ok(buf) => buf,
-        Err(DeviceError::OutOfMemory { .. }) if staged.is_some() => {
-            // Memory pressure: give the prefetched batch back (it will
-            // re-upload next iteration) and retry.
-            *staged = None;
-            gpu.alloc::<u32>(len)?
-        }
-        Err(e) => return Err(e),
-    };
+    let mut out_dev = alloc_or_unstage::<u32>(gpu, len, staged)?;
     let (compute, copy) = streams;
     match (kernel, packed_dev) {
         (ShingleKernel::SortCompact, Some(packed_dev)) => {
             debug_assert_eq!(trials.len(), 1, "the sort kernel runs one trial at a time");
-            let (a, b) = family.coeffs(trials.start);
             // 2a. Random permutation via the min-wise hash, then
             // 2b. segmented sort within each adjacency list, then
             // 2c. compact the top-s elements of each kept segment.
-            thrust::transform_on(compute, elems_dev, packed_dev, move |v: u32| {
-                pack(hash_with(a, b, v), v)
-            });
-            thrust::segmented_sort_on(compute, packed_dev, &plan.local_offsets);
-            let tasks =
-                compaction_tasks(plan, packed_dev.device_slice(), out_dev.device_slice_mut());
+            sort_trial(
+                compute,
+                plan,
+                elems_dev,
+                packed_dev,
+                family.coeffs(trials.start),
+            );
+            let tasks = compaction_tasks(
+                plan,
+                packed_dev.device_slice(),
+                out_dev.device_slice_mut(),
+                &[],
+                &mut [],
+            );
             compute.launch(plan.out_total, &KernelCost::gather(), tasks);
         }
         (ShingleKernel::FusedSelect, _) => {
@@ -552,6 +716,25 @@ fn host_group_out(
         .collect();
     recovery.recovery_seconds += t0.elapsed().as_secs_f64();
     out
+}
+
+/// The degradation path for one marks batch: the host builds the marks
+/// and the fragments' ids [`device_marks`] would have downloaded.
+fn host_marks(
+    plan: &BatchPlan,
+    elems: &[u32],
+    family: &HashFamily,
+    recovery: &mut RecoveryReport,
+) -> (Vec<u8>, Vec<u32>) {
+    let t0 = Instant::now();
+    let mut marks = vec![0u8; elems.len()];
+    for t in 0..family.len() {
+        let (a, b) = family.coeffs(t);
+        host_trial_marks(plan, elems, a, b, &mut marks);
+    }
+    recovery.recovery_seconds += t0.elapsed().as_secs_f64();
+    let out = host_group_out(plan, elems, family, 0..family.len(), recovery);
+    (marks, out)
 }
 
 /// A boundary fragment's downloaded elements re-packed with their trial's
@@ -621,7 +804,8 @@ enum SinkState<'a> {
         raw: RawShingles,
         builder: Option<StreamAggregator>,
     },
-    /// Complete records fold into Phase III; fragments pool in `raw`.
+    /// Complete lists' marks fold into Phase III; fragments pool in
+    /// `raw`, or, merged on the host, fold as records.
     Clusters {
         lists: &'a DistinctLists,
         uf: UnionFind,
@@ -657,7 +841,45 @@ impl<'a> SinkState<'a> {
         }
     }
 
-    /// Take one complete record: its `s` element ids in hash order.
+    /// Whether the sink takes marks ([`SinkState::marks`]) for the
+    /// complete lists of a batch, not their records.
+    fn takes_marks(&self) -> bool {
+        matches!(self, SinkState::Clusters { .. })
+    }
+
+    /// Take a finished batch's marks (one byte per batch element,
+    /// [`device_marks`]) over `trials` trials: Phase III unions each
+    /// complete list's marked members onto its anchor, and counts the
+    /// `trials` records each such list stands for once per owner. A
+    /// sink that gathers records takes no marks.
+    fn marks(&mut self, plan: &BatchPlan, trials: usize, marks: &[u8]) {
+        let SinkState::Clusters {
+            lists, uf, records, ..
+        } = self
+        else {
+            return;
+        };
+        let m = plan.marked.clone();
+        if m.is_empty() {
+            return;
+        }
+        let owners: u64 = m
+            .clone()
+            .filter(|&i| plan.sel_offsets[i + 1] > plan.sel_offsets[i])
+            .map(|i| lists.owners(plan.nodes[i]))
+            .sum();
+        *records += trials as u64 * owners;
+        let window = plan.local_offsets[m.start] as usize..plan.local_offsets[m.end] as usize;
+        lists.union_marked(
+            uf,
+            plan.nodes[m.start]..plan.nodes[m.end - 1] + 1,
+            &marks[window],
+        );
+    }
+
+    /// Take one complete record: its `s` element ids in hash order. A
+    /// Phase-III sink takes records only of lists whose boundary
+    /// fragments the merged loop joined; complete lists come as marks.
     fn record(&mut self, trial: u32, node: u32, elements: &[u32]) {
         match self {
             SinkState::Gather {
@@ -698,8 +920,7 @@ impl<'a> SinkState<'a> {
     }
 
     /// Drop everything recorded since `mark` — a failed batch's records.
-    /// Phase-III unions cannot be undone, and need not be: they come from
-    /// exact complete records a re-run repeats.
+    /// A failed batch's marks never reach Phase III.
     fn rollback(&mut self, mark: Mark) {
         match self {
             SinkState::Gather { raw, builder } => {
@@ -876,7 +1097,7 @@ mod tests {
             let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
             let pass = pass_plan(&gpu, 2, kernel, None, &g);
             assert_eq!(pass.batches.len(), 1);
-            let out_total = plan_batch(&pass.batches[0], g.offsets(), 2).out_total;
+            let out_total = plan_batch(&pass.batches[0], g.offsets(), 2, false).out_total;
             let n = g.flat().len();
             let group = trial_group(kernel, n, out_total, c);
             gather(&gpu, &g, 2, &family, kernel, None);
@@ -1350,6 +1571,53 @@ mod tests {
             &|| Sink::Gather,
             "gather",
         );
+    }
+
+    /// A fault in a sort-kernel marks batch surfaces before the gather
+    /// that would OR a stale workspace into the batch's marks. With one
+    /// trial over lists of disjoint members, a stray mark would join a
+    /// member no trial selected, yet a transient fault at any of the
+    /// pass's launches leaves the fault-free labels.
+    #[test]
+    fn sort_marks_survive_a_fault_at_every_launch() {
+        use gpclust_gpu::{FaultKind, FaultPlan, FaultSite};
+        let members: Vec<Vec<u32>> = (0..40u32).map(|l| (6 * l..6 * l + 6).collect()).collect();
+        let elements: Vec<[u32; 2]> = (0..40u32).map(|l| [1000 + 2 * l, 1001 + 2 * l]).collect();
+        let first = ShingleGraph::from_records(
+            2,
+            (0..40).map(|l| (l as u64, &elements[l][..], &members[l][..])),
+        );
+        let lists = DistinctLists::new(&first, 2, 1080);
+        let family = HashFamily::new(1, 3);
+        let run = |gpu: &Gpu| {
+            let pass = pass_plan(gpu, 2, ShingleKernel::SortCompact, None, &lists);
+            let mut rec = RecoveryReport::default();
+            let report = Executor::new(gpu)
+                .run(
+                    &pass,
+                    PassInput::of(&lists),
+                    &family,
+                    &mut rec,
+                    Sink::Clusters(&lists),
+                )
+                .unwrap();
+            (report.clusters.unwrap(), rec)
+        };
+        let clean = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
+        let (expected, _) = run(&clean);
+        let launches = clean.counters().kernel_launches;
+        assert_eq!(launches, 3, "one trial: transform, sort, gather");
+        for at in 1..=launches {
+            let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 2);
+            gpu.set_fault_plan(FaultPlan::scheduled().with_fault(
+                FaultSite::Kernel,
+                at,
+                FaultKind::LaunchFailed,
+            ));
+            let (labels, rec) = run(&gpu);
+            assert_eq!(labels, expected, "fault at launch {at}");
+            assert_eq!(rec.retries, 1, "fault at launch {at}");
+        }
     }
 
     /// The deferred loop prefetches the share's next batch as the merged

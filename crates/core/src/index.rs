@@ -113,9 +113,16 @@ impl ShingleIndex {
     /// vertex's shingles are a function of its own adjacency list, so
     /// when `runs` hold a delta pass over exactly the retracted vertices
     /// (or never-indexed ones) the result is byte for byte the index a
-    /// from-scratch Pass I over the union graph builds. On an error the
-    /// index is left as it was.
-    pub fn update(&mut self, retract: &[VertexId], runs: Vec<ExternalRun>) -> io::Result<()> {
+    /// from-scratch Pass I over the union graph builds. Ids past the
+    /// index's node range retract nothing and cost no memory. The time
+    /// spent replaying spilled runs counts as `stats`' read time. On an
+    /// error the index is left as it was.
+    pub fn update(
+        &mut self,
+        retract: &[VertexId],
+        runs: Vec<ExternalRun>,
+        stats: &mut SpillStats,
+    ) -> io::Result<()> {
         if retract.is_empty() && runs.iter().all(ExternalRun::is_empty) {
             return Ok(());
         }
@@ -123,7 +130,7 @@ impl ShingleIndex {
         for run in &runs {
             inputs.push(Cursor::of(run)?);
         }
-        self.run = merge_runs(self.s, inputs, retract, &mut SpillStats::default())?;
+        self.run = merge_runs(self.s, inputs, retract, stats)?;
         Ok(())
     }
 
@@ -132,7 +139,7 @@ impl ShingleIndex {
     ///
     /// [`update`]: ShingleIndex::update
     pub fn retract(&mut self, touched: &[VertexId]) {
-        self.update(touched, Vec::new())
+        self.update(touched, Vec::new(), &mut SpillStats::default())
             .expect("a resident merge does no I/O");
     }
 
@@ -140,8 +147,12 @@ impl ShingleIndex {
     ///
     /// [`update`]: ShingleIndex::update
     pub fn merge(&mut self, fresh: SortedRun) {
-        self.update(&[], vec![ExternalRun::Mem(fresh)])
-            .expect("a resident merge does no I/O");
+        self.update(
+            &[],
+            vec![ExternalRun::Mem(fresh)],
+            &mut SpillStats::default(),
+        )
+        .expect("a resident merge does no I/O");
     }
 
     /// Invert the posting records into the bipartite first-level shingle
@@ -584,13 +595,17 @@ mod tests {
         let touched: Vec<VertexId> = vec![3, 10, 11, 40];
         let fresh = || vec![ExternalRun::Mem(pass1_records(&g, &p, Some(&touched)))];
         let mut sorted = full.clone();
-        sorted.update(&touched, fresh()).unwrap();
+        sorted
+            .update(&touched, fresh(), &mut SpillStats::default())
+            .unwrap();
         assert_eq!(sorted, full);
         // Reversed, duplicated, and naming vertices past the graph.
         let past = g.n() as VertexId;
         let messy: Vec<VertexId> = vec![past + 70, 40, 11, 40, 10, 3, 3, past];
         let mut index = full.clone();
-        index.update(&messy, fresh()).unwrap();
+        index
+            .update(&messy, fresh(), &mut SpillStats::default())
+            .unwrap();
         assert_eq!(index, full);
         let mut retracted = full.clone();
         retracted.retract(&messy);
@@ -598,6 +613,36 @@ mod tests {
         expected.retract(&touched);
         assert_eq!(retracted, expected);
         assert!(retracted.len() < full.len());
+    }
+
+    /// An id past every indexed vertex retracts nothing and sizes no
+    /// bitmap: the retraction keeps to the index's node range.
+    #[test]
+    fn update_ignores_ids_past_the_node_range() {
+        use crate::spill::{Cursor, NodeSet};
+        let p = params();
+        let g = graph(8);
+        let full = ShingleIndex::from_run(p.s1, pass1_records(&g, &p, None));
+        let mut index = full.clone();
+        index
+            .update(&[u32::MAX], Vec::new(), &mut SpillStats::default())
+            .unwrap();
+        assert_eq!(index, full);
+        let nodes = full
+            .run()
+            .packed
+            .iter()
+            .map(|&p| (p >> 32) as u32 + 1)
+            .max()
+            .unwrap();
+        let runs = [Cursor::mem(full.run())];
+        assert!(NodeSet::retraction(&runs, &[u32::MAX]).is_none());
+        let set = NodeSet::retraction(&runs, &[u32::MAX, nodes - 1, u32::MAX - 1]).unwrap();
+        assert!(
+            set.capacity() <= (nodes as usize).next_multiple_of(64),
+            "{} bits for {nodes} nodes",
+            set.capacity()
+        );
     }
 
     #[test]

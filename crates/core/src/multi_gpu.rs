@@ -22,7 +22,8 @@
 //!   boundary, so its deal returns every fragment of its lists, and the
 //!   driver finalizes them into one more run of that shard.
 //! * Pass II streams into Phase III on every device ([`Sink::Clusters`]):
-//!   each device unions its own complete records in a host union–find,
+//!   each device reduces a batch's trials to selected-member marks and
+//!   unions each complete list's marked members in a host union–find,
 //!   and `deal` absorbs each device's vertex-id labels
 //!   ([`absorb_labels`]).
 //!
@@ -96,9 +97,8 @@ pub(crate) fn accumulate(total: &mut [f64], per_device: &[f64]) {
 ///
 /// Rounds of capability-weighted dealing over the survivors; a device
 /// lost mid-round reports its unfinished batches, which re-queue for the
-/// next round (a failed batch left nothing behind, so a re-run never
-/// duplicates — bar Phase III's repeated unions of exact complete
-/// records). When the fleet's capacity changed (e.g. the smallest card
+/// next round (a failed batch left nothing behind — not even Phase-III
+/// unions — so a re-run never duplicates). When the fleet's capacity changed (e.g. the smallest card
 /// died) the remaining element ranges re-cut into batches sized for the
 /// survivors ([`plan_batches_range`]; sound because fragment
 /// reconciliation is insensitive to batch boundaries), keeping the
@@ -813,7 +813,8 @@ mod tests {
         let clean = MultiGpuClust::new(params, fleet(FaultPlan::scheduled())).unwrap();
         assert_eq!(clean.cluster(&g).unwrap().partition, oracle.partition);
         let total = clean.gpu().counters().kernel_launches;
-        assert!(total > pass1 + 8, "Pass II must batch");
+        // Pass II launches once per batch.
+        assert!(total > pass1 + 2, "Pass II must batch");
         let stride = ((total - pass1) / 32).max(1) as usize;
         for at in (pass1 + 1..=total).step_by(stride) {
             let plan =

@@ -24,7 +24,9 @@
 //! 4. CPU groups the shingle graph's member lists into
 //!    [`crate::report::DistinctLists`] and drops the graph; second-level
 //!    shingling runs on the GPUs over each distinct list once, dealt the
-//!    same way and streamed into Phase III on every device;
+//!    same way; each batch's trials reduce on the device to one
+//!    selected-member mark per element, and every device streams the
+//!    marks into Phase III;
 //! 5. CPU absorbs each device's component labels and the lists' owner
 //!    closure, and unions the finalized fragments into the reported dense
 //!    subgraphs.
@@ -169,10 +171,10 @@ pub struct GpClustReport {
     /// Distinct first-level shingles (|S1|).
     pub first_level_shingles: usize,
     /// Second-level `<shingle, generator>` records Phase III accounted
-    /// for (|E″|, plus any a lost device's re-run batch repeated): Pass II
-    /// computes each distinct member list's records once, and they count
-    /// once per owner. The distinct-|S2| count is not tracked: G″ is never
-    /// materialized.
+    /// for (|E″|): Pass II computes each distinct member list's records
+    /// once, and they count once per owner. A batch a lost device left
+    /// unfinished counts only when a survivor re-runs it. The
+    /// distinct-|S2| count is not tracked: G″ is never materialized.
     pub second_level_records: u64,
     /// How the capacity model split each device pass into batches
     /// (`[pass I, pass II]`) at the fleet-wide capacity (smallest device,

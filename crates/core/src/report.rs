@@ -19,14 +19,16 @@
 //! The GPU driver never materializes G″. Its Pass II runs over the
 //! [`DistinctLists`] of G′ — each distinct member list with at least s2
 //! members, once, with one anchor vertex — and Phase III folds the owner
-//! closure plus each record's elements onto the anchors in a host
-//! union–find. Union–find order independence makes every such fold
-//! partition-equal to [`partition_clusters`].
+//! closure plus each list's selected members (each boundary fragment's
+//! record elements) onto the anchors in a host union–find. Union–find
+//! order independence makes every such fold partition-equal to
+//! [`partition_clusters`].
 
 use crate::aggregate::SortedRun;
 use crate::shingle::AdjacencyInput;
 use gpclust_graph::components::absorb_labels;
 use gpclust_graph::{Partition, ShingleGraph, UnionFind, VertexId};
+use std::ops::Range;
 
 /// Stream one second-level shingling record into the union–find.
 ///
@@ -75,7 +77,15 @@ pub fn union_second_level_record(
 /// the materialized G″: identical lists give identical top-s2 sets in
 /// every trial, every list with at least s2 members emits in every trial
 /// (so all owners of a list share each of its second-level shingles), and
-/// union–find does not depend on order.
+/// union–find does not depend on order. Those unions connect the anchor
+/// with exactly the members some trial selected, so Phase III may union
+/// each selected member once instead ([`DistinctLists::union_marked`]).
+///
+/// Every member list is strictly ascending: the inversion that builds G′
+/// drops repeated `(shingle, generator)` records. The device reduction
+/// relies on it: it selects by `(hash, position)`, which orders a strictly
+/// ascending list exactly as the `(hash, element)` key does, so the
+/// positions it marks are the elements every trial selects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctLists {
     /// `len() + 1` offsets into `members`.
@@ -128,6 +138,10 @@ impl DistinctLists {
             if list.len() < s2 {
                 continue;
             }
+            debug_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "member list {f} is not strictly ascending"
+            );
             let mut slot = list_hash(list) as usize & mask;
             let d = loop {
                 match table[slot] {
@@ -190,6 +204,33 @@ impl DistinctLists {
         let a = self.anchor(list);
         for v in second_elements {
             uf.union(a, v);
+        }
+    }
+
+    /// Phase III for the complete lists `lists` of one Pass II batch:
+    /// union every member some trial selected onto its list's anchor.
+    /// `marks` holds one byte per member of those lists, in list order,
+    /// nonzero where a trial selected the member. Unioning each selected
+    /// member once connects what unioning every record's elements does.
+    pub fn union_marked(&self, uf: &mut UnionFind, lists: Range<u32>, marks: &[u8]) {
+        let (lo, hi) = (lists.start as usize, lists.end as usize);
+        let base = self.offsets[lo] as usize;
+        assert_eq!(
+            marks.len(),
+            self.offsets[hi] as usize - base,
+            "one mark per member of the lists"
+        );
+        for list in lo..hi {
+            let (start, end) = (self.offsets[list] as usize, self.offsets[list + 1] as usize);
+            let a = self.anchors[list];
+            for (&m, &v) in marks[start - base..end - base]
+                .iter()
+                .zip(&self.members[start..end])
+            {
+                if m != 0 {
+                    uf.union(a, v);
+                }
+            }
         }
     }
 

@@ -568,18 +568,49 @@ impl RecordSink for SortedRun {
     }
 }
 
-/// Vertex ids as a bitmap with one bit per id up to the largest, so it
-/// takes them in any order and with duplicates.
-struct NodeSet(Vec<u64>);
+/// Vertex ids below a bound as a bitmap with one bit per id up to the
+/// largest, so it takes them in any order and with duplicates.
+pub(crate) struct NodeSet(Vec<u64>);
 
 impl NodeSet {
-    fn of(ids: &[VertexId]) -> NodeSet {
-        let words = ids.iter().max().map_or(0, |&v| v as usize / 64 + 1);
+    /// The ids in `ids` below `bound`; the rest are left out before the
+    /// bitmap is sized, so it never outgrows the bound.
+    fn of(ids: &[VertexId], bound: u64) -> NodeSet {
+        let kept = || ids.iter().filter(|&&v| (v as u64) < bound);
+        let words = kept().max().map_or(0, |&v| v as usize / 64 + 1);
         let mut bits = vec![0u64; words];
-        for &v in ids {
+        for &v in kept() {
             bits[v as usize / 64] |= 1 << (v % 64);
         }
         NodeSet(bits)
+    }
+
+    /// The bitmap of the ids of `retract` within the first of `runs`'
+    /// node range, or `None` when none is. Only the first
+    /// input's records are retracted, so an id past its node range needs
+    /// no bit: a resident first input bounds the bitmap by its largest
+    /// node id; a spilled one cannot be scanned ahead of the merge.
+    pub(crate) fn retraction(runs: &[Cursor<'_>], retract: &[VertexId]) -> Option<NodeSet> {
+        if retract.is_empty() {
+            return None;
+        }
+        let bound = match runs.first() {
+            Some(Cursor::Mem { run, .. }) => run
+                .packed
+                .iter()
+                .map(|&p| (p >> 32) as u32 as u64 + 1)
+                .max()
+                .unwrap_or(0),
+            Some(Cursor::Disk(_)) => u64::MAX,
+            None => 0,
+        };
+        Some(NodeSet::of(retract, bound)).filter(|set| !set.0.is_empty())
+    }
+
+    /// Ids the bitmap has room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        64 * self.0.len()
     }
 
     #[inline]
@@ -665,7 +696,7 @@ pub(crate) fn merge_runs<S: RecordSink>(
 ) -> io::Result<S> {
     let t0 = Instant::now();
     let mut sink = S::sized(s, runs.iter().map(Cursor::len).sum());
-    let retract = (!retract.is_empty()).then(|| NodeSet::of(retract));
+    let retract = NodeSet::retraction(&runs, retract);
     // A lone resident run streams straight through: measured, the
     // general loop reads it a fifth slower.
     if let ([Cursor::Mem { run, .. }], None) = (runs.as_slice(), &retract) {
@@ -1002,7 +1033,7 @@ mod tests {
                 emitted[ri].push((trial, node, elements));
             }
             let retract: Vec<VertexId> = case.vec(0..8, |c| c.range(0..n_nodes + 4));
-            let dropped = NodeSet::of(&retract);
+            let dropped = NodeSet::of(&retract, u64::MAX);
 
             // The global sort over the surviving records, absorbed in run
             // order: once for the graph, once for the run.

@@ -6,7 +6,9 @@
 //! adjacency list). This module provides those two kernels over
 //! [`DeviceBuffer`]s, plus the fused hash + segmented top-s selection
 //! ([`transform_select_on`]) that replaces the transform → segmented sort
-//! → compaction chain with one launch per group of trials. Each launch
+//! → compaction chain with one launch per group of trials, and its
+//! reduction ([`transform_select_mark_on`]) to one selected-position mark
+//! per element over every trial of a batch. Each launch
 //! executes in parallel on the SM pool and charges modeled device time via
 //! its [`KernelCost`] to the stream's cursor.
 //!
@@ -158,17 +160,44 @@ pub fn select_smallest_into<T: Copy, F>(seg: &[T], w: &mut [u64], f: F)
 where
     F: Fn(T) -> u64,
 {
+    select_smallest_keys(seg.iter().map(|&x| f(x)), w);
+}
+
+/// [`select_smallest_into`] by `(hash, position)`: the `w.len()` smallest
+/// keys `hash(seg[i]) << 32 | i`, ascending, into `w`, so `w[j] as u32`
+/// is the position of the `j`-th selected element. On a strictly
+/// ascending segment this orders exactly like the packed `(hash,
+/// element)` key, so it selects the same elements in the same order.
+///
+/// # Panics
+/// Panics if `w` is longer than `seg`.
+#[inline]
+pub fn select_positions_into<T: Copy, F>(seg: &[T], w: &mut [u64], hash: F)
+where
+    F: Fn(T) -> u32,
+{
+    select_smallest_keys(
+        seg.iter()
+            .enumerate()
+            .map(|(i, &x)| (hash(x) as u64) << 32 | i as u64),
+        w,
+    );
+}
+
+/// The segment body both selections share: the `w.len()` smallest of
+/// `keys`, ascending, into `w`.
+#[inline(always)]
+fn select_smallest_keys(mut keys: impl ExactSizeIterator<Item = u64>, w: &mut [u64]) {
     let k = w.len();
     assert!(
-        k <= seg.len(),
+        k <= keys.len(),
         "selection count {k} exceeds segment length {}",
-        seg.len()
+        keys.len()
     );
     if let [w0, w1] = w {
-        let (a, b) = (f(seg[0]), f(seg[1]));
+        let (a, b) = (keys.next().unwrap(), keys.next().unwrap());
         let (mut m0, mut m1) = if b < a { (b, a) } else { (a, b) };
-        for &x in &seg[2..] {
-            let v = f(x);
+        for v in keys {
             if v < m1 {
                 if v < m0 {
                     m1 = m0;
@@ -180,19 +209,18 @@ where
         }
         (*w0, *w1) = (m0, m1);
     } else {
-        insertion_select(seg, w, f);
+        insertion_select(keys, w);
     }
 }
 
 /// The insertion-sorted k-buffer behind [`select_smallest_into`] for
-/// every `k ≠ 2`; `w.len() ≤ seg.len()`.
-fn insertion_select<T: Copy>(seg: &[T], w: &mut [u64], f: impl Fn(T) -> u64) {
+/// every `k ≠ 2`; `w.len() ≤ keys.len()`.
+fn insertion_select(keys: impl Iterator<Item = u64>, w: &mut [u64]) {
     let k = w.len();
     if k == 0 {
         return;
     }
-    for (filled, &x) in seg.iter().enumerate() {
-        let v = f(x);
+    for (filled, v) in keys.enumerate() {
         let mut i = if filled < k {
             filled
         } else if v < w[k - 1] {
@@ -260,37 +288,13 @@ where
     F: Fn(usize, T) -> u64 + Sync,
     P: Fn(u64) -> U + Sync,
 {
-    assert!(!seg_offsets.is_empty(), "offsets must contain at least [0]");
-    assert_eq!(
-        *seg_offsets.last().unwrap() as usize,
-        input.len(),
-        "offsets must cover the buffer"
-    );
-    assert_eq!(
-        out_offsets.len(),
-        seg_offsets.len(),
-        "one output offset per segment boundary"
-    );
+    check_selection(seg_offsets, input.len(), out_offsets);
     let out_total = *out_offsets.last().unwrap();
     assert_eq!(
         trials * out_total,
         out.len(),
         "output offsets must cover the output buffer once per trial"
     );
-    for (i, (s, o)) in seg_offsets
-        .windows(2)
-        .zip(out_offsets.windows(2))
-        .enumerate()
-    {
-        let seg_len = (s[1] - s[0]) as usize;
-        let k = o[1]
-            .checked_sub(o[0])
-            .expect("output offsets must be monotone");
-        assert!(
-            k <= seg_len,
-            "segment {i}: selection count {k} exceeds segment length {seg_len}"
-        );
-    }
     let grid = select_grid(seg_offsets, trials);
     // Cut each trial's slice of the output into one window per segment
     // group: `windows[group]` holds that group's windows in trial order.
@@ -387,6 +391,182 @@ pub fn transform_select_on<T: Pod, U: Pod, F, P>(
         trials,
         out,
         (&key, &project),
+    );
+    stream.launch(n, &KernelCost::segmented_select(), tasks);
+}
+
+/// Check that `seg_offsets` cover an input of `len` elements and that
+/// `sel_offsets` select, per segment, monotone counts no longer than the
+/// segment.
+fn check_selection(seg_offsets: &[u64], len: usize, sel_offsets: &[usize]) {
+    assert!(!seg_offsets.is_empty(), "offsets must contain at least [0]");
+    assert_eq!(
+        *seg_offsets.last().unwrap() as usize,
+        len,
+        "offsets must cover the buffer"
+    );
+    assert_eq!(
+        sel_offsets.len(),
+        seg_offsets.len(),
+        "one output offset per segment boundary"
+    );
+    for (i, (s, o)) in seg_offsets
+        .windows(2)
+        .zip(sel_offsets.windows(2))
+        .enumerate()
+    {
+        let seg_len = (s[1] - s[0]) as usize;
+        let k = o[1]
+            .checked_sub(o[0])
+            .expect("output offsets must be monotone");
+        assert!(
+            k <= seg_len,
+            "segment {i}: selection count {k} exceeds segment length {seg_len}"
+        );
+    }
+}
+
+/// Build the per-block tasks of [`transform_select_mark_on`]: one task
+/// per segment group of at most `BLOCK_ELEMS / trials` elements, running
+/// every trial, so no two tasks write the same mark. A task borrows its
+/// group's marks and, when the group holds written segments, one output
+/// window per trial.
+#[allow(clippy::too_many_arguments)] // the arguments of transform_select_mark_on
+fn transform_mark_tasks<'a, T: Pod, F>(
+    input: &'a DeviceBuffer<T>,
+    seg_offsets: &'a [u64],
+    sel_offsets: &'a [usize],
+    marked: Range<usize>,
+    trials: usize,
+    out: &'a mut DeviceBuffer<T>,
+    marks: &'a mut DeviceBuffer<u8>,
+    hash: &'a F,
+) -> Vec<Box<dyn FnOnce() + Send + 'a>>
+where
+    F: Fn(usize, T) -> u32 + Sync,
+{
+    check_selection(seg_offsets, input.len(), sel_offsets);
+    assert_eq!(marks.len(), input.len(), "one mark per input element");
+    let written = |segs: Range<usize>| -> usize {
+        segs.filter(|i| !marked.contains(i))
+            .map(|i| sel_offsets[i + 1] - sel_offsets[i])
+            .sum()
+    };
+    assert_eq!(
+        trials * written(0..seg_offsets.len() - 1),
+        out.len(),
+        "unmarked selections must cover the output buffer once per trial"
+    );
+    let groups = segment_groups(seg_offsets, (BLOCK_ELEMS / trials.max(1)).max(1));
+    let lens: Vec<usize> = groups.iter().map(|segs| written(segs.clone())).collect();
+    // `windows[group]`: that group's output windows in trial order, none
+    // for a group that writes nothing.
+    let mut windows: Vec<Vec<&'a mut [T]>> = groups.iter().map(|_| Vec::new()).collect();
+    let mut rest = out.device_slice_mut();
+    for _ in 0..trials {
+        for (&len, group_windows) in lens.iter().zip(windows.iter_mut()) {
+            if len > 0 {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                group_windows.push(head);
+            }
+        }
+    }
+    let src = input.device_slice();
+    let mut marks_rest = marks.device_slice_mut();
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>> = Vec::with_capacity(groups.len());
+    for (segs, mut trial_windows) in groups.into_iter().zip(windows) {
+        let seg_window = &seg_offsets[segs.start..=segs.end];
+        let sel_window = &sel_offsets[segs.start..=segs.end];
+        let base = seg_window[0];
+        let (group_marks, tail) = std::mem::take(&mut marks_rest)
+            .split_at_mut((seg_window[seg_window.len() - 1] - base) as usize);
+        marks_rest = tail;
+        let marked = marked.clone();
+        tasks.push(Box::new(move || {
+            group_marks.fill(0);
+            // The segment's selected keys, in registers on a device.
+            let mut keys: Vec<u64> = Vec::new();
+            let mut cursor = 0;
+            for (j, i) in segs.enumerate() {
+                let k = sel_window[j + 1] - sel_window[j];
+                if k == 0 {
+                    continue;
+                }
+                let (lo, hi) = (seg_window[j] as usize, seg_window[j + 1] as usize);
+                let seg = &src[lo..hi];
+                keys.resize(k, 0);
+                if marked.contains(&i) {
+                    let seg_marks = &mut group_marks[lo - base as usize..hi - base as usize];
+                    for t in 0..trials {
+                        select_positions_into(seg, &mut keys, |x| hash(t, x));
+                        for &key in &keys {
+                            seg_marks[key as u32 as usize] = 1;
+                        }
+                    }
+                } else {
+                    for (t, w) in trial_windows.iter_mut().enumerate() {
+                        select_positions_into(seg, &mut keys, |x| hash(t, x));
+                        for (slot, &key) in w[cursor..cursor + k].iter_mut().zip(&keys) {
+                            *slot = seg[key as u32 as usize];
+                        }
+                    }
+                    cursor += k;
+                }
+            }
+        }));
+    }
+    tasks
+}
+
+/// Fused hash + segmented top-k selection of **every trial in one
+/// launch**, reduced on the device to what a union needs: for each trial
+/// `t < trials` and segment `i`, select the `sel_offsets[i+1] -
+/// sel_offsets[i]` smallest `(hash(t, element), position)` keys with
+/// [`select_positions_into`]. A segment in `marked` sets `marks[p] = 1`
+/// at every position `p` some trial selected (every other mark of the
+/// segment reads 0); any other segment writes its selected elements, in
+/// key order, into trial `t`'s slice of the dense, trial-major `out`,
+/// whose per-trial layout holds the unmarked segments' selections in
+/// segment order. `marks` holds one byte per input element; every byte
+/// is written.
+///
+/// On strictly ascending segments the `(hash, position)` key orders
+/// exactly like the packed `(hash, element)` key of
+/// [`transform_select_on`], so the marks are the union over trials of the
+/// positions that kernel selects, and the written elements are its
+/// bytes. A long segment's trials are not split across tasks, so no two
+/// tasks write one segment's marks. The launch charges
+/// `trials × input.len()` elements at [`KernelCost::segmented_select`]:
+/// one launch overhead for all the trials.
+///
+/// # Panics
+/// Panics if the offsets don't cover the buffers or a selection count
+/// exceeds its segment length.
+#[allow(clippy::too_many_arguments)] // input, two offset arrays, marked range, trials, two outputs, hash
+pub fn transform_select_mark_on<T: Pod, F>(
+    stream: &Stream,
+    input: &DeviceBuffer<T>,
+    seg_offsets: &[u64],
+    sel_offsets: &[usize],
+    marked: Range<usize>,
+    trials: usize,
+    out: &mut DeviceBuffer<T>,
+    marks: &mut DeviceBuffer<u8>,
+    hash: F,
+) where
+    F: Fn(usize, T) -> u32 + Sync,
+{
+    let n = input.len() * trials;
+    let tasks = transform_mark_tasks(
+        input,
+        seg_offsets,
+        sel_offsets,
+        marked,
+        trials,
+        out,
+        marks,
+        &hash,
     );
     stream.launch(n, &KernelCost::segmented_select(), tasks);
 }
@@ -801,7 +981,7 @@ mod tests {
             select_smallest_into(seg, &mut two, |x| x);
             assert_eq!(two.to_vec(), sorted_prefix(seg, 2), "{seg:?}");
             let mut generic = [0u64; 2];
-            insertion_select(seg, &mut generic, |x| x);
+            insertion_select(seg.iter().copied(), &mut generic);
             assert_eq!(two, generic, "{seg:?}");
         }
     }

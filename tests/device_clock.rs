@@ -80,47 +80,52 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
         return;
     }
     // Both kernels upload the same adjacency lists and download the same
-    // bytes: one 4-byte element id per output slot, 258 slots per Pass-I
-    // trial and 1,182 per Pass-II trial, so 4 · (40 · 258 + 20 · 1,182)
-    // = 135,840 bytes. The sort kernel runs transform + segmented sort +
-    // gather and one D2H per trial: 3 · (c1 + c2) = 180 launches and
-    // c1 + c2 = 60 copies over Pass I's and Pass II's one batch each. The
-    // fused kernel runs one launch and one D2H per trial group of
-    // g = clamp(2 · elements / outputs, 1, c) trials, Σ⌈c/g⌉ of each:
-    // Pass I's 2,664 elements against 258 outputs per trial give g = 20
-    // and ⌈40/20⌉ = 2 groups, Pass II's 3,880 against 1,182 give g = 6
-    // and ⌈20/6⌉ = 4 groups, so 2 + 4 = 6 launches and 6 copies. Its
-    // kernel seconds are 6 launch overheads of 200 µs plus the
-    // memory-bound selection over 40 · 2,664 + 20 · 3,880 = 184,160
-    // element-trials at 10 B each and 208 GB/s (8.854 µs); its D2H
-    // seconds are 6 copy latencies of 10 µs plus 135,840 B at 6 GB/s
-    // (22.64 µs).
+    // bytes. Pass I downloads one 4-byte element id per output slot, 258
+    // slots per trial; Pass II, a single fragment-free batch, reduces its
+    // 20 trials on the device and downloads one mark byte per element of
+    // its 3,880: 4 · 40 · 258 + 3,880 = 45,160 bytes (Pass II used to
+    // download 4 · 20 · 1,182 ids, for 135,840 bytes in all). The sort
+    // kernel runs transform + segmented sort + gather per trial, so
+    // 3 · (c1 + c2) = 180 launches, unchanged, and its gather ORs Pass
+    // II's marks into one buffer: one D2H per Pass-I trial and one for
+    // Pass II, 40 + 1 = 41 copies (was 60). The fused kernel runs Pass I
+    // in trial groups of g = clamp(2 · elements / outputs, 1, c) trials,
+    // one launch and one D2H each: 2,664 elements against 258 outputs per
+    // trial give g = 20 and ⌈40/20⌉ = 2 groups. Pass II runs all 20
+    // trials in one launch with one D2H (it ran ⌈20/6⌉ = 4 groups), so
+    // 2 + 1 = 3 launches and 3 copies (was 6). Its kernel seconds are 3
+    // launch overheads of 200 µs plus the memory-bound selection over
+    // 40 · 2,664 + 20 · 3,880 = 184,160 element-trials at 10 B each and
+    // 208 GB/s (8.854 µs, rounded per launch to whole nanoseconds); its
+    // D2H seconds are 3 copy latencies of 10 µs plus 45,160 B at 6 GB/s
+    // (7.527 µs). The sort kernel's D2H seconds are 41 latencies plus the
+    // same 7.527 µs; its kernel seconds do not move.
     assert_eq!(
         run(ShingleKernel::SortCompact),
         Clock {
             kernel_seconds: 0.03614054,
             h2d_seconds: 2.4363e-5,
-            d2h_seconds: 0.00062264,
+            d2h_seconds: 0.000417527,
             kernel_launches: 180,
             h2d_transfers: 2,
-            d2h_transfers: 60,
+            d2h_transfers: 41,
             h2d_bytes: 26176,
-            d2h_bytes: 135840,
-            device_pipelined: 0.036185879589743605,
+            d2h_bytes: 45160,
+            device_pipelined: 0.03618573825641027,
         }
     );
     assert_eq!(
         run(ShingleKernel::FusedSelect),
         Clock {
-            kernel_seconds: 0.001208854,
+            kernel_seconds: 0.000608855,
             h2d_seconds: 2.4363e-5,
-            d2h_seconds: 8.264e-5,
-            kernel_launches: 6,
+            d2h_seconds: 3.7527e-5,
+            kernel_launches: 3,
             h2d_transfers: 2,
-            d2h_transfers: 6,
+            d2h_transfers: 3,
             h2d_bytes: 26176,
-            d2h_bytes: 135840,
-            device_pipelined: 0.0012582325128205126,
+            d2h_bytes: 45160,
+            device_pipelined: 0.0006573031794871794,
         }
     );
 }
@@ -151,18 +156,19 @@ fn budgeted_pass_one_pays_one_batch_per_shard() {
         Clock {
             kernel_seconds: 0.10814054,
             h2d_seconds: 5.4362e-5,
-            d2h_seconds: 0.0018226,
+            d2h_seconds: 0.001617487,
             kernel_launches: 540,
             h2d_transfers: 5,
-            d2h_transfers: 180,
+            d2h_transfers: 161,
             h2d_bytes: 26176,
-            d2h_bytes: 135840,
-            device_pipelined: 0.10824587958974351,
+            d2h_bytes: 45160,
+            device_pipelined: 0.10824573825641017,
         }
     );
 }
 
-/// The cost model prices each kernel's trial groups: given the run's
+/// The cost model prices each kernel's trial groups, and Pass II's one
+/// launch and one mark copy per batch: given the run's
 /// exact pass shapes, its predicted stream makespan stays within 0.1 % of
 /// the measured one. (The predictor proper estimates Pass II's shape
 /// before Pass I has run; that estimate is a separate error.)
