@@ -15,6 +15,7 @@ use gpclust_gpu::{DeviceConfig, Gpu};
 use gpclust_graph::components::absorb_labels;
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
 use gpclust_graph::{Csr, Partition, UnionFind};
+use std::collections::HashSet;
 
 /// One gathered device pass through the plan/executor layer.
 fn device_pass(gpu: &Gpu, g: &Csr, family: &HashFamily, kernel: ShingleKernel) {
@@ -75,17 +76,34 @@ fn bench_aggregation(g: &Csr, family: &HashFamily) {
     });
 }
 
-/// Pass II over the distinct member lists of the serial Pass I, into
-/// Phase III: the device reduces each batch's trials to selected-member
-/// marks and the host unions them. Asserts the partition equals the
-/// serial oracle's.
+/// Pass II over the unsettled distinct member lists of the serial Pass I,
+/// into Phase III: the device reduces each batch's trials to
+/// selected-member marks and the host unions them. Prints how many
+/// distinct lists (and members) the owner closure leaves unsettled, times
+/// their construction, settling included, and asserts the partition equals
+/// the serial oracle's.
 fn bench_pass2_marks(g: &Csr) {
     let params = ShinglingParams::light(7);
     let mut agg = StreamAggregator::new(params.s1);
     shingle_pass_foreach(g, params.s1, &params.family_pass1(), |t, n, p| {
         agg.push(t, n, p.iter().map(|&p| unpack_element(p)))
     });
-    let lists = DistinctLists::new(&agg.finish(), params.s2, g.n());
+    let first = agg.finish();
+    let distinct: HashSet<&[u32]> = (0..first.len())
+        .map(|f| first.generators(f))
+        .filter(|list| list.len() >= params.s2)
+        .collect();
+    time("pass2/distinct_lists", 10, || {
+        DistinctLists::new(&first, params.s2, g.n())
+    });
+    let lists = DistinctLists::new(&first, params.s2, g.n());
+    println!(
+        "pass2/distinct_lists: {} distinct lists of {} members, {} unsettled of {}",
+        distinct.len(),
+        distinct.iter().map(|list| list.len()).sum::<usize>(),
+        lists.len(),
+        lists.flat().len()
+    );
     let gpu = Gpu::new(DeviceConfig::tesla_k20());
     let plan = Plan::lower(&params, std::slice::from_ref(&gpu)).unwrap();
     let pass = plan.pass(params.s2, plan.aggregation, plan.capacity, lists.offsets());
@@ -102,7 +120,9 @@ fn bench_pass2_marks(g: &Csr) {
             .unwrap();
         let mut uf = UnionFind::new(g.n());
         absorb_labels(&mut uf, &report.clusters.unwrap().labels);
-        lists.finish(uf, params.s2, &SortedRun::default()).0
+        lists
+            .finish(uf, params.s2, params.c2, &SortedRun::default())
+            .0
     };
     assert_eq!(
         partition(),

@@ -125,7 +125,9 @@ pub enum Sink<'a> {
     /// record in `raw`, grouped ([`RawShingles::push_complete`]).
     Gather,
     /// Stream Pass II into Phase III ([`PassReport::clusters`]). The pass
-    /// runs over the given [`DistinctLists`] (also its adjacency input).
+    /// runs over the given [`DistinctLists`] (also its adjacency input):
+    /// only the lists the owner closure has not settled, since a settled
+    /// list's unions change nothing once the closure is absorbed.
     /// The device reduces each batch's trials to one mark per element,
     /// set where some trial selected it, and each complete list's marked
     /// members fold onto the list's anchor in a union–find
@@ -146,9 +148,11 @@ pub struct ClusterLabels {
     /// so labelings of partial record sets merge with
     /// [`gpclust_graph::components::absorb_labels`].
     pub labels: Vec<u32>,
-    /// Second-level `<shingle, generator>` records streamed (|E″|): each
-    /// list record counts once per owner ([`DistinctLists::owners`]), and
-    /// a complete list stands for one record per trial.
+    /// Second-level `<shingle, generator>` records streamed: each list
+    /// record counts once per owner ([`DistinctLists::owners`]), and a
+    /// complete list stands for one record per trial. It counts only the
+    /// lists the pass ran; [`DistinctLists::finish`] counts the boundary
+    /// fragments and the settled lists, and the two sum to |E″|.
     pub records: u64,
 }
 
@@ -1181,7 +1185,9 @@ mod tests {
                     .unwrap();
                 let mut uf = UnionFind::new(fx.g.n());
                 absorb_labels(&mut uf, &report.clusters.unwrap().labels);
-                let (partition, _) = fx.lists.finish(uf, fx.params.s2, &SortedRun::default());
+                let (partition, _) =
+                    fx.lists
+                        .finish(uf, fx.params.s2, fx.params.c2, &SortedRun::default());
                 assert_eq!(partition, oracle, "{what}: partition");
                 assert_eq!(rec.degraded_batches > 0, faulty, "{what}: {rec}");
             }
@@ -1352,6 +1358,10 @@ mod tests {
             aggregate(&gathered.raw)
         };
         let lists = DistinctLists::new(&first, params.s2, g.n());
+        assert!(
+            lists.len() >= 50,
+            "settling must leave Pass II lists to run"
+        );
         let plan = Plan::lower(&params, std::slice::from_ref(gpu)).unwrap();
         let cap = capacity.unwrap_or(plan.capacity);
         let pass2 = plan.pass(params.s2, plan.aggregation, cap, lists.offsets());
@@ -1403,10 +1413,15 @@ mod tests {
         assert!(report.raw.is_empty(), "no fragments on a merged pass");
         let clusters = report.clusters.unwrap();
         assert_eq!(clusters.labels.len(), n);
-        assert_eq!(clusters.records as usize, run.second.n_edges());
         let mut uf = UnionFind::new(n);
         absorb_labels(&mut uf, &clusters.labels);
-        let (partition, _) = fx.lists.finish(uf, fx.params.s2, &SortedRun::default());
+        let (partition, settled_records) =
+            fx.lists
+                .finish(uf, fx.params.s2, fx.params.c2, &SortedRun::default());
+        assert_eq!(
+            (clusters.records + settled_records) as usize,
+            run.second.n_edges()
+        );
         assert_eq!(partition, oracle, "merged");
 
         // The batches dealt across a fleet: every device's labels
@@ -1434,11 +1449,11 @@ mod tests {
             }
             assert!(!raw.is_empty(), "lists must split across devices");
             let fin = merge_fragments(&raw);
-            let (partition, frag_records) = fx.lists.finish(uf, fx.params.s2, &fin);
+            let (partition, host_records) = fx.lists.finish(uf, fx.params.s2, fx.params.c2, &fin);
             let what = format!("{n_devices} devices");
             assert_eq!(partition, oracle, "{what}");
             assert_eq!(
-                (records + frag_records) as usize,
+                (records + host_records) as usize,
                 run.second.n_edges(),
                 "{what}"
             );
@@ -1475,7 +1490,7 @@ mod tests {
             let fin = merge_fragments(&r.raw);
             let mut uf = UnionFind::new(n);
             absorb_labels(&mut uf, &labels);
-            let (finished, _) = fx.lists.finish(uf, s2, &fin);
+            let (finished, _) = fx.lists.finish(uf, s2, fx.params.c2, &fin);
             (Partition::from_labels(&labels), fin, r.raw.len(), finished)
         };
         let once = run((0..n_batches).collect());
@@ -1498,7 +1513,7 @@ mod tests {
             .unwrap();
         let mut uf = UnionFind::new(n);
         absorb_labels(&mut uf, &merged.clusters.unwrap().labels);
-        let (merged, _) = fx.lists.finish(uf, s2, &SortedRun::default());
+        let (merged, _) = fx.lists.finish(uf, s2, fx.params.c2, &SortedRun::default());
         assert_eq!(once.3, merged);
     }
 

@@ -338,6 +338,30 @@ mod tests {
         .graph
     }
 
+    /// A denser planted graph: its owner closure leaves hundreds of member
+    /// lists unsettled, so Pass II still runs and batches on small devices.
+    fn pass_two_graph(seed: u64) -> Csr {
+        planted_partition(&PlantedConfig {
+            group_sizes: vec![80, 60, 50],
+            n_noise_vertices: 20,
+            p_intra: 0.8,
+            max_intra_degree: f64::MAX,
+            inter_edges_per_vertex: 1.0,
+            seed,
+        })
+        .graph
+    }
+
+    /// The unsettled member lists Pass II runs over on `g`: a Pass-II test
+    /// asserts a floor on it, so settling cannot leave it nothing to run.
+    fn unsettled_lists(g: &Csr, params: ShinglingParams) -> usize {
+        let first = crate::serial::SerialShingling::new(params)
+            .unwrap()
+            .run(g)
+            .first;
+        crate::report::DistinctLists::new(&first, params.s2, g.n()).len()
+    }
+
     #[test]
     fn multi_gpu_matches_single_device() {
         let g = graph(31);
@@ -368,6 +392,7 @@ mod tests {
         })
         .graph;
         let params = ShinglingParams::light(11);
+        assert!(unsettled_lists(&g, params) >= 400);
         let single = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -389,13 +414,14 @@ mod tests {
         let g = planted_partition(&PlantedConfig {
             group_sizes: vec![150, 120, 100],
             n_noise_vertices: 30,
-            p_intra: 0.5,
+            p_intra: 0.7,
             max_intra_degree: f64::MAX,
             inter_edges_per_vertex: 1.0,
             seed: 73,
         })
         .graph;
         let params = ShinglingParams::light(45);
+        assert!(unsettled_lists(&g, params) >= 400);
         let single = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -413,8 +439,9 @@ mod tests {
 
     #[test]
     fn multi_gpu_bit_identical_and_pipelined() {
-        let g = graph(37);
+        let g = pass_two_graph(37);
         let base = ShinglingParams::light(15);
+        assert!(unsettled_lists(&g, base) >= 100);
         let single = GpClust::new(base, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -443,8 +470,9 @@ mod tests {
 
     #[test]
     fn fused_select_matches_across_devices() {
-        let g = graph(43);
+        let g = pass_two_graph(43);
         let params = ShinglingParams::light(19);
+        assert!(unsettled_lists(&g, params) >= 100);
         let single = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -711,8 +739,9 @@ mod tests {
     /// reshuffles which card runs which batch.
     #[test]
     fn heterogeneous_fleet_matches_single_device() {
-        let g = graph(57);
+        let g = pass_two_graph(57);
         let params = ShinglingParams::light(33);
+        assert!(unsettled_lists(&g, params) >= 100);
         let single = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -783,8 +812,9 @@ mod tests {
     #[test]
     fn lost_capacity_bound_device_mid_pass_two_recuts_cleanly() {
         use gpclust_gpu::{FaultKind, FaultPlan, FaultSite};
-        let g = graph(59);
+        let g = pass_two_graph(59);
         let params = ShinglingParams::light(35);
+        assert!(unsettled_lists(&g, params) >= 100);
         let oracle = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)

@@ -22,11 +22,12 @@
 //!    fleet size;
 //! 3. CPU merges every shard's runs into the shingle graph;
 //! 4. CPU groups the shingle graph's member lists into
-//!    [`crate::report::DistinctLists`] and drops the graph; second-level
-//!    shingling runs on the GPUs over each distinct list once, dealt the
-//!    same way; each batch's trials reduce on the device to one
-//!    selected-member mark per element, and every device streams the
-//!    marks into Phase III;
+//!    [`crate::report::DistinctLists`], folds their owner closure, drops
+//!    the lists it settles and then the graph; second-level shingling
+//!    runs on the GPUs over each unsettled list once, dealt the same way;
+//!    each batch's trials reduce on the device to one selected-member
+//!    mark per element, and every device streams the marks into Phase
+//!    III;
 //! 5. CPU absorbs each device's component labels and the lists' owner
 //!    closure, and unions the finalized fragments into the reported dense
 //!    subgraphs.
@@ -561,10 +562,11 @@ impl GpClust {
 
     /// Passes II + III from a first-level shingle graph, which is grouped
     /// into its [`DistinctLists`] and dropped: Pass II shingles each
-    /// distinct member list once, dealt across the fleet and streamed
-    /// into Phase III on every device (a backed-off re-plan replays the
-    /// whole pass into fresh sinks). The host absorbs each device's labels
-    /// and the owner closure and unions the finalized fragments; G″ is
+    /// distinct member list the owner closure has not settled once, dealt
+    /// across the fleet and streamed into Phase III on every device (a
+    /// backed-off re-plan replays the whole pass into fresh sinks). The
+    /// host absorbs each device's labels and the owner closure, unions the
+    /// finalized fragments and counts the settled lists' records; G″ is
     /// never built.
     fn second_pass(
         &self,
@@ -604,12 +606,12 @@ impl GpClust {
         recovery.merge(&backoff_rec);
         let fragments = merge_fragments(&dealt.raw);
         let labels = dealt.labels.unwrap_or_else(|| UnionFind::new(n));
-        let (partition, fragment_records) = lists.finish(labels, params.s2, &fragments);
+        let (partition, host_records) = lists.finish(labels, params.s2, params.c2, &fragments);
         Ok(SecondPass {
             partition,
             stats,
             makespan: slowest(&dealt.makespan),
-            records: dealt.records + fragment_records,
+            records: dealt.records + host_records,
         })
     }
 
@@ -717,12 +719,25 @@ mod tests {
 
     #[test]
     fn gpu_pipeline_matches_serial_under_tiny_memory() {
-        let g = graph(22);
+        // Dense enough that the owner closure leaves Pass II lists to run,
+        // and more of them than one tiny-device batch holds.
+        let g = planted_partition(&PlantedConfig {
+            group_sizes: vec![80, 60, 50],
+            n_noise_vertices: 20,
+            p_intra: 0.8,
+            max_intra_degree: f64::MAX,
+            inter_edges_per_vertex: 1.0,
+            seed: 22,
+        })
+        .graph;
         let params = ShinglingParams::light(78);
+        let run = SerialShingling::new(params).unwrap().run(&g);
+        assert!(DistinctLists::new(&run.first, params.s2, g.n()).len() >= 100);
         let serial = SerialShingling::new(params).unwrap().cluster(&g);
         let gpu = Gpu::with_workers(DeviceConfig::tiny_test_device(), 2);
         let report = GpClust::new(params, gpu).unwrap().cluster(&g).unwrap();
         assert_eq!(report.partition, serial);
+        assert!(report.batch_stats[1].n_batches >= 2, "Pass II must batch");
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!
 //! The GPU driver never materializes G″. Its Pass II runs over the
 //! [`DistinctLists`] of G′ — each distinct member list with at least s2
-//! members, once, with one anchor vertex — and Phase III folds the owner
-//! closure plus each list's selected members (each boundary fragment's
-//! record elements) onto the anchors in a host union–find. Union–find
+//! members that the owner closure has not settled, once, with one anchor
+//! vertex — and Phase III folds the owner closure plus each list's
+//! selected members (each boundary fragment's record elements) onto the
+//! anchors in a host union–find. Union–find
 //! order independence makes every such fold partition-equal to
 //! [`partition_clusters`].
 
@@ -61,7 +62,8 @@ pub fn union_second_level_record(
 }
 
 /// Pass II's input and Phase III's fold in one value: the distinct member
-/// lists of a first-level shingle graph G′.
+/// lists of a first-level shingle graph G′ that can still join two
+/// clusters.
 ///
 /// A first-level shingle's *member list* is its generator list — the
 /// adjacency list Pass II shingles. Lists with fewer than s2 members never
@@ -71,12 +73,21 @@ pub fn union_second_level_record(
 /// owner's s1 elements onto its list's anchor — the *owner closure*, held
 /// as vertex-id labels so G′ can be dropped before Pass II.
 ///
-/// Pass II shingles each distinct list once (its node ids are list
-/// indices), and Phase III unions each record's s2 elements onto the
-/// list's anchor. That is the partition [`partition_clusters`] builds from
-/// the materialized G″: identical lists give identical top-s2 sets in
-/// every trial, every list with at least s2 members emits in every trial
-/// (so all owners of a list share each of its second-level shingles), and
+/// A list is *settled* when the owner closure already places every one of
+/// its members in its anchor's component. Construction drops settled
+/// lists: Phase III touches a list only through unions of its anchor with
+/// its own members (the selected ones, or a boundary fragment's record
+/// elements), and [`DistinctLists::finish`] absorbs the closure into the
+/// same union–find, so each of those unions would be a no-op. What is kept
+/// — the lists Pass II runs over — are the *unsettled* lists; a settled
+/// list's records still count in [`DistinctLists::finish`].
+///
+/// Pass II shingles each kept list once (its node ids are list indices),
+/// and Phase III unions each record's s2 elements onto the list's anchor.
+/// That is the partition [`partition_clusters`] builds from the
+/// materialized G″: identical lists give identical top-s2 sets in every
+/// trial, every list with at least s2 members emits in every trial (so all
+/// owners of a list share each of its second-level shingles), and
 /// union–find does not depend on order. Those unions connect the anchor
 /// with exactly the members some trial selected, so Phase III may union
 /// each selected member once instead ([`DistinctLists::union_marked`]).
@@ -90,12 +101,14 @@ pub fn union_second_level_record(
 pub struct DistinctLists {
     /// `len() + 1` offsets into `members`.
     offsets: Vec<u64>,
-    /// The distinct lists, concatenated in first-owner order.
+    /// The unsettled lists, concatenated in first-owner order.
     members: Vec<u32>,
     /// Anchor vertex per list.
     anchors: Vec<VertexId>,
     /// First-level shingles owning each list.
     owners: Vec<u32>,
+    /// First-level shingles owning the settled lists, summed.
+    settled_owners: u64,
     /// The owner closure: a union–find root per input vertex.
     closure: Vec<u32>,
 }
@@ -117,8 +130,9 @@ fn list_hash(list: &[u32]) -> u64 {
 
 impl DistinctLists {
     /// Group the member lists of `first` with at least `s2` members, over
-    /// an input graph of `n` vertices. One open-addressing pass keyed by
-    /// list contents; no per-list allocation.
+    /// an input graph of `n` vertices, fold the owner closure and drop the
+    /// settled lists. One open-addressing pass keyed by list contents; no
+    /// per-list allocation.
     pub fn new(first: &ShingleGraph, s2: usize, n: usize) -> Self {
         let emitting = (0..first.len())
             .filter(|&f| first.generators(f).len() >= s2)
@@ -130,6 +144,7 @@ impl DistinctLists {
             members: Vec::new(),
             anchors: Vec::new(),
             owners: Vec::new(),
+            settled_owners: 0,
             closure: Vec::new(),
         };
         let mut uf = UnionFind::new(n);
@@ -164,15 +179,43 @@ impl DistinctLists {
             }
         }
         out.closure = (0..n as u32).map(|v| uf.find(v)).collect();
+        out.settle();
         out
     }
 
-    /// Number of distinct lists (Pass II's nodes).
+    /// Drop every settled list — each member already shares its anchor's
+    /// closure root — compacting the kept lists in place, in order.
+    fn settle(&mut self) {
+        let (mut kept, mut start, mut end) = (0, 0, 0);
+        for d in 0..self.anchors.len() {
+            let stop = self.offsets[d + 1] as usize;
+            let root = self.closure[self.anchors[d] as usize];
+            let list = &self.members[start..stop];
+            if list.iter().all(|&v| self.closure[v as usize] == root) {
+                self.settled_owners += self.owners[d] as u64;
+            } else {
+                self.members.copy_within(start..stop, end);
+                end += stop - start;
+                self.anchors[kept] = self.anchors[d];
+                self.owners[kept] = self.owners[d];
+                kept += 1;
+                self.offsets[kept] = end as u64;
+            }
+            start = stop;
+        }
+        self.members.truncate(end);
+        self.anchors.truncate(kept);
+        self.owners.truncate(kept);
+        self.offsets.truncate(kept + 1);
+    }
+
+    /// Number of unsettled lists (Pass II's nodes).
     pub fn len(&self) -> usize {
         self.anchors.len()
     }
 
-    /// True if no list has at least s2 members.
+    /// True if Pass II has no list to run: none has at least s2 members,
+    /// or every one is settled.
     pub fn is_empty(&self) -> bool {
         self.anchors.is_empty()
     }
@@ -234,14 +277,21 @@ impl DistinctLists {
         }
     }
 
-    /// Phase III's host step after a dealt Pass II: fold the owner closure
-    /// and the finalized run of pooled `s`-element boundary `fragments`
-    /// into `uf` (already holding every device's labels). Returns the
-    /// partition and the fragments' weighted record count (see
-    /// [`DistinctLists::owners`]).
-    pub fn finish(&self, mut uf: UnionFind, s: usize, fragments: &SortedRun) -> (Partition, u64) {
+    /// Phase III's host step after a dealt Pass II of `trials` trials:
+    /// fold the owner closure and the finalized run of pooled `s`-element
+    /// boundary `fragments` into `uf` (already holding every device's
+    /// labels). Returns the partition and the records counted here, each
+    /// weighted by its owners (see [`DistinctLists::owners`]): the
+    /// fragments', and the `trials` records every settled list stands for.
+    pub fn finish(
+        &self,
+        mut uf: UnionFind,
+        s: usize,
+        trials: usize,
+        fragments: &SortedRun,
+    ) -> (Partition, u64) {
         absorb_labels(&mut uf, &self.closure);
-        let mut records = 0;
+        let mut records = trials as u64 * self.settled_owners;
         for &p in &fragments.packed {
             let i = (p & 0xFFFF_FFFF) as usize;
             let list = (p >> 32) as u32;
@@ -409,7 +459,7 @@ mod tests {
     #[test]
     fn distinct_lists_close_over_every_owners_elements() {
         let lists = DistinctLists::new(&repeated_lists(), 3, 12);
-        let (p, _) = lists.finish(UnionFind::new(12), 3, &SortedRun::default());
+        let (p, _) = lists.finish(UnionFind::new(12), 3, 6, &SortedRun::default());
         // Owners 0, 2, 4 of list 0 → {0, 1, 4, 8, 11}; owner 3 of list 1 →
         // {9, 10}; shingle 1 (short list) unions nothing.
         let g = p.group_of(0).unwrap();
@@ -424,13 +474,68 @@ mod tests {
         assert_eq!(p.n_groups(), 12 - 4 - 1);
     }
 
+    /// Every list construction drops is settled — all its members share
+    /// its anchor's closure root — and every list it keeps has a member
+    /// that does not; the kept lists keep their first-owner order, anchor
+    /// and owner count, and the dropped ones' owners are summed.
+    #[test]
+    fn distinct_lists_keep_exactly_the_unsettled_lists() {
+        use crate::params::ShinglingParams;
+        use crate::serial::SerialShingling;
+        use gpclust_graph::generate::{planted_partition, PlantedConfig};
+        use std::collections::HashMap;
+        let g = planted_partition(&PlantedConfig {
+            group_sizes: vec![40, 30, 20],
+            n_noise_vertices: 20,
+            p_intra: 0.6,
+            max_intra_degree: f64::MAX,
+            inter_edges_per_vertex: 1.0,
+            seed: 5,
+        })
+        .graph;
+        let params = ShinglingParams::light(5);
+        let first = SerialShingling::new(params).unwrap().run(&g).first;
+        let lists = DistinctLists::new(&first, params.s2, g.n());
+        let root = |v: VertexId| lists.closure[v as usize];
+        // Each distinct list in first-owner order, with its anchor and
+        // owner count.
+        let mut distinct: Vec<(&[u32], VertexId, u64)> = Vec::new();
+        let mut index: HashMap<&[u32], usize> = HashMap::new();
+        for f in 0..first.len() {
+            let list = first.generators(f);
+            if list.len() < params.s2 {
+                continue;
+            }
+            let d = *index.entry(list).or_insert_with(|| {
+                distinct.push((list, first.elements(f)[0], 0));
+                distinct.len() - 1
+            });
+            distinct[d].2 += 1;
+        }
+        let (mut kept, mut settled, mut settled_owners) = (0, 0, 0);
+        for (list, anchor, owners) in distinct {
+            if list.iter().all(|&v| root(v) == root(anchor)) {
+                settled += 1;
+                settled_owners += owners;
+            } else {
+                let k = kept as u32;
+                assert_eq!(lists.list(kept), list, "kept list {kept}");
+                assert_eq!((lists.anchor(k), lists.owners(k)), (anchor, owners));
+                kept += 1;
+            }
+        }
+        assert_eq!(kept, lists.len());
+        assert_eq!(settled_owners, lists.settled_owners);
+        assert!(kept > 0 && settled > 0, "kept {kept}, settled {settled}");
+    }
+
     #[test]
     fn distinct_lists_of_an_empty_first_graph() {
         let empty = ShingleGraph::from_records(2, std::iter::empty());
         let lists = DistinctLists::new(&empty, 2, 4);
         assert!(lists.is_empty());
         assert_eq!(lists.offsets(), &[0]);
-        let (p, records) = lists.finish(UnionFind::new(4), 2, &SortedRun::default());
+        let (p, records) = lists.finish(UnionFind::new(4), 2, 6, &SortedRun::default());
         assert_eq!((p.n_groups(), records), (4, 0));
     }
 
@@ -454,8 +559,8 @@ mod tests {
             lists.union_record(&mut uf, list, elements);
             records += lists.owners(list);
         }
-        assert_eq!(records as usize, second.n_edges());
-        let (streamed, _) = lists.finish(uf, 3, &SortedRun::default());
+        let (streamed, settled_records) = lists.finish(uf, 3, 6, &SortedRun::default());
+        assert_eq!((records + settled_records) as usize, second.n_edges());
         assert_eq!(streamed, oracle);
     }
 

@@ -8,7 +8,7 @@
 //! partition unchanged.
 
 use gpclust_core::multi_gpu::MultiGpuClust;
-use gpclust_core::{SerialShingling, ShinglingParams};
+use gpclust_core::{DistinctLists, SerialShingling, ShinglingParams};
 use gpclust_gpu::{DeviceConfig, FaultKind, FaultPlan, FaultSite, Gpu};
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
 use gpclust_graph::Csr;
@@ -26,6 +26,13 @@ fn planted(group_sizes: Vec<usize>, seed: u64) -> Csr {
         seed,
     })
     .graph
+}
+
+/// The unsettled member lists Pass II runs over on `g`: each test asserts
+/// a floor on it, so settling cannot leave Pass II nothing to run.
+fn unsettled_lists(g: &Csr, params: ShinglingParams) -> usize {
+    let first = SerialShingling::new(params).unwrap().run(g).first;
+    DistinctLists::new(&first, params.s2, g.n()).len()
 }
 
 /// `n` devices of `config`, each with `plan` installed under its own id.
@@ -50,6 +57,7 @@ fn fleet_phase3_matches_serial_oracle() {
         let fault_seed = case.range(0u64..1000);
         let g = planted(sizes, graph_seed);
         let base = ShinglingParams::light(seed);
+        assert!(unsettled_lists(&g, base) >= 100);
         let oracle = SerialShingling::new(base).unwrap().cluster(&g);
         for config in [DeviceConfig::tesla_k20(), DeviceConfig::tiny_test_device()] {
             for n_devices in 1usize..=3 {
@@ -82,6 +90,7 @@ fn fleet_phase3_matches_serial_oracle() {
 fn device_lost_mid_pass_two_leaves_the_partition_unchanged() {
     let g = planted(vec![150, 120, 100], 71);
     let params = ShinglingParams::light(43);
+    assert!(unsettled_lists(&g, params) >= 400);
     let oracle = SerialShingling::new(params).unwrap().cluster(&g);
     let tiny = DeviceConfig::tiny_test_device();
     // Fault-free, to find device 1's last kernel launches — all in

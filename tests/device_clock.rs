@@ -80,52 +80,57 @@ fn modeled_device_seconds_are_pinned_for_both_kernels() {
         return;
     }
     // Both kernels upload the same adjacency lists and download the same
-    // bytes. Pass I downloads one 4-byte element id per output slot, 258
-    // slots per trial; Pass II, a single fragment-free batch, reduces its
-    // 20 trials on the device and downloads one mark byte per element of
-    // its 3,880: 4 · 40 · 258 + 3,880 = 45,160 bytes (Pass II used to
-    // download 4 · 20 · 1,182 ids, for 135,840 bytes in all). The sort
-    // kernel runs transform + segmented sort + gather per trial, so
-    // 3 · (c1 + c2) = 180 launches, unchanged, and its gather ORs Pass
-    // II's marks into one buffer: one D2H per Pass-I trial and one for
-    // Pass II, 40 + 1 = 41 copies (was 60). The fused kernel runs Pass I
-    // in trial groups of g = clamp(2 · elements / outputs, 1, c) trials,
-    // one launch and one D2H each: 2,664 elements against 258 outputs per
-    // trial give g = 20 and ⌈40/20⌉ = 2 groups. Pass II runs all 20
-    // trials in one launch with one D2H (it ran ⌈20/6⌉ = 4 groups), so
-    // 2 + 1 = 3 launches and 3 copies (was 6). Its kernel seconds are 3
-    // launch overheads of 200 µs plus the memory-bound selection over
-    // 40 · 2,664 + 20 · 3,880 = 184,160 element-trials at 10 B each and
-    // 208 GB/s (8.854 µs, rounded per launch to whole nanoseconds); its
-    // D2H seconds are 3 copy latencies of 10 µs plus 45,160 B at 6 GB/s
-    // (7.527 µs). The sort kernel's D2H seconds are 41 latencies plus the
-    // same 7.527 µs; its kernel seconds do not move.
+    // bytes. Pass II runs only the unsettled member lists: the owner
+    // closure already joins every member of 555 of the graph's 591
+    // distinct lists to its anchor, so Pass II uploads, selects and marks
+    // 36 lists of 477 elements (it ran all 3,880). Pass I uploads 2,664
+    // elements and Pass II 477: 4 · 3,141 = 12,564 bytes (was 26,176) in
+    // 2 copies, 2 latencies of 10 µs plus 12,564 B at 6 GB/s. Pass I
+    // downloads one 4-byte element id per output slot, 258 slots per
+    // trial; Pass II, a single fragment-free batch, reduces its 20 trials
+    // on the device and downloads one mark byte per element:
+    // 4 · 40 · 258 + 477 = 41,757 bytes (was 45,160). The sort kernel runs
+    // transform + segmented sort + gather per trial, so 3 · (c1 + c2) =
+    // 180 launches, unchanged, and its gather ORs Pass II's marks into one
+    // buffer: one D2H per Pass-I trial and one for Pass II, 40 + 1 = 41
+    // copies. Its kernel seconds fall by 55.64 µs, what the three
+    // launches charge for 20 · 3,403 fewer element-trials; its D2H seconds
+    // are 41 latencies plus 41,757 B at 6 GB/s (6.959 µs). The fused
+    // kernel runs Pass I in trial groups of g = clamp(2 · elements /
+    // outputs, 1, c) trials, one launch and one D2H each: 2,664 elements
+    // against 258 outputs per trial give g = 20 and ⌈40/20⌉ = 2 groups.
+    // Pass II runs all 20 trials in one launch with one D2H, so 2 + 1 = 3
+    // launches and 3 copies. Its kernel seconds are 3 launch overheads of
+    // 200 µs plus the memory-bound selection over 40 · 2,664 + 20 · 477 =
+    // 116,100 element-trials (was 184,160) at 10 B each and 208 GB/s
+    // (5.583 µs, rounded per launch to whole nanoseconds); its D2H seconds
+    // are 3 copy latencies of 10 µs plus the same 6.959 µs.
     assert_eq!(
         run(ShingleKernel::SortCompact),
         Clock {
-            kernel_seconds: 0.03614054,
-            h2d_seconds: 2.4363e-5,
-            d2h_seconds: 0.000417527,
+            kernel_seconds: 0.0360849,
+            h2d_seconds: 2.2094e-5,
+            d2h_seconds: 0.000416959,
             kernel_launches: 180,
             h2d_transfers: 2,
             d2h_transfers: 41,
-            h2d_bytes: 26176,
-            d2h_bytes: 45160,
-            device_pipelined: 0.03618573825641027,
+            h2d_bytes: 12564,
+            d2h_bytes: 41757,
+            device_pipelined: 0.036127245500000016,
         }
     );
     assert_eq!(
         run(ShingleKernel::FusedSelect),
         Clock {
-            kernel_seconds: 0.000608855,
-            h2d_seconds: 2.4363e-5,
-            d2h_seconds: 3.7527e-5,
+            kernel_seconds: 0.000605583,
+            h2d_seconds: 2.2094e-5,
+            d2h_seconds: 3.6959e-5,
             kernel_launches: 3,
             h2d_transfers: 2,
             d2h_transfers: 3,
-            h2d_bytes: 26176,
-            d2h_bytes: 45160,
-            device_pipelined: 0.0006573031794871794,
+            h2d_bytes: 12564,
+            d2h_bytes: 41757,
+            device_pipelined: 0.0006511952307692306,
         }
     );
 }
@@ -154,15 +159,15 @@ fn budgeted_pass_one_pays_one_batch_per_shard() {
     assert_eq!(
         clock(&report),
         Clock {
-            kernel_seconds: 0.10814054,
-            h2d_seconds: 5.4362e-5,
-            d2h_seconds: 0.001617487,
+            kernel_seconds: 0.1080849,
+            h2d_seconds: 5.2093e-5,
+            d2h_seconds: 0.001616919,
             kernel_launches: 540,
             h2d_transfers: 5,
             d2h_transfers: 161,
-            h2d_bytes: 26176,
-            d2h_bytes: 45160,
-            device_pipelined: 0.10824573825641017,
+            h2d_bytes: 12564,
+            d2h_bytes: 41757,
+            device_pipelined: 0.10818724549999992,
         }
     );
 }

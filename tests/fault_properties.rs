@@ -8,8 +8,11 @@
 //! device-loss, saturation, and policy-edge cases.
 
 use gpclust::core::multi_gpu::MultiGpuClust;
-use gpclust::core::{FaultPolicy, GpClust, SerialShingling, ShingleKernel, ShinglingParams};
+use gpclust::core::{
+    DistinctLists, FaultPolicy, GpClust, SerialShingling, ShingleKernel, ShinglingParams,
+};
 use gpclust::gpu::{DeviceConfig, DeviceError, FaultKind, FaultPlan, FaultSite, Gpu};
+use gpclust::graph::generate::{planted_partition, PlantedConfig};
 use gpclust::graph::{Csr, EdgeList, Partition};
 use gpclust_support::check::{check, Case};
 
@@ -21,6 +24,26 @@ fn arb_graph(case: &mut Case, max_n: usize, max_m: usize) -> Csr {
         .into_iter()
         .collect();
     Csr::from_edges(n, &mut el)
+}
+
+/// A dense planted graph: its owner closure leaves many member lists
+/// unsettled, so Pass II still runs and meets the faults.
+fn arb_dense_graph(case: &mut Case) -> Csr {
+    planted_partition(&PlantedConfig {
+        group_sizes: case.vec(2..4, |c| c.range(60usize..120)),
+        n_noise_vertices: case.range(0usize..20),
+        p_intra: case.range(0.6f64..0.85),
+        max_intra_degree: f64::MAX,
+        inter_edges_per_vertex: 1.0,
+        seed: case.u64(),
+    })
+    .graph
+}
+
+/// The unsettled member lists Pass II runs over on `g`.
+fn unsettled_lists(g: &Csr, params: ShinglingParams) -> usize {
+    let first = SerialShingling::new(params).unwrap().run(g).first;
+    DistinctLists::new(&first, params.s2, g.n()).len()
 }
 
 /// Either kernel.
@@ -79,7 +102,8 @@ fn faulty_partition(
 }
 
 /// Explicit fault schedules (transient kinds at arbitrary operation
-/// indices) are likewise invisible in the final clusters.
+/// indices) are likewise invisible in the final clusters — on a random
+/// graph and on a dense planted one whose Pass II keeps many lists.
 #[test]
 fn scheduled_faults_preserve_bit_identity() {
     check(16, |case| {
@@ -88,19 +112,25 @@ fn scheduled_faults_preserve_bit_identity() {
         let seed = case.range(0u64..1000);
         let schedule = arb_schedule(case);
         let n_devices = case.range(1usize..=4);
+        let dense = arb_dense_graph(case);
         let params = ShinglingParams::light(seed).with_kernel(kernel);
-        let oracle = SerialShingling::new(params).unwrap().cluster(&g);
+        let unsettled = unsettled_lists(&dense, params);
+        assert!(unsettled >= 50, "{unsettled} unsettled lists");
         let mut plan = FaultPlan::scheduled();
         for (site, occurrence, kind) in schedule {
             plan = plan.with_fault(site, occurrence, kind);
         }
-        let faulty = faulty_partition(&g, params, n_devices, &plan).unwrap();
-        assert_eq!(faulty, oracle);
+        for g in [&g, &dense] {
+            let oracle = SerialShingling::new(params).unwrap().cluster(g);
+            let faulty = faulty_partition(g, params, n_devices, &plan).unwrap();
+            assert_eq!(faulty, oracle);
+        }
     });
 }
 
 /// Losing one of two devices mid-run redistributes its remaining
-/// batches to the survivor without changing the clusters.
+/// batches to the survivor without changing the clusters — on a random
+/// graph and on a dense planted one whose Pass II keeps many lists.
 #[test]
 fn device_loss_recovery_preserves_bit_identity() {
     check(16, |case| {
@@ -108,26 +138,31 @@ fn device_loss_recovery_preserves_bit_identity() {
         let kernel = arb_kernel(case);
         let seed = case.range(0u64..500);
         let occurrence = case.range(1u64..20);
+        let dense = arb_dense_graph(case);
         let params = ShinglingParams::light(seed).with_kernel(kernel);
-        let oracle = SerialShingling::new(params).unwrap().cluster(&g);
-        let gpus: Vec<Gpu> = (0..2)
-            .map(|d| {
-                let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 1);
-                if d == 0 {
-                    gpu.set_fault_plan(
-                        FaultPlan::scheduled()
-                            .with_fault(FaultSite::Kernel, occurrence, FaultKind::DeviceLost)
-                            .with_device(0),
-                    );
-                }
-                gpu
-            })
-            .collect();
-        let report = MultiGpuClust::new(params, gpus)
-            .unwrap()
-            .cluster(&g)
-            .unwrap();
-        assert_eq!(report.partition, oracle);
+        let unsettled = unsettled_lists(&dense, params);
+        assert!(unsettled >= 50, "{unsettled} unsettled lists");
+        for g in [&g, &dense] {
+            let oracle = SerialShingling::new(params).unwrap().cluster(g);
+            let gpus: Vec<Gpu> = (0..2)
+                .map(|d| {
+                    let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 1);
+                    if d == 0 {
+                        gpu.set_fault_plan(
+                            FaultPlan::scheduled()
+                                .with_fault(FaultSite::Kernel, occurrence, FaultKind::DeviceLost)
+                                .with_device(0),
+                        );
+                    }
+                    gpu
+                })
+                .collect();
+            let report = MultiGpuClust::new(params, gpus)
+                .unwrap()
+                .cluster(g)
+                .unwrap();
+            assert_eq!(report.partition, oracle);
+        }
     });
 }
 

@@ -12,8 +12,9 @@
 
 use gpclust::core::autotune;
 use gpclust::core::multi_gpu::MultiGpuClust;
-use gpclust::core::{GpClust, SerialShingling, ShingleKernel, ShinglingParams};
+use gpclust::core::{DistinctLists, GpClust, SerialShingling, ShingleKernel, ShinglingParams};
 use gpclust::gpu::{DeviceConfig, DeviceError, FaultPlan, Gpu};
+use gpclust::graph::generate::{planted_partition, PlantedConfig};
 use gpclust::graph::{Csr, EdgeList, Partition};
 use gpclust_support::check::{check, Case};
 
@@ -25,6 +26,27 @@ fn arb_graph(case: &mut Case, max_n: usize, max_m: usize) -> Csr {
         .into_iter()
         .collect();
     Csr::from_edges(n, &mut el)
+}
+
+/// A dense planted graph: its owner closure leaves many member lists
+/// unsettled, so Pass II still runs, splits across the tiny devices and
+/// meets the faults.
+fn arb_dense_graph(case: &mut Case) -> Csr {
+    planted_partition(&PlantedConfig {
+        group_sizes: case.vec(2..4, |c| c.range(60usize..120)),
+        n_noise_vertices: case.range(0usize..20),
+        p_intra: case.range(0.6f64..0.85),
+        max_intra_degree: f64::MAX,
+        inter_edges_per_vertex: 1.0,
+        seed: case.u64(),
+    })
+    .graph
+}
+
+/// The unsettled member lists Pass II runs over on `g`.
+fn unsettled_lists(g: &Csr, params: ShinglingParams) -> usize {
+    let first = SerialShingling::new(params).unwrap().run(g).first;
+    DistinctLists::new(&first, params.s2, g.n()).len()
 }
 
 /// Cluster `g` on `n_devices` simulated GPUs, each with `plan` installed.
@@ -56,7 +78,8 @@ fn device_partition(
 }
 
 /// Serial oracle ≡ Executor over the full plan matrix. Each
-/// case draws one graph and one parameter seed, then sweeps both
+/// case draws one random graph, one dense planted graph whose Pass II
+/// keeps many unsettled lists, and one parameter seed, then sweeps both
 /// kernels, every fleet size and both fault rates.
 #[test]
 fn executor_matches_serial_oracle_across_the_plan_matrix() {
@@ -64,19 +87,24 @@ fn executor_matches_serial_oracle_across_the_plan_matrix() {
         let g = arb_graph(case, 40, 160);
         let seed = case.range(0u64..1000);
         let fault_seed = case.range(0u64..1000);
+        let dense = arb_dense_graph(case);
         let base = ShinglingParams::light(seed);
-        let oracle = SerialShingling::new(base).unwrap().cluster(&g);
-        for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
-            for n_devices in 1usize..=4 {
-                for rate in [0.0, 0.05] {
-                    let params = base.with_kernel(kernel);
-                    let plan = FaultPlan::random(fault_seed, rate);
-                    let got = device_partition(&g, params, n_devices, &plan).unwrap();
-                    assert_eq!(
-                        &got, &oracle,
-                        "{:?} {} device(s) rate {}",
-                        kernel, n_devices, rate
-                    );
+        let unsettled = unsettled_lists(&dense, base);
+        assert!(unsettled >= 50, "{unsettled} unsettled lists");
+        for g in [&g, &dense] {
+            let oracle = SerialShingling::new(base).unwrap().cluster(g);
+            for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
+                for n_devices in 1usize..=4 {
+                    for rate in [0.0, 0.05] {
+                        let params = base.with_kernel(kernel);
+                        let plan = FaultPlan::random(fault_seed, rate);
+                        let got = device_partition(g, params, n_devices, &plan).unwrap();
+                        assert_eq!(
+                            &got, &oracle,
+                            "{:?} {} device(s) rate {}",
+                            kernel, n_devices, rate
+                        );
+                    }
                 }
             }
         }

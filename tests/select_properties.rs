@@ -223,12 +223,16 @@ fn mark_kernel_marks_the_union_of_the_selected_positions() {
 /// second-level record count is |E″|.
 #[test]
 fn pass_two_in_fragmented_batches_matches_the_serial_oracle() {
-    let g = planted(vec![80, 60, 50, 36, 24], 40, 2013);
+    let g = planted(vec![120, 90, 75, 54, 36], 40, 2013);
     for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
         let params = ShinglingParams::light(17).with_kernel(kernel);
         let run = SerialShingling::new(params).unwrap().run(&g);
         let oracle = gpclust::core::report::partition_clusters(g.n(), &run.first, &run.second);
         let lists = DistinctLists::new(&run.first, params.s2, g.n());
+        assert!(
+            lists.len() >= 400,
+            "settling must leave Pass II lists to run"
+        );
         for faults in [None, Some(FaultPlan::random(7, 0.5))] {
             let what = format!("{kernel:?}, faults {faults:?}");
             let gpu = Gpu::with_workers(DeviceConfig::tiny_test_device(), 2);
