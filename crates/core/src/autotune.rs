@@ -1,6 +1,5 @@
 //! The cost model: the roofline [`KernelCost`] model turned into a
-//! makespan *predictor* for a full [`crate::plan::Plan`], plus the
-//! capability-proportional dealing built on the same figures.
+//! makespan *predictor* for a full [`crate::plan::Plan`].
 //!
 //! Every pass runs on the double-buffered stream pair with host
 //! aggregation and host Phase III, so a plan differs only in its
@@ -15,14 +14,9 @@
 //! take most of the wall time, and a host rate the code never measured
 //! would only hide that.
 //!
-//! Two consumers:
-//!
-//! * [`predict`] — the prediction the benchmark's layer-by-layer replay
-//!   sets against the measured device seconds.
-//! * [`device_weights`] / [`capability_shares`] / [`apportion`] — the
-//!   capability-proportional share weighting the driver deals batches by,
-//!   so a heterogeneous fleet (say a K20 next to a half-bandwidth card)
-//!   stops being gated by its slowest member.
+//! Its one consumer is the benchmark's layer-by-layer replay, which sets
+//! [`predict`] against the measured device seconds; the driver makes no
+//! decision from the model.
 //!
 //! Predictions are *simulated* seconds on the same cost model the
 //! executor charges, so predicted-vs-measured error reflects schedule
@@ -39,17 +33,6 @@ use gpclust_gpu::{Gpu, KernelCost};
 /// at the paper's `s1 = 2` defaults, so the pass-II shape is estimated at
 /// `segments ≈ 0.5 · records` with an average list length of 2.
 pub const DISTINCT_SHINGLE_RATIO: f64 = 0.5;
-
-/// Devices whose capability share falls below this fraction of the fleet
-/// are benched (share 0): dealing them even one batch in `1/share` would
-/// gate the makespan, and benching them also frees the capacity model
-/// from their (tiny-batch) memory bound — see
-/// [`crate::plan::Plan::lower`].
-pub const MIN_SHARE: f64 = 0.01;
-
-/// Elements of the nominal probe batch [`device_weights`] prices on every
-/// device to turn configs into relative throughput.
-pub const NOMINAL_BATCH_ELEMS: usize = 1 << 20;
 
 /// The schedule axis of one plan the predictor prices: the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +135,9 @@ impl WorkloadShape {
 /// How a fleet's batches are dealt when pricing a multi-device plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sharing {
-    /// Capability-proportional shares from [`capability_shares`].
+    /// The driver's even deal: round-robin over the surviving devices, so
+    /// survivor `d` of `n` runs `b / n` of `b` batches, plus one when
+    /// `d < b mod n`.
     Weighted,
 }
 
@@ -240,16 +225,6 @@ impl BatchCost {
         };
         self.h2d + paced + last
     }
-
-    /// Every operation back to back.
-    fn serialized(&self) -> f64 {
-        self.h2d
-            + self
-                .groups
-                .iter()
-                .map(|&(n, k, d)| n * (k + d))
-                .sum::<f64>()
-    }
 }
 
 /// Closed-form stream makespan of `b_d` of a pass's `n_batches` batches
@@ -271,113 +246,36 @@ fn model_pass_share(
     b_d as f64 * batch.pipelined()
 }
 
-/// Relative throughput of each device on a nominal probe batch
-/// ([`NOMINAL_BATCH_ELEMS`] elements, half of them surviving to the top-s
-/// output) under `kernel` with `trials` hash rounds: `1 / serialized
-/// batch seconds` (upload, then every trial group's kernels and copy back
-/// to back), 0 for lost devices. Bandwidth, compute rate, PCIe and
-/// launch overhead all land in the figure through the same model the
-/// executor charges.
-pub fn device_weights(gpus: &[Gpu], kernel: ShingleKernel, trials: usize) -> Vec<f64> {
-    gpus.iter()
-        .map(|gpu| {
-            if gpu.is_lost() {
-                return 0.0;
-            }
-            let n = NOMINAL_BATCH_ELEMS;
-            1.0 / BatchCost::of(gpu, kernel, n, n / 2, trials.max(1), false).serialized()
-        })
-        .collect()
-}
-
-/// Normalize raw weights into capability shares summing to 1, benching
-/// any device below [`MIN_SHARE`] of the fleet (share 0) and
-/// renormalizing. All-zero input yields all-zero shares.
-pub fn capability_shares(weights: &[f64]) -> Vec<f64> {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return vec![0.0; weights.len()];
-    }
-    let mut shares: Vec<f64> = weights
-        .iter()
-        .map(|w| {
-            let s = w / total;
-            if s < MIN_SHARE {
-                0.0
-            } else {
-                s
-            }
-        })
-        .collect();
-    let kept: f64 = shares.iter().sum();
-    if kept > 0.0 {
-        for s in &mut shares {
-            *s /= kept;
-        }
-    }
-    shares
-}
-
-/// Split `total` items into per-share counts by largest-remainder
-/// (Hamilton) apportionment: each share gets `⌊share·total⌋`, leftovers
-/// go to the largest fractional parts (ties to the lower index). Counts
-/// sum to `total`, zero shares get zero, and a strictly larger share
-/// never gets fewer items than a smaller one.
-pub fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
-    let sum: f64 = shares.iter().sum();
-    if total == 0 || sum <= 0.0 {
-        return vec![0; shares.len()];
-    }
-    let quotas: Vec<f64> = shares.iter().map(|s| s / sum * total as f64).collect();
-    let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
-    let assigned: usize = counts.iter().sum();
-    let mut order: Vec<usize> = (0..shares.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (fa, fb) = (quotas[a] - quotas[a].floor(), quotas[b] - quotas[b].floor());
-        fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
-    });
-    for &i in order.iter().take(total - assigned) {
-        counts[i] += 1;
-    }
-    counts
-}
-
 /// Price one plan on the fleet.
 ///
 /// Per pass: the batch count follows the fleet capacity (smallest
-/// unbenched device under the kernel — the same rule
-/// [`crate::plan::Plan::lower`] applies), batches are apportioned by
-/// `sharing`, each device's share is priced in closed form — Pass I's
-/// batches in trial groups, Pass II's as one launch and one mark copy
-/// each — and the pass makespan is the maximum over devices.
+/// surviving device — the same rule [`crate::plan::Plan::lower`]
+/// applies), batches are dealt as `sharing` says, each device's share is
+/// priced in closed form — Pass I's batches in trial groups, Pass II's as
+/// one launch and one mark copy each — and the pass makespan is the
+/// maximum over devices. `None` once no device survives.
 pub fn predict(
     axes: PlanAxes,
     w: &WorkloadShape,
     gpus: &[Gpu],
     sharing: Sharing,
 ) -> Option<Prediction> {
-    let weights = device_weights(gpus, axes.kernel, w.pass1.trials);
-    let shares = match sharing {
-        Sharing::Weighted => capability_shares(&weights),
-    };
-    let min_mem = gpus
-        .iter()
-        .zip(&shares)
-        .filter(|&(_, &s)| s > 0.0)
-        .map(|(g, _)| g.mem_available())
-        .min()?;
-
-    let capacity = batch_capacity(min_mem);
+    let Sharing::Weighted = sharing;
+    let alive: Vec<&Gpu> = gpus.iter().filter(|g| !g.is_lost()).collect();
+    let capacity = batch_capacity(alive.iter().map(|g| g.mem_available()).min()?);
+    let n = alive.len();
     let mut device_seconds = 0.0;
     let mut n_batches = 0u64;
     for pass in [(&w.pass1, false), (&w.pass2, true)] {
         let b = pass.0.n_elements.div_ceil(capacity.max(1));
         n_batches += b as u64;
-        let counts = apportion(b, &shares);
-        device_seconds += gpus
+        device_seconds += alive
             .iter()
-            .zip(&counts)
-            .map(|(gpu, &b_d)| model_pass_share(gpu, axes.kernel, pass, b, b_d))
+            .enumerate()
+            .map(|(d, gpu)| {
+                let b_d = b / n + usize::from(d < b % n);
+                model_pass_share(gpu, axes.kernel, pass, b, b_d)
+            })
             .fold(0.0, f64::max);
     }
     Some(Prediction {
@@ -438,52 +336,52 @@ mod tests {
     }
 
     #[test]
-    fn weights_follow_device_capability() {
-        let gpus = vec![
-            k20(),
-            Gpu::with_workers(DeviceConfig::tesla_k20_half_bandwidth(), 1),
-        ];
-        let weights = device_weights(&gpus, ShingleKernel::SortCompact, 200);
-        assert!(weights[0] > weights[1], "{weights:?}");
-        let shares = capability_shares(&weights);
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(shares[1] > MIN_SHARE, "half-bandwidth card must keep work");
-
-        // The tiny test device stays above the benching cutoff (so the
-        // existing mixed-fleet capacity tests keep their semantics) …
-        let mixed = vec![
-            k20(),
-            Gpu::with_workers(DeviceConfig::tiny_test_device(), 1),
-        ];
-        let shares = capability_shares(&device_weights(&mixed, ShingleKernel::SortCompact, 200));
-        assert!(shares[1] > 0.0, "{shares:?}");
-
-        // … while a ~1000×-derated card gets benched.
-        let weak = vec![
-            k20(),
-            Gpu::with_workers(DeviceConfig::tesla_k20().scaled("weak", 1e-3), 1),
-        ];
-        let shares = capability_shares(&device_weights(&weak, ShingleKernel::SortCompact, 200));
-        assert_eq!(shares[1], 0.0, "{shares:?}");
-        assert_eq!(shares[0], 1.0, "{shares:?}");
+    fn lost_devices_price_as_absent() {
+        use gpclust_gpu::{FaultKind, FaultPlan, FaultSite};
+        let lost = k20();
+        lost.set_fault_plan(
+            FaultPlan::scheduled()
+                .with_fault(FaultSite::H2D, 1, FaultKind::DeviceLost)
+                .with_device(2),
+        );
+        assert!(lost.stream("probe").htod_async(&[1u32]).is_err());
+        assert!(lost.is_lost());
+        let axes = PlanAxes::of(&ShinglingParams::paper_default(7));
+        let w = workload();
+        let fleet = predict(axes, &w, &[k20(), k20(), lost], Sharing::Weighted);
+        assert_eq!(fleet, predict(axes, &w, &[k20(), k20()], Sharing::Weighted));
     }
 
+    /// On `n` equal cards, a pass of `b` batches costs what its busiest
+    /// card's `⌈b/n⌉` batches cost on one card.
     #[test]
-    fn apportion_sums_and_stays_monotone() {
-        for total in [0usize, 1, 2, 7, 16, 1000] {
-            let shares = [0.5, 0.3, 0.2, 0.0];
-            let counts = apportion(total, &shares);
-            assert_eq!(counts.iter().sum::<usize>(), total);
-            assert_eq!(counts[3], 0, "zero share gets nothing");
-            assert!(
-                counts[0] >= counts[1] && counts[1] >= counts[2],
-                "{counts:?}"
-            );
+    fn an_even_deal_prices_the_busiest_card() {
+        let capped = || {
+            let config = DeviceConfig {
+                global_mem_bytes: 12 << 20,
+                ..DeviceConfig::tesla_k20()
+            };
+            Gpu::with_workers(config, 1)
+        };
+        let w = workload();
+        for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
+            let axes = PlanAxes { kernel };
+            let one = capped();
+            let b = predict(axes, &w, std::slice::from_ref(&one), Sharing::Weighted)
+                .unwrap()
+                .n_batches as usize
+                / 2;
+            assert_eq!(b, 7, "both passes cut 4M elements into 7 batches");
+            for n in 1..=4 {
+                let fleet: Vec<Gpu> = (0..n).map(|_| capped()).collect();
+                let p = predict(axes, &w, &fleet, Sharing::Weighted).unwrap();
+                let busiest = b.div_ceil(n);
+                let expect = model_pass_share(&one, kernel, (&w.pass1, false), b, busiest)
+                    + model_pass_share(&one, kernel, (&w.pass2, true), b, busiest);
+                assert_eq!(p.device_seconds, expect, "{kernel:?} on {n} card(s)");
+                assert_eq!(p.n_batches, 2 * b as u64);
+            }
         }
-        // Uniform shares differ by at most one, earlier indices first.
-        let counts = apportion(7, &[1.0, 1.0, 1.0]);
-        assert_eq!(counts, vec![3, 2, 2]);
-        assert_eq!(apportion(5, &[0.0, 0.0]), vec![0, 0]);
     }
 
     #[test]

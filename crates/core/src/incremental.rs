@@ -390,6 +390,7 @@ impl IncrementalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{pass_two_graph, unsettled_lists};
     use crate::params::{FaultPolicy, ShingleKernel};
     use crate::serial::SerialShingling;
     use gpclust_gpu::{DeviceConfig, FaultKind, FaultPlan, FaultSite};
@@ -521,7 +522,7 @@ mod tests {
 
     #[test]
     fn vertex_growth_and_new_edges_match_oracle() {
-        let g = planted(15);
+        let g = pass_two_graph(15);
         let params = light(15);
         let n = g.n();
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), g.clone()).unwrap();
@@ -539,6 +540,7 @@ mod tests {
         edges.push(n as u32, 0);
         edges.push(n as u32 + 1, n as u32);
         let union = Csr::from_edges(n + 3, &mut edges);
+        assert!(unsettled_lists(&union, params) >= 100);
         let oracle = SerialShingling::new(params).unwrap().cluster(&union);
         assert_eq!(*engine.partition(), oracle);
         assert_eq!(engine.n_vertices(), n + 3);
@@ -610,9 +612,10 @@ mod tests {
 
     #[test]
     fn small_delta_runs_the_delta_pass() {
-        let g = planted(20);
+        let g = pass_two_graph(20);
         let (base, delta) = split(&g, g.m() - 1, g.m());
         let params = light(20);
+        assert!(unsettled_lists(&g, params) >= 100);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();
@@ -772,12 +775,13 @@ mod tests {
 
     #[test]
     fn fault_policy_degrade_composes_with_delta() {
-        let g = planted(26);
+        let g = pass_two_graph(26);
         let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(26).with_fault_policy(FaultPolicy {
             degrade_to_host: true,
             ..FaultPolicy::default()
         });
+        assert!(unsettled_lists(&g, params) >= 100);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();

@@ -18,8 +18,7 @@
 //! * [`plan`] — the execution-plan IR: [`plan::Plan`] lowers
 //!   [`params::ShinglingParams`] + device statistics into an explicit
 //!   per-pass plan (batch list, kernel, sink, fault policy).
-//! * [`autotune`] — the device makespan predictor and the
-//!   capability-proportional share weighting for heterogeneous fleets.
+//! * [`autotune`] — the device makespan predictor.
 //! * [`exec`] — the single [`exec::Executor`] that interprets a pass plan
 //!   against the simulated device (Algorithm 1: hash transform,
 //!   segmented sort / fused selection and top-s compaction over a group
@@ -57,6 +56,8 @@ pub mod baseline;
 pub mod batch;
 pub mod checkpoint;
 pub mod exec;
+#[cfg(test)]
+mod fixtures;
 mod gpu_pass;
 pub mod incremental;
 pub mod index;

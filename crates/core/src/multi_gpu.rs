@@ -3,10 +3,10 @@
 //!
 //! There is one driver, [`GpClust`]: a single device is a fleet of one,
 //! and [`MultiGpuClust::new`] builds a fleet of N. What makes every pass a
-//! fleet pass is `deal`: it hands a pass's batch ids to the surviving
-//! devices in capability-weighted shares and runs one [`Executor`] per
-//! device on its **own host thread** (devices run concurrently on real
-//! hardware, so the host drives them concurrently too) over a
+//! fleet pass is `deal`: it deals a pass's batch ids round-robin to the
+//! surviving devices and runs one [`Executor`] per device on its **own
+//! host thread** (devices run concurrently on real hardware, so the host
+//! drives them concurrently too) over a
 //! [`crate::plan::PassPlan::subplan`] of the shared batch list. Because a
 //! list can be split across *devices* (not just batches), the sub-plans
 //! run with deferred fragment handling
@@ -33,12 +33,11 @@
 //! the busiest device's.
 
 use crate::aggregate::SortedRun;
-use crate::autotune::{apportion, capability_shares, device_weights};
 use crate::batch::plan_batches_range;
 use crate::exec::{Executor, PassInput, PassReport, Sink};
 use crate::minwise::HashFamily;
 use crate::params::ShinglingParams;
-use crate::pipeline::{GpClust, GpClustReport};
+use crate::pipeline::GpClust;
 use crate::plan::{PassPlan, Plan};
 use crate::shingle::RawShingles;
 use crate::timing::RecoveryReport;
@@ -61,9 +60,6 @@ impl MultiGpuClust {
         Ok(GpClust::over(params, gpus))
     }
 }
-
-/// A fleet run's report — the one report type.
-pub type MultiGpuReport = GpClustReport;
 
 /// What a dealt pass handed back, pooled over every device and round.
 pub(crate) struct Dealt {
@@ -95,9 +91,9 @@ pub(crate) fn accumulate(total: &mut [f64], per_device: &[f64]) {
 /// Run batches `ids` of `pass` across the surviving devices, each
 /// device's executor feeding the sink `sink` builds.
 ///
-/// Rounds of capability-weighted dealing over the survivors; a device
-/// lost mid-round reports its unfinished batches, which re-queue for the
-/// next round (a failed batch left nothing behind — not even Phase-III
+/// Rounds of round-robin dealing over the survivors; a device lost
+/// mid-round reports its unfinished batches, which re-queue for the next
+/// round (a failed batch left nothing behind — not even Phase-III
 /// unions — so a re-run never duplicates). When the fleet's capacity changed (e.g. the smallest card
 /// died) the remaining element ranges re-cut into batches sized for the
 /// survivors ([`plan_batches_range`]; sound because fragment
@@ -140,12 +136,7 @@ pub(crate) fn deal<'s>(
         // carved into short shards does not pile onto the first devices.
         let first = turn % alive.len();
         alive.rotate_left(first);
-        // Capability-proportional dealing, recomputed per round so a
-        // device lost in an earlier round holds weight 0 and a fleet
-        // reduced to its slower members re-normalizes.
-        let fleet_shares = capability_shares(&device_weights(gpus, plan.kernel, family.len()));
-        let alive_shares: Vec<f64> = alive.iter().map(|&(d, _)| fleet_shares[d]).collect();
-        let mut shares = weighted_shares(&pending, &alive_shares);
+        let mut shares = round_robin_shares(&pending, alive.len());
         pending.clear();
         let run = |gpu: &Gpu, share: Vec<usize>| {
             let mut dev_rec = RecoveryReport::default();
@@ -279,47 +270,10 @@ fn round_robin_shares(pending: &[usize], n_alive: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Deal the pending batch ids across devices in proportion to their
-/// capability shares. Target counts come from largest-remainder
-/// apportionment; ids are then dealt in order by a deficit stride (each
-/// id goes to the device furthest behind its proportional quota, ties to
-/// the lowest index), so every device's share is an interleaved
-/// subsequence rather than a contiguous block — a lost device's work
-/// redistributes evenly. Uniform weights reproduce
-/// [`round_robin_shares`] exactly.
-fn weighted_shares(pending: &[usize], weights: &[f64]) -> Vec<Vec<usize>> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sum: f64 = weights.iter().sum();
-    if sum <= 0.0 || weights.iter().all(|&w| (w - weights[0]).abs() < 1e-12) {
-        return round_robin_shares(pending, n);
-    }
-    let counts = apportion(pending.len(), weights);
-    let total = pending.len() as f64;
-    let mut shares: Vec<Vec<usize>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (k, &id) in pending.iter().enumerate() {
-        let mut best = 0;
-        let mut best_deficit = f64::NEG_INFINITY;
-        for d in 0..n {
-            if shares[d].len() >= counts[d] {
-                continue;
-            }
-            let deficit = counts[d] as f64 * (k + 1) as f64 / total - shares[d].len() as f64;
-            if deficit > best_deficit {
-                best_deficit = deficit;
-                best = d;
-            }
-        }
-        shares[best].push(id);
-    }
-    shares
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{pass_two_graph, unsettled_lists};
     use crate::params::ShingleKernel;
     use crate::spill::SpillStats;
     use gpclust_gpu::DeviceConfig;
@@ -336,30 +290,6 @@ mod tests {
             seed,
         })
         .graph
-    }
-
-    /// A denser planted graph: its owner closure leaves hundreds of member
-    /// lists unsettled, so Pass II still runs and batches on small devices.
-    fn pass_two_graph(seed: u64) -> Csr {
-        planted_partition(&PlantedConfig {
-            group_sizes: vec![80, 60, 50],
-            n_noise_vertices: 20,
-            p_intra: 0.8,
-            max_intra_degree: f64::MAX,
-            inter_edges_per_vertex: 1.0,
-            seed,
-        })
-        .graph
-    }
-
-    /// The unsettled member lists Pass II runs over on `g`: a Pass-II test
-    /// asserts a floor on it, so settling cannot leave it nothing to run.
-    fn unsettled_lists(g: &Csr, params: ShinglingParams) -> usize {
-        let first = crate::serial::SerialShingling::new(params)
-            .unwrap()
-            .run(g)
-            .first;
-        crate::report::DistinctLists::new(&first, params.s2, g.n()).len()
     }
 
     #[test]
@@ -575,8 +505,9 @@ mod tests {
     #[test]
     fn checkpointed_fleet_resumes_after_a_merge_crash() {
         use crate::checkpoint::{CheckpointConfig, CrashPlan, CrashSite, KILL_MARKER};
-        let g = graph(67);
+        let g = pass_two_graph(67);
         let params = ShinglingParams::light(41).with_shards(2);
+        assert!(unsettled_lists(&g, params) >= 100);
         let oracle = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -701,42 +632,9 @@ mod tests {
         assert!(matches!(err, DeviceError::DeviceLost { .. }), "{err}");
     }
 
-    #[test]
-    fn weighted_shares_are_disjoint_complete_and_proportional() {
-        for n_pending in [0usize, 1, 5, 16, 33] {
-            let pending: Vec<usize> = (0..n_pending).collect();
-            let weights = [2.0, 1.0, 1.0];
-            let shares = weighted_shares(&pending, &weights);
-            assert_eq!(shares.len(), weights.len());
-            let mut all: Vec<usize> = shares.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, pending, "shares must cover exactly the pending set");
-            let counts = apportion(n_pending, &weights);
-            let sizes: Vec<usize> = shares.iter().map(Vec::len).collect();
-            assert_eq!(sizes, counts, "sizes must hit the apportioned targets");
-            // The double-weight device never ends up behind an equal one.
-            assert!(sizes[0] >= sizes[1] && sizes[0] >= sizes[2], "{sizes:?}");
-        }
-    }
-
-    /// Uniform (and degenerate) weights must reproduce the round-robin
-    /// deal bit for bit — the weighted scheduler is a strict superset.
-    #[test]
-    fn weighted_shares_degrade_to_round_robin() {
-        let pending: Vec<usize> = (0..17).collect();
-        for weights in [vec![1.0; 3], vec![0.25; 4], vec![0.0; 3]] {
-            assert_eq!(
-                weighted_shares(&pending, &weights),
-                round_robin_shares(&pending, weights.len()),
-                "{weights:?}"
-            );
-        }
-        assert!(weighted_shares(&pending, &[]).is_empty());
-    }
-
     /// A heterogeneous fleet (full-bandwidth + half-bandwidth K20) must
-    /// reproduce the single-device partition — proportional dealing only
-    /// reshuffles which card runs which batch.
+    /// reproduce the single-device partition: the even deal does not
+    /// depend on what card runs which batch.
     #[test]
     fn heterogeneous_fleet_matches_single_device() {
         let g = pass_two_graph(57);
@@ -769,11 +667,10 @@ mod tests {
             .unwrap()
             .cluster(&g)
             .unwrap();
-        // Device 0 is a K20 whose memory is capped to 32 KiB — full
-        // bandwidth (so it still draws an equal share of batches), but it
-        // bounds the fleet capacity. It dies on its first kernel; the
-        // surviving K20 re-plans at its own 5 GB capacity, collapsing the
-        // small batches into large ones.
+        // Device 0 is a K20 whose memory is capped to 32 KiB: it draws an
+        // equal share of batches, but it bounds the fleet capacity. It dies
+        // on its first kernel; the surviving K20 re-plans at its own 5 GB
+        // capacity, collapsing the small batches into large ones.
         let gpus: Vec<Gpu> = vec![
             {
                 let gpu = Gpu::with_workers(
@@ -803,10 +700,11 @@ mod tests {
         assert!(report.times.recovery.redistributed_batches > 0);
     }
 
-    /// The capacity-bounding card dies inside a Pass II batch, at launches
-    /// sampled across its Pass II. It holds runs of consecutive batches,
-    /// so the survivor's re-cut can erase the boundary a half-finished
-    /// batch's fragments straddled; those fragments must die with the
+    /// The capacity-bounding cards die inside a Pass II batch, at launches
+    /// sampled across their Pass II. Together they hold runs of
+    /// consecutive batches, so the survivor's re-cut can erase the
+    /// boundary a half-finished batch's fragments straddled; those
+    /// fragments must die with the
     /// batch (`exec`'s `deferred_clusters_lost_batch_commits_no_fragments`
     /// pins that exactly). The partition stays the oracle's.
     #[test]
@@ -819,19 +717,22 @@ mod tests {
             .unwrap()
             .cluster(&g)
             .unwrap();
-        // A full-bandwidth K20 capped to 12 KiB bounds the fleet capacity
-        // and, against a half-bandwidth K20, draws about two batches in
-        // three.
+        // Two full-bandwidth K20s capped to 12 KiB bound the fleet
+        // capacity and, beside a half-bandwidth K20, each draw a third of
+        // the batches. Both die at the same launch of their own, so their
+        // unfinished batches interleave into runs of consecutive ids.
         let fleet = |plan: FaultPlan| {
             let small = DeviceConfig {
                 global_mem_bytes: 12 << 10,
                 ..DeviceConfig::tesla_k20()
             };
             let gpus = vec![
+                Gpu::with_workers(small.clone(), 1),
                 Gpu::with_workers(small, 1),
                 Gpu::with_workers(DeviceConfig::tesla_k20_half_bandwidth(), 1),
             ];
-            gpus[0].set_fault_plan(plan.with_device(0));
+            gpus[0].set_fault_plan(plan.clone().with_device(0));
+            gpus[1].set_fault_plan(plan.with_device(1));
             gpus
         };
         // Device 0's kernel launches in Pass I, then in the whole run.

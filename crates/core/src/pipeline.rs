@@ -665,6 +665,7 @@ impl GpClust {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{pass_two_graph, unsettled_lists};
     use crate::serial::SerialShingling;
     use gpclust_gpu::DeviceConfig;
     use gpclust_graph::generate::{planted_partition, PlantedConfig};
@@ -709,8 +710,9 @@ mod tests {
 
     #[test]
     fn gpu_pipeline_matches_serial_exactly() {
-        let g = graph(21);
+        let g = pass_two_graph(21);
         let params = ShinglingParams::light(77);
+        assert!(unsettled_lists(&g, params) >= 100);
         let serial = SerialShingling::new(params).unwrap().cluster(&g);
         let gpu = Gpu::with_workers(DeviceConfig::tesla_k20(), 4);
         let report = GpClust::new(params, gpu).unwrap().cluster(&g).unwrap();
@@ -719,20 +721,10 @@ mod tests {
 
     #[test]
     fn gpu_pipeline_matches_serial_under_tiny_memory() {
-        // Dense enough that the owner closure leaves Pass II lists to run,
-        // and more of them than one tiny-device batch holds.
-        let g = planted_partition(&PlantedConfig {
-            group_sizes: vec![80, 60, 50],
-            n_noise_vertices: 20,
-            p_intra: 0.8,
-            max_intra_degree: f64::MAX,
-            inter_edges_per_vertex: 1.0,
-            seed: 22,
-        })
-        .graph;
+        // More unsettled lists than one tiny-device batch holds.
+        let g = pass_two_graph(22);
         let params = ShinglingParams::light(78);
-        let run = SerialShingling::new(params).unwrap().run(&g);
-        assert!(DistinctLists::new(&run.first, params.s2, g.n()).len() >= 100);
+        assert!(unsettled_lists(&g, params) >= 100);
         let serial = SerialShingling::new(params).unwrap().cluster(&g);
         let gpu = Gpu::with_workers(DeviceConfig::tiny_test_device(), 2);
         let report = GpClust::new(params, gpu).unwrap().cluster(&g).unwrap();
@@ -885,8 +877,9 @@ mod tests {
     #[test]
     fn sharded_spilled_run_matches_resident_oracle() {
         use crate::params::ShingleKernel;
-        let g = graph(30);
+        let g = pass_two_graph(30);
         let params = ShinglingParams::light(86);
+        assert!(unsettled_lists(&g, params) >= 100);
         let oracle = GpClust::new(
             params,
             Gpu::with_workers(DeviceConfig::tiny_test_device(), 2),
@@ -974,12 +967,13 @@ mod tests {
     /// from disk — same partition as the fully resident run.
     #[test]
     fn out_of_core_from_file_matches_resident() {
-        let g = graph(32);
+        let g = pass_two_graph(32);
         let dir = std::env::temp_dir().join("gpclust_oocore_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.bin");
         gpclust_graph::io::write_file(&path, &g).unwrap();
         let params = ShinglingParams::light(88);
+        assert!(unsettled_lists(&g, params) >= 100);
         let resident = GpClust::new(params, Gpu::with_workers(DeviceConfig::tesla_k20(), 2))
             .unwrap()
             .cluster(&g)
@@ -1091,8 +1085,10 @@ mod tests {
         cfg.global_mem_bytes = 4 * 1024;
         let gpu = Gpu::with_workers(cfg, 1);
         assert!(gpu.alloc::<u64>(10_000).is_err());
-        let g = graph(41);
-        let pipeline = GpClust::new(ShinglingParams::light(2), gpu).unwrap();
+        let g = pass_two_graph(41);
+        let params = ShinglingParams::light(2);
+        assert!(unsettled_lists(&g, params) >= 100);
+        let pipeline = GpClust::new(params, gpu).unwrap();
         let report = pipeline.cluster(&g).unwrap();
         assert!(report.partition.n_groups() > 0);
     }

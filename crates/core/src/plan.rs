@@ -28,17 +28,15 @@
 
 #![deny(dead_code)]
 
-use crate::autotune::{capability_shares, device_weights};
 use crate::batch::{batch_capacity, plan_batches, Batch, BatchStats};
 use crate::params::{AggregationMode, FaultPolicy, MemoryBudget, ShingleKernel, ShinglingParams};
 use gpclust_gpu::{DeviceError, Gpu};
 
-/// The run-level execution plan: the kernel, the capability-proportional
-/// device shares, plus the per-batch element budget the capacity model
-/// derived from the smallest *unbenched* surviving device. Lowered once
-/// per run (or per pass for multi-device drivers, which must re-assess
-/// survivors) via [`Plan::lower`], or with the memory-budget feasibility
-/// check via [`Plan::lower_auto`].
+/// The run-level execution plan: the kernel plus the per-batch element
+/// budget the capacity model derived from the smallest surviving device.
+/// Lowered once per run (or per pass for multi-device drivers, which must
+/// re-assess survivors) via [`Plan::lower`], or with the memory-budget
+/// feasibility check via [`Plan::lower_auto`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Top-s extraction kernel the device passes launch.
@@ -48,15 +46,9 @@ pub struct Plan {
     /// Recovery policy wrapped around every device operation.
     pub policy: FaultPolicy,
     /// Devices the plan was lowered over (all of them, including lost
-    /// ones — shares are dealt over survivors at execution time).
+    /// ones — batches are dealt over survivors at execution time).
     pub n_devices: usize,
-    /// Capability-proportional work shares, one per device (lost and
-    /// benched devices hold 0; the rest sum to 1). Uniform fleets get
-    /// uniform shares — see [`crate::autotune::capability_shares`].
-    pub shares: Vec<f64>,
-    /// Free bytes of the smallest surviving device *with a nonzero
-    /// share* at lowering time (a benched device receives no batches, so
-    /// its memory no longer bounds anyone's batch size).
+    /// Free bytes of the smallest surviving device at lowering time.
     pub min_device_mem: usize,
     /// Per-batch element budget ([`batch_capacity`] of
     /// `min_device_mem`).
@@ -69,25 +61,17 @@ pub struct Plan {
 
 impl Plan {
     /// Lower `params` against the fleet: capacity is the
-    /// [`batch_capacity`] of the smallest surviving device *holding a
-    /// nonzero capability share*, so every batch fits on any device it
-    /// may be (re)scheduled to. Under a uniform fleet every survivor
-    /// shares alike and this is the smallest survivor, the historical
-    /// rule; a device so slow it gets benched
-    /// ([`crate::autotune::MIN_SHARE`])
-    /// also stops bounding the batch size. Typed
+    /// [`batch_capacity`] of the smallest surviving device, so every batch
+    /// fits on any device it may be (re)scheduled to. Typed
     /// [`DeviceError::DeviceLost`] once no device remains, and a
     /// [`DeviceError::HostIo`] carrying
     /// [`crate::params::BudgetError::MalformedEnv`] when
     /// `GPCLUST_MEM_BUDGET` does not parse.
     pub fn lower(params: &ShinglingParams, gpus: &[Gpu]) -> Result<Plan, DeviceError> {
-        let weights = device_weights(gpus, params.kernel, params.c1);
-        let shares = capability_shares(&weights);
         let min_device_mem = gpus
             .iter()
-            .zip(&shares)
-            .filter(|&(g, &s)| !g.is_lost() && s > 0.0)
-            .map(|(g, _)| g.mem_available())
+            .filter(|g| !g.is_lost())
+            .map(|g| g.mem_available())
             .min()
             .ok_or_else(|| DeviceError::DeviceLost {
                 device: gpus.iter().position(|g| g.is_lost()).unwrap_or(0) as u32,
@@ -97,7 +81,6 @@ impl Plan {
             aggregation: AggregationMode::Host,
             policy: params.fault,
             n_devices: gpus.len(),
-            shares,
             min_device_mem,
             capacity: batch_capacity(min_device_mem),
             mem_budget: params
@@ -324,51 +307,6 @@ mod tests {
         let plan = Plan::lower(&params, &gpus).unwrap();
         let tiny = Plan::lower(&params, &gpus[1..]).unwrap();
         assert_eq!(plan.capacity, tiny.capacity, "smallest device bounds");
-        assert!(
-            plan.shares[1] > 0.0,
-            "the tiny device still earns a share: {:?}",
-            plan.shares
-        );
-    }
-
-    #[test]
-    fn lower_gives_uniform_fleets_uniform_shares() {
-        let params = ShinglingParams::light(2);
-        let gpus: Vec<Gpu> = (0..3)
-            .map(|_| Gpu::with_workers(DeviceConfig::tesla_k20(), 1))
-            .collect();
-        let plan = Plan::lower(&params, &gpus).unwrap();
-        for &s in &plan.shares {
-            assert!((s - 1.0 / 3.0).abs() < 1e-12, "{:?}", plan.shares);
-        }
-        // Uniform fleet: the weighted rule degenerates to the historical
-        // smallest-survivor capacity.
-        assert_eq!(plan.min_device_mem, gpus[0].mem_available());
-    }
-
-    #[test]
-    fn lower_unbounds_capacity_from_benched_devices() {
-        let params = ShinglingParams::light(2);
-        // A card ~1000× slower than the K20 falls below MIN_SHARE and is
-        // benched: it gets no batches, so its memory must not bound the
-        // batch size even though it is the smallest survivor.
-        let gpus = vec![
-            Gpu::with_workers(DeviceConfig::tesla_k20(), 1),
-            Gpu::with_workers(
-                DeviceConfig {
-                    global_mem_bytes: 64 * 1024,
-                    ..DeviceConfig::tesla_k20().scaled("weak", 1e-3)
-                },
-                1,
-            ),
-        ];
-        let plan = Plan::lower(&params, &gpus).unwrap();
-        assert_eq!(plan.shares[1], 0.0, "{:?}", plan.shares);
-        let solo = Plan::lower(&params, &gpus[..1]).unwrap();
-        assert_eq!(
-            plan.capacity, solo.capacity,
-            "benched device no longer bounds capacity"
-        );
     }
 
     #[test]

@@ -56,13 +56,11 @@ impl DeviceConfig {
         }
     }
 
-    /// A K20-class card on half the memory and bus bandwidth — the
-    /// canonical *heterogeneous fleet* partner: same SM array and clock,
-    /// so compute-bound kernels run at full rate, but memory-bound kernels
-    /// and every transfer take twice as long. Pairing one of these with a
-    /// [`DeviceConfig::tesla_k20`] is the fleet the autotuner's
-    /// capability-proportional shares are sized against (round-robin
-    /// dealing would gate the pair on this card).
+    /// A K20-class card on half the memory and bus bandwidth: same SM
+    /// array and clock, so compute-bound kernels run at full rate, but
+    /// memory-bound kernels and every transfer take twice as long. Tests
+    /// pair one with a [`DeviceConfig::tesla_k20`] to check that a mixed
+    /// fleet, dealt evenly, still clusters bit-identically.
     pub fn tesla_k20_half_bandwidth() -> Self {
         DeviceConfig {
             name: "Tesla K20 (half bandwidth, simulated)".to_string(),
@@ -70,26 +68,6 @@ impl DeviceConfig {
             pcie_bandwidth_gbps: 3.0,
             ..Self::tesla_k20()
         }
-    }
-
-    /// This device with every throughput figure (compute clock, memory
-    /// bandwidth, PCIe bandwidth) scaled by `factor` — a generic derated
-    /// (or overclocked) variant for building heterogeneous test fleets.
-    /// Memory capacity and fixed latencies are untouched: a slow card is
-    /// not a small card.
-    ///
-    /// # Panics
-    /// Panics unless `factor` is finite and positive.
-    pub fn scaled(mut self, name: &str, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "scale factor must be positive, got {factor}"
-        );
-        self.name = name.to_string();
-        self.clock_ghz *= factor;
-        self.mem_bandwidth_gbps *= factor;
-        self.pcie_bandwidth_gbps *= factor;
-        self
     }
 
     /// A deliberately tiny device (64 KiB of "global memory") that forces
@@ -155,23 +133,6 @@ mod tests {
         assert_eq!(half.sm_count, full.sm_count);
         assert_eq!(half.peak_ops_per_sec(), full.peak_ops_per_sec());
         assert_ne!(half.name, full.name);
-    }
-
-    #[test]
-    fn scaled_derates_throughput_but_not_capacity() {
-        let base = DeviceConfig::tesla_k20();
-        let weak = base.clone().scaled("weak", 0.01);
-        assert_eq!(weak.name, "weak");
-        assert!((weak.peak_ops_per_sec() / base.peak_ops_per_sec() - 0.01).abs() < 1e-12);
-        assert!((weak.mem_bandwidth_gbps / base.mem_bandwidth_gbps - 0.01).abs() < 1e-12);
-        assert_eq!(weak.global_mem_bytes, base.global_mem_bytes);
-        assert_eq!(weak.pcie_latency_us, base.pcie_latency_us);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn scaled_rejects_nonpositive_factors() {
-        let _ = DeviceConfig::tesla_k20().scaled("bad", 0.0);
     }
 
     #[test]

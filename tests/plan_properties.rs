@@ -10,7 +10,6 @@
 //! `tests/fault_properties.rs` (random-rate fault axis); those suites
 //! keep their record-level, cost-model, and policy-edge cases.
 
-use gpclust::core::autotune;
 use gpclust::core::multi_gpu::MultiGpuClust;
 use gpclust::core::{DistinctLists, GpClust, SerialShingling, ShingleKernel, ShinglingParams};
 use gpclust::gpu::{DeviceConfig, DeviceError, FaultPlan, Gpu};
@@ -105,57 +104,6 @@ fn executor_matches_serial_oracle_across_the_plan_matrix() {
                             kernel, n_devices, rate
                         );
                     }
-                }
-            }
-        }
-    });
-}
-
-/// Capability-proportional dealing on a random heterogeneous fleet:
-/// shares sum to one, batch counts partition the total exactly
-/// (complete and disjoint by count), and a faster card — clock,
-/// memory and PCIe bandwidth all scaled together — never gets a
-/// smaller share or fewer batches than a slower one.
-#[test]
-fn heterogeneous_shares_are_complete_and_monotone_in_bandwidth() {
-    check(64, |case| {
-        let factors = case.vec(2..5, |c| c.range(0.05f64..1.0));
-        let total = case.range(0usize..200);
-        let gpus: Vec<Gpu> = factors
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| Gpu::new(DeviceConfig::tesla_k20().scaled(&format!("card-{i}"), f)))
-            .collect();
-        let weights = autotune::device_weights(&gpus, ShingleKernel::SortCompact, 200);
-        let shares = autotune::capability_shares(&weights);
-        assert!(
-            (shares.iter().sum::<f64>() - 1.0).abs() < 1e-9,
-            "shares must sum to 1, got {:?}",
-            shares
-        );
-        let counts = autotune::apportion(total, &shares);
-        assert_eq!(
-            counts.iter().sum::<usize>(),
-            total,
-            "counts must partition the batch total"
-        );
-        for i in 0..factors.len() {
-            for j in 0..factors.len() {
-                if factors[i] >= factors[j] {
-                    assert!(
-                        weights[i] >= weights[j] - 1e-15,
-                        "derating a card must not raise its weight: {:?} {:?}",
-                        factors,
-                        weights
-                    );
-                }
-                if shares[i] > shares[j] + 1e-12 {
-                    assert!(
-                        counts[i] >= counts[j],
-                        "larger share got fewer batches: {:?} -> {:?}",
-                        shares,
-                        counts
-                    );
                 }
             }
         }
