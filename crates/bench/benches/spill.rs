@@ -1,7 +1,8 @@
 //! The spill layer's integrity and I/O costs on a real Pass-I run: the
 //! CRC-32 over its sealed bytes, writing it as a framed run file,
-//! replaying it frame by frame, and updating the shingle index built from
-//! it with a 1 % delta in one record merge. Under `--bench` it also
+//! replaying it frame by frame, updating the shingle index built from it
+//! with a 1 % delta in one record merge, and sealing that delta as one
+//! index-store segment beside the sealed base. Under `--bench` it also
 //! prints the CRC's nanoseconds per byte.
 
 use gpclust_bench::{time, time_with_setup};
@@ -9,9 +10,12 @@ use gpclust_core::aggregate::{SortedRun, StreamAggregator};
 use gpclust_core::checkpoint::crc32;
 use gpclust_core::minwise::unpack_element;
 use gpclust_core::serial::shingle_pass_foreach;
-use gpclust_core::{ExternalRun, ShingleIndex, ShinglingParams, SpillStats, SpilledRun};
+use gpclust_core::{
+    ExternalRun, IndexDelta, IndexStore, MemoryBudget, ShingleIndex, ShinglingParams, SpillStats,
+    SpilledRun,
+};
 use gpclust_graph::generate::{planted_partition, PlantedConfig};
-use gpclust_graph::{Csr, GraphDelta, VertexId};
+use gpclust_graph::{Csr, GraphDelta, Partition, VertexId};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -135,4 +139,41 @@ fn main() {
         "the update must equal the from-scratch index"
     );
     time_with_setup("spill/index_update", 10, setup, update);
+
+    // A flush's seal of that delta: one segment (run plus retracted ids)
+    // beside the sealed base, with the union graph and its partition,
+    // against `spill/seal_pass1_run`'s whole-run seal.
+    let dir = std::env::temp_dir().join(format!("gpclust-bench-index-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let budget = MemoryBudget::default();
+    let mut store = IndexStore::new(&dir);
+    store
+        .save(
+            1,
+            &base,
+            &g,
+            &Partition::singletons(g.n()),
+            &params,
+            budget,
+            1,
+        )
+        .unwrap();
+    let part = Partition::singletons(union.n());
+    let delta = IndexDelta {
+        retracted: &touched,
+        fresh: &fresh,
+    };
+    let seal = |mut store: IndexStore| {
+        store
+            .save_delta(2, delta, &scratch, &union, &part, &params, budget, 1)
+            .unwrap();
+        store
+    };
+    let reloaded = seal(store.clone()).load(&params, budget, 1).unwrap();
+    assert!(
+        reloaded.index == scratch,
+        "the base plus its segment must reload as the from-scratch index"
+    );
+    time_with_setup("spill/index_seal_segment", 10, || store.clone(), seal);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -23,10 +23,11 @@
 //! marginally faster, but no workload flushes deltas that large.
 //!
 //! Durability: with an attached [`IndexStore`], every flush seals a new
-//! snapshot generation (index run + union graph + partition) through the
-//! checkpoint layer's atomic-manifest machinery. A crash between flushes
-//! loses only the pending (unflushed) delta; resume picks up the last
-//! sealed generation and refuses stale stores with typed
+//! snapshot generation (its index delta as one segment, or the whole
+//! index when the store compacts, plus union graph and partition) through
+//! the checkpoint layer's atomic-manifest machinery. A crash between
+//! flushes loses only the pending (unflushed) delta; resume picks up the
+//! last sealed generation and refuses stale stores with typed
 //! [`CheckpointError`]s.
 
 use gpclust_gpu::{DeviceError, Gpu};
@@ -34,7 +35,7 @@ use gpclust_graph::{Csr, GraphDelta, Partition, VertexId};
 
 use crate::autotune::Prediction;
 use crate::checkpoint::CheckpointError;
-use crate::index::{IndexStore, ShingleIndex};
+use crate::index::{one_run, IndexDelta, IndexStore, ShingleIndex};
 use crate::multi_gpu::MultiGpuClust;
 use crate::params::ShinglingParams;
 use crate::pipeline::GpClust;
@@ -203,7 +204,7 @@ impl IncrementalEngine {
     pub fn resume(
         params: &ShinglingParams,
         gpus: Vec<Gpu>,
-        store: IndexStore,
+        mut store: IndexStore,
     ) -> Result<IncrementalEngine, EngineError> {
         let params = *params;
         let snapshot = store.load(&params, params.mem_budget, gpus.len())?;
@@ -225,7 +226,7 @@ impl IncrementalEngine {
     /// Attach a durable store, sealing the engine's current state as its
     /// snapshot generation immediately so a crash before the first flush
     /// still resumes.
-    pub fn with_store(mut self, store: IndexStore) -> Result<IncrementalEngine, EngineError> {
+    pub fn with_store(mut self, mut store: IndexStore) -> Result<IncrementalEngine, EngineError> {
         let stats = store.save(
             self.generation,
             &self.index,
@@ -329,9 +330,11 @@ impl IncrementalEngine {
     /// index with a delta pass (re-shingle the touched lists, then one
     /// update retracts their old records and merges in the fresh ones),
     /// re-run Passes II/III from the updated index, and seal a new
-    /// generation in the attached store. A no-op (with `touched == 0`)
-    /// when nothing is pending. The resulting partition is bit-identical
-    /// to clustering the union graph from scratch.
+    /// generation in the attached store: the touched ids and fresh
+    /// records as one segment, or the whole index when it compacts. A
+    /// no-op (with `touched == 0`) when nothing is pending. The resulting
+    /// partition is bit-identical to clustering the union graph from
+    /// scratch.
     pub fn flush(&mut self) -> Result<RefreshDecision, EngineError> {
         let mut decision = RefreshDecision {
             full: false,
@@ -353,15 +356,25 @@ impl IncrementalEngine {
             self.fleet
                 .gather_pass1_records(&self.params, &masked, &mut self.spill)?;
         self.recovery.merge(&rec);
-        self.index
-            .update(&touched, runs, &mut self.spill)
-            .map_err(io_to_device)?;
-        self.commit(union)?;
+        let fresh = one_run(self.index.s(), runs, &mut self.spill).map_err(io_to_device)?;
+        self.index.update_run(&touched, &fresh);
+        let delta = IndexDelta {
+            retracted: &touched,
+            fresh: &fresh,
+        };
+        if let Err(e) = self.commit(union).and_then(|()| self.seal(delta)) {
+            // The index is past what the store's segments replay to: the
+            // next save seals it whole.
+            if let Some(store) = &mut self.store {
+                store.rebase();
+            }
+            return Err(e);
+        }
         Ok(decision)
     }
 
     /// Passes II/III from the merged index over `union`, then install
-    /// `union` as the base and seal the next generation.
+    /// `union` as the base of the next generation.
     fn commit(&mut self, union: Csr) -> Result<(), EngineError> {
         let first = self.index.to_graph();
         let (partition, _, rec) =
@@ -371,9 +384,16 @@ impl IncrementalEngine {
         self.base = union;
         self.partition = partition;
         self.generation += 1;
-        if let Some(store) = &self.store {
-            let stats = store.save(
+        Ok(())
+    }
+
+    /// Seal the committed generation in the attached store: `delta` as
+    /// one more segment, or the whole index when the store compacts.
+    fn seal(&mut self, delta: IndexDelta<'_>) -> Result<(), EngineError> {
+        if let Some(store) = &mut self.store {
+            let stats = store.save_delta(
                 self.generation,
+                delta,
                 &self.index,
                 &self.base,
                 &self.partition,
@@ -441,9 +461,8 @@ mod tests {
             .collect()
     }
 
-    /// Split a graph's edges: the first `keep` fraction forms the base,
-    /// the rest arrive as a delta (same vertex range throughout).
-    fn split(g: &Csr, keep_num: usize, keep_den: usize) -> (Csr, GraphDelta) {
+    /// The graph's edges `(v, u)` with `v < u`, sorted.
+    fn edges(g: &Csr) -> Vec<(VertexId, VertexId)> {
         let mut all: Vec<(VertexId, VertexId)> = g
             .iter()
             .flat_map(|(v, ns)| {
@@ -454,6 +473,13 @@ mod tests {
             })
             .collect();
         all.sort_unstable();
+        all
+    }
+
+    /// Split a graph's edges: the first `keep` fraction forms the base,
+    /// the rest arrive as a delta (same vertex range throughout).
+    fn split(g: &Csr, keep_num: usize, keep_den: usize) -> (Csr, GraphDelta) {
+        let all = edges(g);
         let cut = all.len() * keep_num / keep_den;
         let mut base_edges = EdgeList::new();
         for &(a, b) in &all[..cut] {
@@ -469,9 +495,10 @@ mod tests {
 
     #[test]
     fn flush_matches_serial_oracle_on_union() {
-        let g = planted(11);
+        let g = pass_two_graph(11);
         let (base, delta) = split(&g, 2, 3);
         let params = light(11);
+        assert!(unsettled_lists(&g, params) >= 100);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();
@@ -484,9 +511,10 @@ mod tests {
 
     #[test]
     fn incremental_index_is_bit_identical_to_from_scratch() {
-        let g = planted(12);
+        let g = pass_two_graph(12);
         let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(12);
+        assert!(unsettled_lists(&g, params) >= 100);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base).unwrap();
         engine.apply(&delta);
         let decision = engine.flush().unwrap();
@@ -552,8 +580,9 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_from_scratch() {
-        let g = planted(16);
+        let g = pass_two_graph(16);
         let (base, delta) = split(&g, 3, 4);
+        assert!(unsettled_lists(&g, light(16)) >= 100);
         for kernel in [ShingleKernel::SortCompact, ShingleKernel::FusedSelect] {
             let params = light(16).with_kernel(kernel);
             let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base.clone()).unwrap();
@@ -567,10 +596,11 @@ mod tests {
 
     #[test]
     fn bounded_budget_delta_matches_oracle() {
-        let g = planted(17);
+        let g = pass_two_graph(17);
         let (base, delta) = split(&g, g.m() - 4, g.m());
-        // Two shards: the 24-vertex graph fits any byte budget unsharded.
+        // Two shards: the 210-vertex graph fits any byte budget unsharded.
         let params = light(17).with_shards(2);
+        assert!(unsettled_lists(&g, params) >= 100);
         let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base).unwrap();
         let before = engine.spill_stats();
         engine.apply(&delta);
@@ -589,9 +619,10 @@ mod tests {
 
     #[test]
     fn faulty_device_delta_matches_oracle() {
-        let g = planted(18);
+        let g = pass_two_graph(18);
         let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(18);
+        assert!(unsettled_lists(&g, params) >= 100);
         let gpus = fleet(2);
         let device0 = gpus[0].clone();
         let mut engine = IncrementalEngine::bootstrap(&params, gpus, base).unwrap();
@@ -628,9 +659,10 @@ mod tests {
     #[test]
     fn store_roundtrip_resumes_mid_stream() {
         let dir = ScratchDir::new("roundtrip");
-        let g = planted(21);
+        let g = pass_two_graph(21);
         let (base, delta) = split(&g, g.m() - 4, g.m());
         let params = light(21);
+        assert!(unsettled_lists(&g, params) >= 100);
         let engine = IncrementalEngine::bootstrap(&params, fleet(2), base)
             .unwrap()
             .with_store(IndexStore::new(dir.path()))
@@ -650,11 +682,14 @@ mod tests {
             IncrementalEngine::resume(&params, fleet(2), IndexStore::new(dir.path())).unwrap();
         assert_eq!(again.generation(), gen + 1);
         assert_eq!(*again.partition(), oracle);
+        assert_eq!(again.index(), resumed.index());
     }
 
-    /// The bytes a flush seals are a compatibility contract with index
-    /// directories written by earlier builds: a bootstrap, a sealed first
-    /// generation and one delta flush must persist exactly this run.
+    /// The bytes a compaction seals are a compatibility contract with
+    /// index directories written by earlier builds: a bootstrap, a sealed
+    /// first generation and one delta flush that compacts must persist
+    /// exactly this base run, the whole index as earlier builds sealed it
+    /// on every flush.
     #[test]
     fn persisted_index_bytes_are_pinned() {
         let dir = ScratchDir::new("pin");
@@ -665,6 +700,9 @@ mod tests {
             .unwrap()
             .with_store(IndexStore::new(dir.path()))
             .unwrap();
+        // This delta stays under the compaction threshold, so force the
+        // flush to seal the whole index.
+        engine.store.as_mut().unwrap().rebase();
         engine.apply(&delta);
         assert!(engine.flush().unwrap().touched > 0);
         let runs: Vec<_> = std::fs::read_dir(dir.path())
@@ -730,27 +768,23 @@ mod tests {
 
     #[test]
     fn repeated_small_flushes_track_the_oracle() {
-        let g = planted(25);
+        let dir = ScratchDir::new("repeated");
+        let g = pass_two_graph(25);
         let params = light(25);
+        assert!(unsettled_lists(&g, params) >= 100);
         // Collect all edges, seed with the first third, then stream the
         // rest in four flushes.
-        let mut all: Vec<(VertexId, VertexId)> = g
-            .iter()
-            .flat_map(|(v, ns)| {
-                ns.iter()
-                    .filter(move |&&u| v < u)
-                    .map(move |&u| (v, u))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_unstable();
+        let all = edges(&g);
         let cut = all.len() / 3;
         let mut base_edges = EdgeList::new();
         for &(a, b) in &all[..cut] {
             base_edges.push(a, b);
         }
         let base = Csr::from_edges(g.n(), &mut base_edges);
-        let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base).unwrap();
+        let mut engine = IncrementalEngine::bootstrap(&params, fleet(2), base)
+            .unwrap()
+            .with_store(IndexStore::new(dir.path()))
+            .unwrap();
         let rest = &all[cut..];
         let chunk = rest.len().div_ceil(4);
         let mut grown = all[..cut].to_vec();
@@ -768,8 +802,63 @@ mod tests {
             let stage = Csr::from_edges(g.n(), &mut edges);
             let oracle = SerialShingling::new(params).unwrap().cluster(&stage);
             assert_eq!(*engine.partition(), oracle);
+            // The sealed generation, a segment or a compacted base,
+            // resumes as the engine's own state.
+            let resumed =
+                IncrementalEngine::resume(&params, fleet(2), IndexStore::new(dir.path())).unwrap();
+            assert_eq!(resumed.index(), engine.index());
+            assert_eq!(resumed.partition(), engine.partition());
+            assert_eq!(resumed.graph(), engine.graph());
         }
         let oracle = SerialShingling::new(params).unwrap().cluster(&g);
+        assert_eq!(*engine.partition(), oracle);
+    }
+
+    /// Flushes of three edges each seal segments until one compacts, and
+    /// every sealed generation resumes as the engine's own state.
+    #[test]
+    fn small_flushes_seal_segments_until_one_compacts() {
+        let dir = ScratchDir::new("segments");
+        let g = pass_two_graph(28);
+        let params = light(28);
+        let all = edges(&g);
+        let cut = all.len() * 9 / 10;
+        let mut base_edges: EdgeList = all[..cut].iter().copied().collect();
+        let base = Csr::from_edges(g.n(), &mut base_edges);
+        let mut engine = IncrementalEngine::bootstrap(&params, fleet(1), base)
+            .unwrap()
+            .with_store(IndexStore::new(dir.path()))
+            .unwrap();
+        let segments = || {
+            let text = std::fs::read_to_string(dir.path().join("index-manifest.json")).unwrap();
+            let manifest = gpclust_support::json::parse(&text).unwrap();
+            manifest.get("segments").unwrap().as_arr().unwrap().len()
+        };
+        let mut most = 0;
+        for batch in all[cut..].chunks(3) {
+            for &(a, b) in batch {
+                engine.add_edge(a, b);
+            }
+            engine.flush().unwrap();
+            let resumed =
+                IncrementalEngine::resume(&params, fleet(1), IndexStore::new(dir.path())).unwrap();
+            assert_eq!(resumed.index(), engine.index());
+            assert_eq!(resumed.partition(), engine.partition());
+            let k = segments();
+            assert!(k == most + 1 || k == 0, "{most} segments, then {k}");
+            if k == 0 {
+                break;
+            }
+            most = k;
+        }
+        assert!(
+            most >= 2 && segments() == 0,
+            "{most} segments, then {}",
+            segments()
+        );
+        let oracle = SerialShingling::new(params)
+            .unwrap()
+            .cluster(engine.graph());
         assert_eq!(*engine.partition(), oracle);
     }
 

@@ -4,7 +4,8 @@
 //! generation durable), resume from the index directory, finish the
 //! stream, and diff the dumped partition against a from-scratch
 //! `gpclust cluster` run on the union graph. This is the same lifecycle
-//! the CI `test-incremental` job scripts.
+//! the CI `test-incremental` job scripts; a second lifecycle crashes after
+//! a flush that seals a delta segment and after one that compacts.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -58,6 +59,28 @@ fn serve(dir: &Path, extra: &[&str], script: &str) -> (Option<i32>, String, Stri
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// `gpclust cluster --min-size 1` of the graph at `graph`: the TSV a
+/// served partition of the same graph must equal byte for byte.
+fn scratch_cluster(dir: &Path, graph: &Path) -> String {
+    let full = dir.join("scratch.tsv");
+    let status = Command::new(bin())
+        .arg("cluster")
+        .args(["--graph", graph.to_str().unwrap()])
+        .args(["--out", full.to_str().unwrap()])
+        .args(["--min-size", "1"])
+        .args(PARAM_FLAGS)
+        .output()
+        .expect("spawn cluster");
+    assert!(
+        status.status.success(),
+        "cluster failed: {}",
+        String::from_utf8_lossy(&status.stderr)
+    );
+    let tsv = std::fs::read_to_string(&full).unwrap();
+    assert!(!tsv.is_empty());
+    tsv
 }
 
 /// The canonical (v < u) edge list of `g`.
@@ -150,26 +173,91 @@ fn serve_stream_crash_resume_matches_from_scratch_cluster() {
     // From-scratch run on the union graph: the streamed partition must
     // be bit-identical (same group ids, same TSV bytes; --min-size 1
     // keeps the full partition).
-    let full = dir.join("scratch.tsv");
-    let status = Command::new(bin())
-        .arg("cluster")
-        .args(["--graph", union_path.to_str().unwrap()])
-        .args(["--out", full.to_str().unwrap()])
-        .args(["--min-size", "1"])
-        .args(PARAM_FLAGS)
-        .output()
-        .expect("spawn cluster");
-    assert!(
-        status.status.success(),
-        "cluster failed: {}",
-        String::from_utf8_lossy(&status.stderr)
-    );
     let served = std::fs::read_to_string(&dump).unwrap();
-    let scratch = std::fs::read_to_string(&full).unwrap();
-    assert!(!served.is_empty());
+    let scratch = scratch_cluster(&dir, &union_path);
     assert_eq!(
         served, scratch,
         "streamed partition must be bit-identical to the from-scratch run"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The index directory's manifest lists a base run and the delta segments
+/// flushed since; a flush that passes the compaction fraction seals a new
+/// base. Crash after a flush that sealed a segment and after one that
+/// compacted, resume each time, and the dump still equals a from-scratch
+/// `cluster` of the union graph.
+#[test]
+fn serve_resumes_across_a_segment_and_a_compaction() {
+    let dir = tmpdir("compaction");
+    let union = planted_partition(&PlantedConfig {
+        group_sizes: vec![40, 30, 30, 20],
+        n_noise_vertices: 30,
+        p_intra: 0.8,
+        max_intra_degree: 12.0,
+        inter_edges_per_vertex: 0.3,
+        seed: 45,
+    })
+    .graph;
+    let all = edges_of(&union);
+    let cut = all.len() * 4 / 5;
+    let mut el: EdgeList = all[..cut].iter().copied().collect();
+    let base = Csr::from_edges(union.n(), &mut el);
+    let base_path = dir.join("base.bin");
+    graph_io::write_file(&base_path, &base).unwrap();
+    let (code, _, stderr) = serve(&dir, &["--graph", base_path.to_str().unwrap()], "quit\n");
+    assert_eq!(code, Some(0), "bootstrap session failed: {stderr}");
+    let segments = || {
+        let text = std::fs::read_to_string(dir.join("idx").join("index-manifest.json")).unwrap();
+        let manifest = gpclust_support::json::parse(&text).unwrap();
+        manifest.get("segments").unwrap().as_arr().unwrap().len()
+    };
+    assert_eq!(segments(), 0);
+
+    // One session per flush of four edges, each killed right after its
+    // flush sealed, until a flush compacts.
+    let mut streamed = cut;
+    let mut most = 0;
+    for (i, batch) in all[cut..].chunks(4).enumerate() {
+        let mut script = String::new();
+        for (a, b) in batch {
+            script.push_str(&format!("add {a} {b}\n"));
+        }
+        script.push_str("flush\ncrash\n");
+        let (code, stdout, stderr) = serve(&dir, &["--resume"], &script);
+        assert_eq!(code, Some(137), "crash must exit 137: {stderr}");
+        assert!(
+            stdout.contains(&format!("flushed gen={}", i + 2)),
+            "{stdout}"
+        );
+        streamed += batch.len();
+        let k = segments();
+        assert!(k == most + 1 || k == 0, "{most} segments, then {k}");
+        if k == 0 {
+            break;
+        }
+        most = k;
+    }
+    assert!(most >= 1, "the first flush must seal a segment");
+    assert_eq!(
+        segments(),
+        0,
+        "no flush compacted in {} edges",
+        all.len() - cut
+    );
+
+    let dump = dir.join("served.tsv");
+    let script = format!("dump {}\nquit\n", dump.display());
+    let (code, _, stderr) = serve(&dir, &["--resume"], &script);
+    assert_eq!(code, Some(0), "resume session failed: {stderr}");
+    let mut el: EdgeList = all[..streamed].iter().copied().collect();
+    let grown = Csr::from_edges(union.n(), &mut el);
+    let grown_path = dir.join("grown.bin");
+    graph_io::write_file(&grown_path, &grown).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&dump).unwrap(),
+        scratch_cluster(&dir, &grown_path)
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -297,23 +385,8 @@ fn serve_refuses_hostile_lines_and_keeps_serving() {
     let union = Csr::from_edges(base.n() + 2, &mut el);
     let union_path = dir.join("union.bin");
     graph_io::write_file(&union_path, &union).unwrap();
-    let full = dir.join("scratch.tsv");
-    let status = Command::new(bin())
-        .arg("cluster")
-        .args(["--graph", union_path.to_str().unwrap()])
-        .args(["--out", full.to_str().unwrap()])
-        .args(["--min-size", "1"])
-        .args(PARAM_FLAGS)
-        .output()
-        .expect("spawn cluster");
-    assert!(
-        status.status.success(),
-        "cluster failed: {}",
-        String::from_utf8_lossy(&status.stderr)
-    );
     let served = std::fs::read_to_string(&dump).unwrap();
-    assert!(!served.is_empty());
-    assert_eq!(served, std::fs::read_to_string(&full).unwrap());
+    assert_eq!(served, scratch_cluster(&dir, &union_path));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -357,18 +430,7 @@ fn serve_resumes_an_index_recording_removed_axes() {
     )
     .unwrap();
 
-    let full = dir.join("scratch.tsv");
-    let status = Command::new(bin())
-        .arg("cluster")
-        .args(["--graph", path.to_str().unwrap()])
-        .args(["--out", full.to_str().unwrap()])
-        .args(["--min-size", "1"])
-        .args(PARAM_FLAGS)
-        .output()
-        .expect("spawn cluster");
-    assert!(status.status.success());
-    let full = std::fs::read_to_string(&full).unwrap();
-    assert!(!full.is_empty());
+    let full = scratch_cluster(&dir, &path);
 
     // The legacy record names the sort kernel and the index was sealed
     // under the default fused one; the kernel is no axis, so the index
