@@ -164,8 +164,9 @@ fn main() {
         fresh: &fresh,
     };
     let seal = |mut store: IndexStore| {
+        let sealed = store.seal_records(2, Some(delta), &scratch).unwrap();
         store
-            .save_delta(2, delta, &scratch, &union, &part, &params, budget, 1)
+            .commit(sealed, &union, &part, &params, budget, 1)
             .unwrap();
         store
     };

@@ -33,6 +33,7 @@
 use gpclust_gpu::{DeviceError, Gpu};
 use gpclust_graph::{Csr, GraphDelta, Partition, VertexId};
 
+use crate::aggregate::SortedRun;
 use crate::autotune::Prediction;
 use crate::checkpoint::CheckpointError;
 use crate::index::{one_run, IndexDelta, IndexStore, ShingleIndex};
@@ -358,11 +359,7 @@ impl IncrementalEngine {
         self.recovery.merge(&rec);
         let fresh = one_run(self.index.s(), runs, &mut self.spill).map_err(io_to_device)?;
         self.index.update_run(&touched, &fresh);
-        let delta = IndexDelta {
-            retracted: &touched,
-            fresh: &fresh,
-        };
-        if let Err(e) = self.commit(union).and_then(|()| self.seal(delta)) {
+        if let Err(e) = self.seal_and_commit(union, &touched, fresh) {
             // The index is past what the store's segments replay to: the
             // next save seals it whole.
             if let Some(store) = &mut self.store {
@@ -387,14 +384,33 @@ impl IncrementalEngine {
         Ok(())
     }
 
-    /// Seal the committed generation in the attached store: `delta` as
-    /// one more segment, or the whole index when the store compacts.
-    fn seal(&mut self, delta: IndexDelta<'_>) -> Result<(), EngineError> {
-        if let Some(store) = &mut self.store {
-            let stats = store.save_delta(
-                self.generation,
-                delta,
-                &self.index,
+    /// Seal the flushed records in the attached store (the touched ids
+    /// and `fresh` as one segment, or the whole index when the store
+    /// compacts), then [`commit`] `union` and seal the rest of the
+    /// generation. The records seal first so that `fresh` is not held
+    /// through Passes II/III.
+    ///
+    /// [`commit`]: IncrementalEngine::commit
+    fn seal_and_commit(
+        &mut self,
+        union: Csr,
+        touched: &[VertexId],
+        fresh: SortedRun,
+    ) -> Result<(), EngineError> {
+        let delta = IndexDelta {
+            retracted: touched,
+            fresh: &fresh,
+        };
+        let generation = self.generation + 1;
+        let sealed = match &mut self.store {
+            Some(store) => Some(store.seal_records(generation, Some(delta), &self.index)?),
+            None => None,
+        };
+        drop(fresh);
+        self.commit(union)?;
+        if let (Some(store), Some(sealed)) = (&mut self.store, sealed) {
+            let stats = store.commit(
+                sealed,
                 &self.base,
                 &self.partition,
                 &self.params,

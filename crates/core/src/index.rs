@@ -236,9 +236,9 @@ pub struct IndexSnapshot {
 }
 
 /// What one flush changed in the index: the vertices whose records it
-/// retracted and the delta pass's fresh records. [`IndexStore::save_delta`]
-/// seals it as a segment that `load` replays through
-/// [`ShingleIndex::update`].
+/// retracted and the delta pass's fresh records.
+/// [`IndexStore::seal_records`] seals it as a segment that `load` replays
+/// through [`ShingleIndex::update`].
 #[derive(Debug, Clone, Copy)]
 pub struct IndexDelta<'a> {
     /// Vertices whose old records the flush dropped (any order).
@@ -280,6 +280,18 @@ struct Layout {
     segments: Vec<SegmentEntry>,
 }
 
+/// One generation's records, sealed by [`IndexStore::seal_records`] but
+/// not yet live: [`IndexStore::commit`] seals the rest of the generation
+/// and makes them so.
+#[derive(Debug)]
+#[must_use = "sealed records are not live until committed"]
+pub struct SealedRecords {
+    generation: u64,
+    s: usize,
+    layout: Layout,
+    stats: SpillStats,
+}
+
 /// The index directory: generation-numbered sealed files plus one
 /// atomically renamed manifest naming the live generation, log-structured
 /// like an LSM tree (O'Neil et al., 1996).
@@ -295,9 +307,12 @@ struct Layout {
 /// segment.
 ///
 /// Save order is seal-then-commit, the same crash contract as the run
-/// checkpoint: the payload files of the generation (base run or segment,
-/// `graph-<gen>.bin`, `partition-<gen>.tsv`) are written and synced
-/// first, then `index-manifest.json` is renamed over the old manifest and
+/// checkpoint: the payload files of the generation are written and
+/// synced first — its records (base run or segment) by
+/// [`IndexStore::seal_records`], which a flush calls before Passes II/III
+/// so it need not hold its fresh records through them, then
+/// `graph-<gen>.bin` and `partition-<gen>.tsv` by
+/// [`IndexStore::commit`] — then `index-manifest.json` is renamed over the old manifest and
 /// the directory fsynced, then every sealed file the new manifest does
 /// not name is swept — the previous generation's, and any a kill between
 /// seal and commit left behind. A crash at any point leaves a manifest
@@ -305,9 +320,9 @@ struct Layout {
 #[derive(Debug, Clone)]
 pub struct IndexStore {
     dir: PathBuf,
-    /// The committed layout the next [`IndexStore::save_delta`] appends
-    /// to: set by every commit and by `load`, cleared by a save that fails
-    /// so the next one seals a base.
+    /// The committed layout the next [`IndexStore::seal_records`] appends
+    /// to: set by every commit and by `load`, taken by every seal so a
+    /// save that fails leaves the next one to seal a base.
     live: Option<Layout>,
 }
 
@@ -370,47 +385,27 @@ impl IndexStore {
         budget: MemoryBudget,
         n_devices: usize,
     ) -> Result<SpillStats, CheckpointError> {
-        let axes = axes_record(params, budget, n_devices);
-        self.seal_and_commit(generation, None, index, graph, partition, &axes)
+        let sealed = self.seal_records(generation, None, index)?;
+        self.commit(sealed, graph, partition, params, budget, n_devices)
     }
 
-    /// Seal and commit generation `generation`, whose `index` is the
-    /// previous generation's with `delta` applied: as one more segment
-    /// when the live layout is known and stays under
-    /// [`COMPACT_FRACTION`] of its base, as a new base (a [`save`])
-    /// otherwise. A delta that retracts and adds nothing seals no
-    /// segment.
+    /// Seal the records of generation `generation`, whose `index` is the
+    /// live generation's with `delta` applied: `delta` as one more
+    /// segment while the live segments stay under [`COMPACT_FRACTION`] of
+    /// their base, `index` whole as a new base when they would not, when
+    /// no layout is live or when there is no `delta`. A delta that
+    /// retracts and adds nothing seals no segment. Nothing is live until
+    /// [`commit`]: a kill before it leaves files the next commit sweeps.
     ///
-    /// [`save`]: IndexStore::save
-    #[allow(clippy::too_many_arguments)] // one caller: the engine's flush
-    pub fn save_delta(
+    /// [`commit`]: IndexStore::commit
+    pub fn seal_records(
         &mut self,
         generation: u64,
-        delta: IndexDelta<'_>,
-        index: &ShingleIndex,
-        graph: &Csr,
-        partition: &Partition,
-        params: &ShinglingParams,
-        budget: MemoryBudget,
-        n_devices: usize,
-    ) -> Result<SpillStats, CheckpointError> {
-        let axes = axes_record(params, budget, n_devices);
-        self.seal_and_commit(generation, Some(delta), index, graph, partition, &axes)
-    }
-
-    /// The one save path: seal the payload files, commit the manifest,
-    /// sweep what it does not name. The live layout is taken up front, so
-    /// a failed save leaves none and the next save seals a base.
-    fn seal_and_commit(
-        &mut self,
-        gen: u64,
         delta: Option<IndexDelta<'_>>,
         index: &ShingleIndex,
-        graph: &Csr,
-        partition: &Partition,
-        axes: &BTreeMap<String, String>,
-    ) -> Result<SpillStats, CheckpointError> {
+    ) -> Result<SealedRecords, CheckpointError> {
         fs::create_dir_all(&self.dir)?;
+        let (gen, s) = (generation, index.s());
         let mut stats = SpillStats::default();
         let fits = |live: &Layout, delta: &IndexDelta| {
             let weight = live.segments.iter().map(SegmentEntry::weight).sum::<u64>()
@@ -420,17 +415,44 @@ impl IndexStore {
         let layout = match (self.live.take(), delta) {
             (Some(mut live), Some(delta)) if fits(&live, &delta) => {
                 if !(delta.retracted.is_empty() && delta.fresh.is_empty()) {
-                    let segment = self.seal_segment(gen, delta, index.s(), &mut stats)?;
-                    live.segments.push(segment);
+                    live.segments
+                        .push(self.seal_segment(gen, delta, s, &mut stats)?);
                 }
                 live
             }
             _ => Layout {
-                base: self.seal_run(Self::run_file(gen), index.s(), index.run(), &mut stats)?,
+                base: self.seal_run(Self::run_file(gen), s, index.run(), &mut stats)?,
                 segments: Vec::new(),
             },
         };
+        Ok(SealedRecords {
+            generation,
+            s,
+            layout,
+            stats,
+        })
+    }
 
+    /// Complete `sealed`'s generation: seal its union `graph` and
+    /// `partition`, commit the manifest (pinning the live
+    /// `params`/`budget`/`n_devices` axes and the graph fingerprint), and
+    /// sweep every sealed file the manifest does not name. Returns spill
+    /// statistics for the sealed records.
+    pub fn commit(
+        &mut self,
+        sealed: SealedRecords,
+        graph: &Csr,
+        partition: &Partition,
+        params: &ShinglingParams,
+        budget: MemoryBudget,
+        n_devices: usize,
+    ) -> Result<SpillStats, CheckpointError> {
+        let SealedRecords {
+            generation: gen,
+            s,
+            layout,
+            stats,
+        } = sealed;
         let graph_path = self.dir.join(Self::graph_file(gen));
         graph_io::write_file(&graph_path, graph)?;
         File::open(&graph_path)?.sync_all()?;
@@ -438,7 +460,8 @@ impl IndexStore {
         write_synced(&self.dir.join(Self::partition_file(gen)), &part_bytes)?;
 
         // Commit: the manifest replaces the old one atomically and durably.
-        let manifest = index_manifest(gen, graph, axes, index.s(), &layout, crc32(&part_bytes));
+        let axes = axes_record(params, budget, n_devices);
+        let manifest = index_manifest(gen, graph, &axes, s, &layout, crc32(&part_bytes));
         checkpoint::write_atomic(&self.dir, INDEX_MANIFEST_FILE, manifest.as_bytes())?;
         let mut keep = vec![
             layout.base.file.clone(),
@@ -542,7 +565,7 @@ impl IndexStore {
     ///   not the graph the manifest was committed for.
     ///
     /// The loaded layout becomes the one the next
-    /// [`IndexStore::save_delta`] appends to.
+    /// [`IndexStore::seal_records`] appends to.
     pub fn load(
         &mut self,
         params: &ShinglingParams,
@@ -1104,10 +1127,26 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Seal `delta` and commit generation `gen` over it, as a flush does.
+    fn save_delta(
+        store: &mut IndexStore,
+        gen: u64,
+        delta: IndexDelta,
+        index: &ShingleIndex,
+        graph: &Csr,
+        p: &ShinglingParams,
+    ) {
+        let sealed = store.seal_records(gen, Some(delta), index).unwrap();
+        let part = Partition::singletons(graph.n());
+        store
+            .commit(sealed, graph, &part, p, MemoryBudget::default(), 1)
+            .unwrap();
+    }
+
     /// A store fed the way a serve session feeds it: `graph(seed)` with
     /// half its edges held back, the base sealed as generation 0, then
     /// each [`Stream::step`] adds edges back as one delta and seals it
-    /// through `save_delta`. The directory is removed on drop.
+    /// as a flush does. The directory is removed on drop.
     struct Stream {
         dir: PathBuf,
         p: ShinglingParams,
@@ -1171,18 +1210,14 @@ mod tests {
                 retracted: &touched,
                 fresh: &fresh,
             };
-            self.store
-                .save_delta(
-                    self.generation,
-                    delta,
-                    &self.index,
-                    &self.graph,
-                    &Partition::singletons(self.graph.n()),
-                    &self.p,
-                    MemoryBudget::default(),
-                    1,
-                )
-                .unwrap();
+            save_delta(
+                &mut self.store,
+                self.generation,
+                delta,
+                &self.index,
+                &self.graph,
+                &self.p,
+            );
         }
 
         /// A fresh store's load of the directory.
@@ -1372,9 +1407,7 @@ mod tests {
             retracted: &[0],
             fresh: &fresh,
         };
-        store
-            .save_delta(2, delta, &next, &graph, &part(&graph), &stream.p, budget, 1)
-            .unwrap();
+        save_delta(&mut store, 2, delta, &next, &graph, &stream.p);
         assert_eq!(
             stream.names(),
             [

@@ -84,7 +84,7 @@ pub use checkpoint::{
 };
 pub use exec::{ClusterLabels, Executor, PassInput, PassReport, Sink};
 pub use incremental::{EngineError, IncrementalEngine, RefreshDecision};
-pub use index::{IndexDelta, IndexSnapshot, IndexStore, ShingleIndex};
+pub use index::{IndexDelta, IndexSnapshot, IndexStore, SealedRecords, ShingleIndex};
 pub use params::{
     parse_bytes, AggregationMode, BudgetError, FaultPolicy, MemoryBudget, ShingleKernel,
     ShinglingParams,
